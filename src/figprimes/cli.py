@@ -542,6 +542,8 @@ def _cmd_conj42(args) -> tuple[dict, Table, bool]:
 
 
 def _dispatch(args) -> tuple[dict, Table | None, bool]:
+    if args.max_counterexamples < 0 or args.sample_size < 0:
+        raise UsageError("--max-counterexamples and --sample-size must be >= 0")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     if args.cmd == "figurate":
         return _cmd_figurate(args)

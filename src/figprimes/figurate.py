@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
+from operator import index
 
 import numpy as np
 
@@ -64,6 +65,7 @@ class FigurateTable:
 
     def witness(self, n: int) -> FigurateWitness | None:
         """Canonical witness for a member value, None for non-members."""
+        n = index(n)
         if not self.contains(n):
             return None
         if n == 1:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 import numpy as np
 
@@ -30,6 +31,7 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 def is_prime(n: int) -> bool:
     """Exact primality for 0 <= n < 2^64 via fixed-witness Miller-Rabin."""
+    n = index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:

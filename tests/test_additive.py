@@ -17,31 +17,34 @@ def domain_set(spec: DomainSpec, table) -> set[int]:
 
 
 def oracle_additive(lo, hi, left, right, table, even_only=False):
-    """(counterexamples, minimal-x witness per n) by direct subtraction."""
+    """(counterexamples, minimal-x witness per n, its 1-based rank among
+    the left values) by direct subtraction."""
     lset = sorted(domain_set(left, table))
     rset = domain_set(right, table)
-    cex, witness = [], {}
+    cex, witness, position = [], {}, {}
     for n in range(lo, hi + 1):
         if even_only and n % 2:
             continue
-        for x in lset:
+        for pos, x in enumerate(lset, 1):
             if x >= n:
                 break
             if n - x in rset:
                 witness[n] = (x, n - x)
+                position[n] = pos
                 break
         else:
             cex.append(n)
-    return cex, witness
+    return cex, witness, position
 
 
 class TestSumOfTwoMembers:
     def test_matches_oracle_small(self, fig2e4):
         spec = DomainSpec("figurate", True)
         rep = verify_additive(2, 3000, spec, spec, fig2e4)
-        cex, witness = oracle_additive(2, 3000, spec, spec, fig2e4)
+        cex, witness, position = oracle_additive(2, 3000, spec, spec, fig2e4)
         assert rep.counterexamples == cex == []
         assert rep.verified
+        assert rep.stats["max_search_depth"] == max(position.values())
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
 
@@ -56,11 +59,21 @@ class TestSumOfTwoMembers:
         rep = verify_additive(97, 97, spec, spec, fig2e4)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (8, 89)
 
+    def test_scalar_tail_witness_and_depth(self, fig1e6):
+        # one target leaves the vectorized passes after 64 candidates, so
+        # its witness and depth come from the scalar tail
+        spec = DomainSpec("figurate", True)
+        rep = verify_additive(671581, 671581, spec, spec, fig1e6)
+        assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (88410, 583171)
+        assert rep.stats["max_search_depth"] == 8834
+
     def test_exclude_one_fails_below_four(self, fig2e4):
+        # at 20000, 2 and 3 are still open when the scalar tail takes over
         spec = DomainSpec("figurate", False)
-        rep = verify_additive(2, 100, spec, spec, fig2e4)
-        assert 2 in rep.counterexamples and 3 in rep.counterexamples
-        assert not rep.verified
+        for hi in (100, 20000):
+            rep = verify_additive(2, hi, spec, spec, fig2e4)
+            assert 2 in rep.counterexamples and 3 in rep.counterexamples
+            assert not rep.verified
 
     def test_witnesses_satisfy_equation_and_membership(self, fig2e4):
         spec = DomainSpec("figurate", True)
@@ -76,7 +89,7 @@ class TestPrimePlusProper:
     def test_matches_oracle_small(self, fig2e4):
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
         rep = verify_additive(6, 2500, left, right, fig2e4)
-        cex, witness = oracle_additive(6, 2500, left, right, fig2e4)
+        cex, witness, _ = oracle_additive(6, 2500, left, right, fig2e4)
         assert rep.counterexamples == cex
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
@@ -98,11 +111,14 @@ class TestGoldbach:
         rep = verify_additive(4, 10**4, spec, spec, fig2e4, even_only=True)
         assert rep.verified
         assert rep.stats["scanned"] == (10**4 - 4) // 2 + 1
+        _, _, position = oracle_additive(4, 10**4, spec, spec, fig2e4, even_only=True)
+        assert rep.stats["max_search_depth"] == max(position.values())
 
     def test_odd_targets_skipped(self, fig2e4):
         spec = DomainSpec("primes")
-        rep = verify_additive(4, 99, spec, spec, fig2e4, even_only=True)
-        assert rep.stats["scanned"] == 48
+        for lo, scanned in ((4, 48), (5, 47)):
+            rep = verify_additive(lo, 99, spec, spec, fig2e4, even_only=True)
+            assert rep.stats["scanned"] == scanned
 
 
 class TestEngineMechanics:
@@ -112,7 +128,10 @@ class TestEngineMechanics:
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
         rep = verify_additive(6, 4000, left, right, fig2e4)
         assert rep.stats["mode"] == "right-descending"
-        cex, witness = oracle_additive(6, 4000, left, right, fig2e4)
+        # descending depths leave the scalar tail out; the benchmark's
+        # recordings pin that figure
+        assert rep.stats["max_search_depth"] == 83
+        cex, witness, _ = oracle_additive(6, 4000, left, right, fig2e4)
         assert rep.counterexamples == cex
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
@@ -156,8 +175,11 @@ class TestEngineMechanics:
             verify_additive(1, 10, spec, spec, fig2e4)
         with pytest.raises(UsageError):
             verify_additive(2, fig2e4.limit + 1, spec, spec, fig2e4)
-        with pytest.raises(UsageError):
-            verify_additive(2, 10, spec, spec, fig2e4, jobs=0)
+        for bad in ({"jobs": 0}, {"sample_size": -1}, {"max_counterexamples": -1}):
+            with pytest.raises(UsageError):
+                verify_additive(2, 10, spec, spec, fig2e4, **bad)
+            with pytest.raises(UsageError):
+                verify_linear(1, 2, 1, 10, spec, fig2e4, **bad)
 
     def test_unknown_domain_kind_rejected(self):
         with pytest.raises(UsageError):
@@ -172,9 +194,13 @@ class TestEngineMechanics:
 
 
 def oracle_linear(a, b, lo, hi, spec, table):
+    """Also returns each witness x's 1-based rank among the values = x mod b."""
     vals = sorted(domain_set(spec, table))
     vset = set(vals)
-    cex, witness, below = [], {}, 0
+    rank, seen = {}, {}
+    for v in vals:
+        seen[v % b] = rank[v] = seen.get(v % b, 0) + 1
+    cex, witness, below, position = [], {}, 0, {}
     for n in range(lo, hi + 1):
         if n < a + b:
             below += 1
@@ -185,10 +211,11 @@ def oracle_linear(a, b, lo, hi, spec, table):
                 break
             if (n - a * x) % b == 0 and (n - a * x) // b in vset:
                 witness[n] = (x, (n - a * x) // b)
+                position[n] = rank[x]
                 break
         else:
             cex.append(n)
-    return cex, witness, below
+    return cex, witness, below, position
 
 
 class TestLinear:
@@ -196,9 +223,10 @@ class TestLinear:
     def test_matches_oracle_figurate(self, fig2e4, a, b):
         spec = DomainSpec("figurate", True)
         rep = verify_linear(a, b, 1, 1200, spec, fig2e4, max_counterexamples=10**6)
-        cex, witness, below = oracle_linear(a, b, 1, 1200, spec, fig2e4)
+        cex, witness, below, position = oracle_linear(a, b, 1, 1200, spec, fig2e4)
         assert rep.counterexamples == cex
         assert rep.stats["below_floor"] == below
+        assert rep.stats["max_search_depth"] == max(position.values())
         assert rep.stats["largest_exception"] == (max(cex) if cex else None)
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
@@ -206,7 +234,7 @@ class TestLinear:
     def test_matches_oracle_primes(self, fig2e4):
         spec = DomainSpec("primes")
         rep = verify_linear(1, 2, 2, 800, spec, fig2e4, max_counterexamples=10**6)
-        cex, witness, below = oracle_linear(1, 2, 2, 800, spec, fig2e4)
+        cex, _, _, _ = oracle_linear(1, 2, 2, 800, spec, fig2e4)
         assert rep.counterexamples == cex
         assert 20 in rep.counterexamples
 

@@ -71,6 +71,13 @@ class TestExitCodes:
         assert run(["figurate"]) == 2                   # neither --limit nor --member
         assert run(["sum2", "--from", "2", "--to", "10", "--jobs", "0"]) == 2
         assert run(["figurate", "--member", "0"]) == 2
+        # negative counts would slice from the end of a list
+        assert run(["curve", "samples", "--kind", "cubic", "--sign", "1", "--k", "1",
+                    "--xlo", "-2", "--xhi", "1", "--sample-size", "-1"]) == 2
+        assert run(["sum2", "--from", "2", "--to", "100", "--exclude-one",
+                    "--max-counterexamples", "-1"]) == 2
+        assert run(["linear", "--a", "2", "--b", "3", "--from", "1", "--to", "100",
+                    "--sample-size", "-3"]) == 2
 
     def test_arithmetic_guard_is_three(self):
         code = run(

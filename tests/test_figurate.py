@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
 import pytest
 
 from figprimes import (
@@ -83,7 +84,7 @@ class TestMembershipOracle:
 
 class TestWitnesses:
     def test_witnesses_valid_and_canonical(self, fig2e4):
-        for n in fig2e4.values.tolist()[:4000]:
+        for n in fig2e4.values.tolist()[:4000] + [np.int64(97)]:
             w = fig2e4.witness(n)
             assert w.value == n
             assert binomial_checked(w.base, w.i) == n

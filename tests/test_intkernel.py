@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from math import comb, gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +67,7 @@ class TestIsPrime:
             assert not is_prime(n), n
 
     def test_large_primes_accepted(self):
-        for n in (2**31 - 1, 2**61 - 1, 18446744073709551557):
+        for n in (2**31 - 1, 2**61 - 1, 18446744073709551557, np.int64(97)):
             assert is_prime(n), n
 
     def test_64bit_boundary_composites(self):
