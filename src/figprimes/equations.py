@@ -12,9 +12,11 @@ import time
 from dataclasses import dataclass
 from importlib.resources import files
 from math import comb, factorial, isqrt
+from operator import index
 
-from .errors import UsageError
+from .errors import ArithmeticGuardError, UsageError
 from .intkernel import (
+    U63_MAX,
     PrimeTable,
     build_sieve,
     integer_root,
@@ -23,8 +25,9 @@ from .intkernel import (
     prime_powers_upto,
 )
 
-#: enumerating the i = j = 1 case walks every prime power up to the bound,
-#: so it gets a much lower ceiling than the inverted cases
+#: the i = j = 1 case with even k walks every prime power up to the bound, so
+#: it gets a much lower ceiling than the inverted cases; odd k needs none, as
+#: one side of p**a - q**b = k is then a power of two
 UNIT_INSTANCE_BOUND = 10**8
 
 
@@ -112,52 +115,70 @@ def solve_equation(
     The side with the larger binomial index is enumerated directly over
     prime powers; the opposite value is then inverted, which keeps the walk
     far shorter than scanning the subtrahend when j = 1.
+
+    For i = j = 1 and odd k, exactly one of p**a and q**b is even, so it is a
+    power of two 2**e: each e up to the bound costs one decomposition and no
+    sieve is built.  Even k enumerates every prime power up to the bound and
+    is capped at ``UNIT_INSTANCE_BOUND``.  The minuend never exceeds
+    value_bound + k, which must fit in 63 bits.
     """
+    value_bound = index(value_bound)
     if value_bound < 1:
         raise UsageError("value_bound must be >= 1")
     if value_bound > 2**62:
         raise UsageError("value_bound above 2^62 is not supported")
-    i, j, k = inst.i, inst.j, inst.k
+    i, j, k = inst.i, inst.j, index(inst.k)
+    if value_bound + k > U63_MAX:
+        raise ArithmeticGuardError("value_bound + k exceeds 2^63 - 1")
     found: list[EquationSolution] = []
 
-    if i == 1 and j == 1:
+    if i == 1 and j == 1 and k % 2:
+        # 2**e - q**b = k with q**b <= value_bound, i.e. 2**e <= value_bound + k ...
+        for e in range(1, (value_bound + k).bit_length()):
+            d = prime_power_decompose(2**e - k)
+            if d is not None:
+                found.append(EquationSolution(2, e, d.p, d.a, 2**e, 2**e - k))
+        # ... and p**a - 2**e = k with 2**e <= value_bound.
+        for e in range(1, value_bound.bit_length()):
+            d = prime_power_decompose(2**e + k)
+            if d is not None:
+                found.append(EquationSolution(d.p, d.a, 2, e, 2**e + k, 2**e))
+    elif i == 1 and j == 1:
         # p**a - q**b = k: no binomial to invert on either side.
         if value_bound > UNIT_INSTANCE_BOUND:
             raise UsageError(
-                f"instance (1, 1, k) enumerates every prime power up to the "
-                f"bound; use value_bound <= {UNIT_INSTANCE_BOUND}"
+                f"instance (1, 1, k) with even k enumerates every prime power "
+                f"up to the bound; use value_bound <= {UNIT_INSTANCE_BOUND}"
             )
         table = _shared_table(table, value_bound)
-        for pp in prime_powers_upto(value_bound, table):
-            d = prime_power_decompose(pp.value + k)
+        for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(value_bound, table))):
+            d = prime_power_decompose(v + k)
             if d is not None:
-                found.append(
-                    EquationSolution(d.p, d.a, pp.p, pp.a, pp.value + k, pp.value)
-                )
+                found.append(EquationSolution(d.p, d.a, q, b, v + k, v))
     elif j == 1:
         # Walk the minuend side: C(n, i) <= value_bound + k exactly covers
         # every solution with q**b <= value_bound.
         n_max = _max_binomial_arg(i, value_bound + k)
         table = _shared_table(table, n_max)
-        for pp in prime_powers_upto(n_max, table):
-            if pp.value < i:
+        for v, p, a in zip(*(x.tolist() for x in prime_powers_upto(n_max, table))):
+            if v < i:
                 continue
-            m = comb(pp.value, i) - k
+            m = comb(v, i) - k
             if m < 1:
                 continue
             d = prime_power_decompose(m)
             if d is not None:
-                found.append(EquationSolution(pp.p, pp.a, d.p, d.a, m + k, m))
+                found.append(EquationSolution(p, a, d.p, d.a, m + k, m))
     elif i > j:
         # i > j >= 2: the minuend side carries the larger index, so walk it
         # and invert the subtrahend.  left <= value_bound + k covers exactly
         # right <= value_bound.
         n_max = _max_binomial_arg(i, value_bound + k)
         table = _shared_table(table, n_max)
-        for pp in prime_powers_upto(n_max, table):
-            if pp.value < i:
+        for v, p, a in zip(*(x.tolist() for x in prime_powers_upto(n_max, table))):
+            if v < i:
                 continue
-            left = comb(pp.value, i)
+            left = comb(v, i)
             if left <= k:
                 continue
             m = _invert_binomial(left - k, j)
@@ -165,24 +186,20 @@ def solve_equation(
                 continue
             d = prime_power_decompose(m)
             if d is not None:
-                found.append(
-                    EquationSolution(pp.p, pp.a, d.p, d.a, left, left - k)
-                )
+                found.append(EquationSolution(p, a, d.p, d.a, left, left - k))
     else:
         m_max = _max_binomial_arg(j, value_bound)
         table = _shared_table(table, m_max)
-        for pp in prime_powers_upto(m_max, table):
-            if pp.value < j:
+        for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(m_max, table))):
+            if v < j:
                 continue
-            right = comb(pp.value, j)
+            right = comb(v, j)
             n = _invert_binomial(right + k, i)
             if n is None or n < i:
                 continue
             d = prime_power_decompose(n)
             if d is not None:
-                found.append(
-                    EquationSolution(d.p, d.a, pp.p, pp.a, right + k, right)
-                )
+                found.append(EquationSolution(d.p, d.a, q, b, right + k, right))
 
     found.sort(key=lambda s: (s.right, s.left))
     return found
@@ -257,15 +274,15 @@ def special_family_checks(bound: int = 10**9, table: PrimeTable | None = None) -
 
     tetra_hits: list[tuple[int, ...]] = []
     m_max = _max_binomial_arg(3, bound - 1)
-    for pp in prime_powers_upto(m_max, table):
-        if pp.value < 3:
+    for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(m_max, table))):
+        if v < 3:
             continue
-        value = comb(pp.value, 3) + 1
+        value = comb(v, 3) + 1
         if value > bound:
             break
         d = prime_power_decompose(value)
         if d is not None:
-            tetra_hits.append((d.p, pp.p, d.a, pp.a))
+            tetra_hits.append((d.p, q, d.a, b))
 
     return FamilyReport(
         bound=bound,

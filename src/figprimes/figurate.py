@@ -168,6 +168,7 @@ def figurate_witness(n: int) -> FigurateWitness | None:
     stratum i >= 2 while C(2i, i) <= n.  C(m, i) is strictly increasing in m
     for m >= 2i, so each stratum has at most one candidate argument.
     """
+    n = index(n)
     if n < 1:
         raise UsageError("figurate_witness needs n >= 1")
     if n == 1:

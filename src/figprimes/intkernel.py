@@ -11,7 +11,7 @@ from operator import index
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 
 #: inclusive cap for values reported by the checked binomial helpers
 U63_MAX = 2**63 - 1
@@ -27,11 +27,24 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Deterministic Miller-Rabin witness set, correct for every n < 2^64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_LIMIT = 2**64
+
+
+def _check_exact(n: int) -> None:
+    if n >= _MR_LIMIT:
+        raise ArithmeticGuardError(
+            f"{n} is not below 2^64, where the Miller-Rabin witness set is deterministic"
+        )
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality for 0 <= n < 2^64 via fixed-witness Miller-Rabin."""
+    """Exact primality for n < 2^64 via fixed-witness Miller-Rabin.
+
+    Raises ArithmeticGuardError for n >= 2^64, where the witness set is no
+    longer known to be deterministic.
+    """
     n = index(n)
+    _check_exact(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -122,20 +135,34 @@ def build_sieve(limit: int, max_entries: int = DEFAULT_SIEVE_ENTRIES) -> PrimeTa
     return PrimeTable(limit=limit, primes=primes, spf=spf, prime_mask=mask)
 
 
-def prime_powers_upto(limit: int, table: PrimeTable) -> list[PrimePower]:
-    """All p**a <= limit with a >= 1, ascending by value."""
+def prime_powers_upto(
+    limit: int, table: PrimeTable
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All p**a <= limit with a >= 1, as aligned int64 arrays ascending by value.
+
+    Returns ``(values, bases, exponents)`` with ``values == bases**exponents``.
+    Row a of the construction holds p**a for a prefix of the primes: p**a * p
+    grows with p, so the primes that still fit one more factor are a prefix of
+    the previous row.  Prime powers are distinct, so one stable argsort orders
+    the rows.
+    """
     if limit > table.limit:
         raise UsageError("prime table too small for requested limit")
-    out: list[PrimePower] = []
-    cut = int(np.searchsorted(table.primes, limit, side="right"))
-    for p in table.primes[:cut].tolist():
-        v, a = p, 1
-        while v <= limit:
-            out.append(PrimePower(p, a, v))
-            v *= p
-            a += 1
-    out.sort(key=lambda pp: pp.value)
-    return out
+    primes = table.primes[: int(np.searchsorted(table.primes, limit, side="right"))]
+    rows = [primes]
+    while True:
+        row = rows[-1]
+        cut = int(np.count_nonzero(row <= limit // primes[: row.size]))
+        if not cut:
+            break
+        rows.append(row[:cut] * primes[:cut])
+    values = np.concatenate(rows)
+    bases = np.concatenate([primes[: row.size] for row in rows])
+    exponents = np.repeat(
+        np.arange(1, len(rows) + 1, dtype=np.int64), [row.size for row in rows]
+    )
+    order = np.argsort(values, kind="stable")
+    return values[order], bases[order], exponents[order]
 
 
 def integer_root(n: int, e: int) -> tuple[int, bool]:
@@ -190,7 +217,12 @@ def binomial_checked(n: int, i: int) -> int | None:
 
 
 def prime_power_decompose(n: int) -> PrimePower | None:
-    """Write n = p**a if possible.  None for n <= 1 and for mixed composites."""
+    """Write n = p**a if possible.  None for n <= 1 and for mixed composites.
+
+    Raises ArithmeticGuardError for n >= 2^64, like ``is_prime``.
+    """
+    n = index(n)
+    _check_exact(n)
     if n <= 1:
         return None
     for d in _SMALL_PRIMES:

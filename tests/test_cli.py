@@ -85,6 +85,10 @@ class TestExitCodes:
              "--xlo", "0", "--xhi", "65536"]
         )
         assert code == 3
+        # k beyond 63 bits would take primality tests past 2^64
+        for i in ("1", "2"):
+            assert run(["solve", "--i", i, "--j", "1",
+                        "--k", "10000000000000000000000001", "--bound", "100"]) == 3
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0

@@ -8,9 +8,12 @@ from __future__ import annotations
 
 from math import comb
 
+import numpy as np
 import pytest
+from sympy import isprime
 
 from figprimes import (
+    ArithmeticGuardError,
     EquationInstance,
     UsageError,
     binomial_checked,
@@ -62,10 +65,13 @@ def oracle_solutions(i, j, k, bound, table):
 
 
 class TestSolveOracle:
-    @pytest.mark.parametrize("key", CATALOG_INSTANCES + [(1, 1, 1), (2, 2, 1)])
+    @pytest.mark.parametrize(
+        "key",
+        [(*key, 10**6) for key in CATALOG_INSTANCES + [(1, 1, 1), (2, 2, 1)]]
+        + [(1, 1, k, 10**5) for k in range(1, 100, 2)],
+    )
     def test_agrees_with_subtraction_table(self, table1e6, key):
-        i, j, k = key
-        bound = 10**6
+        i, j, k, bound = key
         sols = solve_equation(EquationInstance(i, j, k), bound, table1e6)
         assert {s.pqab for s in sols} == oracle_solutions(i, j, k, bound, table1e6)
 
@@ -90,6 +96,20 @@ class TestSolveOracle:
             v = s.p**s.a
             assert (v + 1) * (v - 2) == 2 * s.q**s.b
 
+    def test_unit_instance_k1_is_catalan(self):
+        # By Mihailescu's theorem (Catalan's conjecture) and the elementary
+        # cases, p**a - q**b = 1 leaves only 9 - 8 and a power of two next to
+        # a Mersenne or a Fermat prime; 3 - 2 is the Fermat prime 2 + 1.
+        bound = 2**62
+        expected = {(3, 2, 2, 3)}
+        expected |= {(2, 2**e - 1, e, 1) for e in range(2, 63) if isprime(2**e - 1)}
+        expected |= {(2**e + 1, 2, 1, e) for e in range(1, 63) if isprime(2**e + 1)}
+        assert len(expected) == 15
+        sols = solve_equation(EquationInstance(1, 1, 1), bound)
+        assert {s.pqab for s in sols} == expected
+        for s in sols:
+            assert s.left - s.right == 1 and s.right <= bound
+
     def test_equal_indices_empty(self, table1e6):
         assert solve_equation(EquationInstance(2, 2, 1), 10**9, table1e6) == []
 
@@ -99,6 +119,10 @@ class TestSolveOracle:
         assert (5, 3, 1, 1) in pairs     # twin primes qualify
         assert (3, 2, 1, 1) not in pairs  # 3 - 2 = 1, wrong gap
         assert {s.pqab for s in sols} == oracle_solutions(1, 1, 2, 10**4, table1e6)
+        # numpy integers give the same answer as Python ints
+        assert solve_equation(EquationInstance(1, 1, np.int64(3)), np.int64(10**4)) == (
+            solve_equation(EquationInstance(1, 1, 3), 10**4)
+        )
 
     def test_guards(self):
         with pytest.raises(UsageError):
@@ -110,7 +134,15 @@ class TestSolveOracle:
         with pytest.raises(UsageError):
             solve_equation(EquationInstance(2, 1, 1), 2**62 + 1)
         with pytest.raises(UsageError):
-            solve_equation(EquationInstance(1, 1, 1), UNIT_INSTANCE_BOUND + 1)
+            solve_equation(EquationInstance(1, 1, 2), UNIT_INSTANCE_BOUND + 1)
+        # the minuend reaches value_bound + k, which must fit in 63 bits
+        for k, bound in [(10**25 + 1, 100), (2**62 + 1, 2**62 - 1), (2**62, 2**62)]:
+            for i in (1, 2):
+                with pytest.raises(ArithmeticGuardError):
+                    solve_equation(EquationInstance(i, 1, k), bound)
+        solve_equation(EquationInstance(1, 1, 2**62 - 1), 2**62)  # sum 2^63 - 1
+        with pytest.raises(ArithmeticGuardError):  # int64 addition would wrap
+            solve_equation(EquationInstance(1, 1, np.int64(2**62 + 1)), 2**62 - 1)
 
 
 class TestTriangularPredecessors:

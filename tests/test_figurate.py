@@ -107,13 +107,15 @@ class TestWitnesses:
                 assert all(comb(m, i) != n for m in pps), (n, i)
 
     def test_table_free_witness_agrees(self, fig2e4):
-        for n in range(1, 3000):
+        for n in [*range(1, 3000), np.int64(97)]:
             w = figurate_witness(n)
             member = fig2e4.contains(n)
             assert (w is not None) == member
             if member:
                 t = fig2e4.witness(n)
                 assert (w.p, w.a, w.i) == (t.p, t.a, t.i)
+                # plain ints, so that reports serialize
+                assert all(type(x) is int for x in (w.value, w.p, w.a, w.i))
 
     def test_symmetry_on_stored_witnesses(self, fig2e4):
         for n, w in fig2e4.binomial_witnesses.items():

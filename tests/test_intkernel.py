@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from figprimes import (
+    ArithmeticGuardError,
     PrimePower,
     UsageError,
     binomial_checked,
@@ -73,6 +74,9 @@ class TestIsPrime:
     def test_64bit_boundary_composites(self):
         assert not is_prime(2**64 - 1)
         assert not is_prime((2**31 - 1) ** 2)
+        # the witness set is deterministic only below 2^64
+        with pytest.raises(ArithmeticGuardError):
+            is_prime(2**64)
 
 
 class TestSieve:
@@ -111,20 +115,21 @@ class TestSieve:
 
 class TestPrimePowers:
     def test_matches_factorization_oracle(self):
-        limit = 5000
-        table = build_sieve(limit)
-        expected = [
-            n for n in range(2, limit + 1) if len(trial_factorize(n)) == 1
-        ]
-        got = prime_powers_upto(limit, table)
-        assert [pp.value for pp in got] == expected
-        for pp in got:
-            assert pp.p ** pp.a == pp.value
-            assert trial_division_prime(pp.p)
+        table = build_sieve(5000)
+        for limit in (1, 2, 3, 5000):
+            expected = [
+                n for n in range(2, limit + 1) if len(trial_factorize(n)) == 1
+            ]
+            values, bases, exponents = prime_powers_upto(limit, table)
+            assert values.dtype == bases.dtype == exponents.dtype == np.int64
+            assert values.tolist() == expected
+            for v, p, a in zip(values.tolist(), bases.tolist(), exponents.tolist()):
+                assert p**a == v
+                assert trial_division_prime(p)
 
     def test_values_ascend(self):
         table = build_sieve(10**4)
-        vals = [pp.value for pp in prime_powers_upto(10**4, table)]
+        vals = prime_powers_upto(10**4, table)[0].tolist()
         assert vals == sorted(vals)
 
     def test_table_too_small_rejected(self):
@@ -240,6 +245,11 @@ class TestPrimePowerDecompose:
         m31 = 2**31 - 1
         assert prime_power_decompose(m31**2) == PrimePower(m31, 2, m31**2)
         assert prime_power_decompose((10**9 + 7) * (10**9 + 9)) is None
+        d = prime_power_decompose(np.int64(97))
+        assert d == PrimePower(97, 1, 97)
+        assert type(d.p) is type(d.value) is int
+        with pytest.raises(ArithmeticGuardError):
+            prime_power_decompose(2**64)
 
     def test_large_prime_powers_with_composite_exponent(self):
         # exponent 6 = 2*3 resolves through the recursive root path
