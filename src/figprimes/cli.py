@@ -11,6 +11,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .additive import DomainSpec, VerificationReport, verify_additive, verify_linear
 from .curves import (
     CurvePoint,
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _verification_env(rep: VerificationReport) -> tuple[dict, Table, bool]:
+def _verification_env(rep: VerificationReport, t0: float) -> tuple[dict, Table, bool]:
     env = build_envelope(
         task=rep.task,
         params=rep.params,
@@ -161,7 +163,7 @@ def _verification_env(rep: VerificationReport) -> tuple[dict, Table, bool]:
         counterexample_total=rep.counterexample_total,
         witness_sample=rep.witness_sample,
         stats=rep.stats,
-        elapsed_ms=rep.elapsed_ms,
+        elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
     rows: list[list[object]] = [
         ["witness", w["n"], w["x"], w["y"]] for w in rep.witness_sample
@@ -213,7 +215,7 @@ def _cmd_figurate(args) -> tuple[dict, Table, bool]:
         stats={"count": table.count, "dumped": dumped, "dump_path": args.dump},
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
-    return env, Table(["value"], [[v] for v in table.values.tolist()]), False
+    return env, Table(["value"], table.values), False
 
 
 def _cmd_twins(args) -> tuple[dict, Table, bool]:
@@ -227,7 +229,7 @@ def _cmd_twins(args) -> tuple[dict, Table, bool]:
         stats={"count": len(pairs)},
         elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
-    return env, Table(["f", "g"], [list(p) for p in pairs]), False
+    return env, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2)), False
 
 
 def _cmd_solve(args) -> tuple[dict, Table, bool]:
@@ -545,6 +547,7 @@ def _dispatch(args) -> tuple[dict, Table | None, bool]:
     if args.max_counterexamples < 0 or args.sample_size < 0:
         raise UsageError("--max-counterexamples and --sample-size must be >= 0")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
+    t0 = time.perf_counter()
     if args.cmd == "figurate":
         return _cmd_figurate(args)
     if args.cmd == "twins":
@@ -576,7 +579,7 @@ def _dispatch(args) -> tuple[dict, Table | None, bool]:
             sample_size=args.sample_size,
             task=task,
         )
-        return _verification_env(rep)
+        return _verification_env(rep, t0)
     if args.cmd == "linear":
         table = generate_figurate(args.hi, include_one=True)
         rep = verify_linear(
@@ -590,7 +593,7 @@ def _dispatch(args) -> tuple[dict, Table | None, bool]:
             max_counterexamples=args.max_counterexamples,
             sample_size=args.sample_size,
         )
-        return _verification_env(rep)
+        return _verification_env(rep, t0)
     if args.cmd == "solve":
         return _cmd_solve(args)
     if args.cmd == "triangular":

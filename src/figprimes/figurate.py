@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from operator import index
 
 import numpy as np
@@ -20,7 +20,9 @@ from .intkernel import (
     PrimeTable,
     build_sieve,
     prime_power_decompose,
+    prime_powers_upto,
 )
+from .reporting import int_lines
 
 #: default membership bitmap budget, counted in entries
 DEFAULT_BITMAP_ENTRIES = 1 << 28
@@ -85,10 +87,11 @@ def generate_figurate(
 ) -> FigurateTable:
     """Enumerate all members up to ``limit``.
 
-    Strata run over i: i = 1 contributes the prime powers directly; for
-    i >= 2 only arguments m >= 2i matter since C(m, i) = C(m, m - i) and
-    C(m, m) = 1 is handled by the include_one flag.  Witness canonicality
-    follows from visiting strata in ascending i and arguments in ascending m.
+    Strata run over i: i = 1 contributes the prime powers, taken as one array
+    from ``prime_powers_upto``; for i >= 2 only arguments m >= 2i matter since
+    C(m, i) = C(m, m - i) and C(m, m) = 1 is handled by the include_one flag.
+    Witness canonicality follows from visiting strata in ascending i and
+    arguments in ascending m.
     """
     if limit < 2:
         raise UsageError("generation limit must be >= 2")
@@ -103,20 +106,14 @@ def generate_figurate(
     if table.limit < limit:
         raise UsageError("prime table too small for generation limit")
 
-    powers: list[int] = []
-    for p in table.primes.tolist():
-        if p > limit:
-            break
-        v = p
-        while v <= limit:
-            powers.append(v)
-            v *= p
-
+    prime_powers = prime_powers_upto(limit, table)[0]
     membership = np.zeros(limit + 1, dtype=bool)
-    membership[powers] = True
+    membership[prime_powers] = True
 
+    # C(m, i) >= C(m, 2) > limit once m > isqrt(2 * limit) + 1, for every i >= 2
+    cut = int(np.searchsorted(prime_powers, isqrt(2 * limit) + 2, side="right"))
+    powers = prime_powers[:cut].tolist()
     deep: dict[int, FigurateWitness] = {}
-    powers.sort()
     i = 2
     while comb(2 * i, i) <= limit:
         for m in powers[bisect_left(powers, 2 * i) :]:
@@ -237,12 +234,14 @@ def twin_figurate(limit: int, table: FigurateTable | None = None) -> list[tuple[
         raise UsageError("table limit below twin limit")
     vals = table.values[table.values + 2 <= limit]
     hits = vals[table.membership[vals + 2]]
-    return [(int(f), int(f) + 2) for f in hits]
+    return [(f, f + 2) for f in hits.tolist()]
 
 
 def write_values(table: FigurateTable, path: str) -> int:
-    """Dump member values one per line.  Returns the number of lines."""
+    """Dump member values one per line.  Returns the number of lines.
+
+    The text is the body ``render_csv`` writes for the values column.
+    """
     with open(path, "w", encoding="ascii") as fh:
-        for v in table.values.tolist():
-            fh.write(f"{v}\n")
+        fh.write(int_lines(table.values))
     return table.count

@@ -6,6 +6,7 @@ seed an iteration but never decides a result.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 from operator import index
 
@@ -80,16 +81,32 @@ class PrimePower:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieve products up to ``limit``: prime list, spf table, prime mask."""
+    """Sieve products up to ``limit``: prime list and prime mask.
+
+    The smallest-prime-factor table ``spf`` is not part of the sieve: it is
+    built on the first ``factorize`` call (or ``spf`` access) and then kept,
+    so callers that only need primes never hold its 4 bytes per entry.
+    """
 
     limit: int
     primes: np.ndarray      # ascending, dtype int64
-    spf: np.ndarray         # spf[n] = smallest prime factor of n, n in [2, limit]
     prime_mask: np.ndarray  # bool, prime_mask[n] iff n prime
 
     @property
     def prime_count(self) -> int:
         return int(self.primes.size)
+
+    @cached_property
+    def spf(self) -> np.ndarray:
+        """spf[n] = smallest prime factor of n, n in [2, limit]; built on first use."""
+        dtype = np.uint32 if self.limit < 2**32 else np.uint64
+        spf = np.zeros(self.limit + 1, dtype=dtype)
+        root = int(np.searchsorted(self.primes, isqrt(self.limit), side="right"))
+        for p in self.primes[:root].tolist():
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+        spf[self.primes] = self.primes
+        return spf
 
     def contains_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -113,26 +130,24 @@ class PrimeTable:
 
 
 def build_sieve(limit: int, max_entries: int = DEFAULT_SIEVE_ENTRIES) -> PrimeTable:
-    """Smallest-prime-factor sieve over [2, limit]."""
+    """Sieve of Eratosthenes over [2, limit] into a boolean prime mask.
+
+    Each prime p up to sqrt(limit) clears its multiples from p*p on with one
+    slice assignment.  The ``spf`` table is left to ``PrimeTable.spf``.
+    """
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
     if limit + 1 > max_entries:
         raise ResourceLimitError(
             f"sieve of {limit + 1} entries exceeds the budget of {max_entries}"
         )
-    dtype = np.uint32 if limit < 2**32 else np.uint64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    # Composites are now marked with their least factor; the zero entries
-    # from 2 on are exactly the primes.
-    mask = spf == 0
+    mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
     primes = np.flatnonzero(mask).astype(np.int64)
-    spf[primes] = primes
-    return PrimeTable(limit=limit, primes=primes, spf=spf, prime_mask=mask)
+    return PrimeTable(limit=limit, primes=primes, prime_mask=mask)
 
 
 def prime_powers_upto(

@@ -11,6 +11,8 @@ import io
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 FORMATS = ("json", "csv", "text")
 
 ENVELOPE_KEYS = (
@@ -29,10 +31,26 @@ ENVELOPE_KEYS = (
 
 @dataclass
 class Table:
-    """Tabular attachment used by the csv renderer."""
+    """Tabular attachment used by the csv renderer.
+
+    ``rows`` is a list of rows, or an integer array with one row per entry
+    (one column when it is one-dimensional).
+    """
 
     header: list[str]
-    rows: list[list[object]]
+    rows: list[list[object]] | np.ndarray
+
+
+def int_lines(rows: np.ndarray) -> str:
+    """An integer array as csv lines: the text ``csv.writer`` gives for its rows.
+
+    Integers never need quoting, so each line is the row's values joined by
+    commas; every line ends in a newline.
+    """
+    if not len(rows):
+        return ""
+    columns = rows.reshape(len(rows), -1).T.tolist()
+    return "\n".join(map(",".join, zip(*(map(str, c) for c in columns)))) + "\n"
 
 
 def build_envelope(
@@ -79,8 +97,11 @@ def render_csv(env: dict, table: Table | None) -> bytes:
             writer.writerow([f"stats.{key}", value])
     else:
         writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow(row)
+        if isinstance(table.rows, np.ndarray):
+            buf.write(int_lines(table.rows))
+        else:
+            for row in table.rows:
+                writer.writerow(row)
     return buf.getvalue().encode("utf-8")
 
 

@@ -2,10 +2,15 @@
 and byte-level determinism across worker counts."""
 from __future__ import annotations
 
+import csv
+import io
 import json
+import time
 
+import numpy as np
 import pytest
 
+from figprimes import generate_figurate, twin_figurate
 from figprimes.cli import run
 from figprimes.reporting import ENVELOPE_KEYS, Table, build_envelope, render_report
 
@@ -26,6 +31,16 @@ def run_json(argv, tmp_path, name="out.json"):
 def run_csv(argv, tmp_path, name="out.csv"):
     code, path = run_cli(argv + ["--format", "csv"], tmp_path, name)
     return code, path.read_text().splitlines()
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for a header and a list of rows."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue().encode("utf-8")
 
 
 def normalized(path) -> str:
@@ -120,6 +135,17 @@ class TestEnvelope:
         assert env["range"] == [2, 100]
         assert env["verified"] is True
 
+    def test_scan_elapsed_counts_generation(self, tmp_path, monkeypatch):
+        def slow_generate(*args, **kwargs):
+            time.sleep(0.05)
+            return generate_figurate(*args, **kwargs)
+
+        monkeypatch.setattr("figprimes.cli.generate_figurate", slow_generate)
+        span = ["--from", "4", "--to", "100"]
+        for argv in (["sum2"], ["prime-proper"], ["goldbach"], ["linear", "--a", "1", "--b", "2"]):
+            _, env = run_json(argv + span, tmp_path)
+            assert env["elapsed_ms"] >= 50, argv
+
     def test_verification_witnesses(self, tmp_path):
         _, env = run_json(["sum2", "--from", "2", "--to", "50"], tmp_path)
         first = env["witness_sample"][0]
@@ -196,6 +222,17 @@ class TestCsvPayloads:
         )
         assert lines[0] == "p,q,a,b,left,right"
         assert lines[1] == "3,2,1,1,3,2"
+
+    def test_integer_arrays_match_csv_writer(self, tmp_path):
+        values = generate_figurate(10**5).values.tolist()
+        _, path = run_cli(["figurate", "--limit", "100000", "--format", "csv"], tmp_path)
+        assert path.read_bytes() == csv_writer_bytes(["value"], [[v] for v in values])
+        # limit 3 has the one pair (1, 3); limit 2 has none, so header only
+        for limit in (10**5, 3, 2):
+            pairs = twin_figurate(limit)
+            _, path = run_cli(["twins", "--limit", str(limit), "--format", "csv"], tmp_path)
+            assert path.read_bytes() == csv_writer_bytes(["f", "g"], [list(p) for p in pairs])
+        assert len(pairs) == 0
 
     def test_stats_key_value_table(self, tmp_path):
         _, lines = run_csv(["figurate", "--limit", "40", "--stats"], tmp_path)
@@ -289,6 +326,17 @@ class TestRenderers:
         payload = render_report(env, "csv", None).decode()
         assert payload.splitlines()[0] == "key,value"
         assert "stats.n,3" in payload
+
+    def test_csv_integer_array_rows(self):
+        env = build_envelope("demo", {})
+        rows = [[2**63 - 1, 0], [-(2**63), -5], [1, 10]]
+        for array, expected in (
+            (np.array(rows, dtype=np.int64), rows),
+            (np.array([2**63 - 1, 7], dtype=np.int64), [[2**63 - 1], [7]]),
+            (np.zeros((0, 2), dtype=np.int64), []),
+        ):
+            payload = render_report(env, "csv", Table(["x", "y"], array))
+            assert payload == csv_writer_bytes(["x", "y"], expected)
 
     def test_unknown_format_rejected(self):
         env = build_envelope("demo", {})

@@ -151,12 +151,16 @@ class TestTableShape:
             generate_figurate(100, table=build_sieve(50))
 
     def test_dump_round_trip(self, tmp_path):
-        table = generate_figurate(50)
-        path = tmp_path / "values.txt"
-        count = write_values(table, str(path))
-        lines = path.read_text("ascii").splitlines()
-        assert count == len(lines) == table.count
-        assert [int(s) for s in lines] == table.values.tolist()
+        for limit in (50, 40, 10**5):
+            table = generate_figurate(limit)
+            path = tmp_path / f"values-{limit}.txt"
+            count = write_values(table, str(path))
+            lines = path.read_text("ascii").splitlines()
+            assert count == len(lines) == table.count
+            assert [int(s) for s in lines] == table.values.tolist()
+            # byte for byte what one f"{v}\n" write per member gives
+            per_line = "".join(f"{v}\n" for v in table.values.tolist())
+            assert path.read_bytes() == per_line.encode("ascii")
 
 
 class TestStats:

@@ -53,6 +53,24 @@ def trial_factorize(n: int) -> dict[int, int]:
     return out
 
 
+def eager_spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eager smallest-prime-factor sieve, primes read off its zeros: the oracle
+    for ``build_sieve`` and the on-demand ``PrimeTable.spf``.
+
+    Returns ``(primes, prime_mask, spf)``.
+    """
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == 0:
+            sl = spf[p * p :: p]
+            sl[sl == 0] = p
+    mask = spf == 0
+    mask[:2] = False
+    primes = np.flatnonzero(mask).astype(np.int64)
+    spf[primes] = primes
+    return primes, mask, spf
+
+
 class TestIsPrime:
     def test_agrees_with_trial_division_on_initial_range(self):
         for n in range(0, 20000):
@@ -94,6 +112,26 @@ class TestSieve:
         assert table.prime_count == len(expected)
         for n in range(limit + 1):
             assert bool(table.prime_mask[n]) == flags[n]
+
+    @pytest.mark.parametrize(
+        "limits", [range(2, 301), (9, 25, 961, 994009, 10**6)], ids=["2-300", "squares-1e6"]
+    )
+    def test_matches_eager_spf_oracle(self, limits):
+        # 9, 25, 961 and 994009 are prime squares: the last sieving prime's
+        # first multiple is the limit itself
+        for limit in limits:
+            primes, mask, spf = eager_spf_sieve(limit)
+            table = build_sieve(limit)
+            assert table.primes.dtype == np.int64
+            assert np.array_equal(table.primes, primes), limit
+            assert np.array_equal(table.prime_mask, mask), limit
+            assert np.array_equal(table.spf, spf), limit
+
+    def test_spf_built_on_first_factorize(self):
+        table = build_sieve(10**6)
+        assert "spf" not in vars(table)
+        assert table.factorize(994009) == {997: 2}
+        assert vars(table)["spf"].dtype == np.uint32
 
     def test_factorize_matches_trial_division(self):
         table = build_sieve(3000)
