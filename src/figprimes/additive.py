@@ -12,7 +12,6 @@ the minimal left summand x.
 """
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -94,7 +93,6 @@ class VerificationReport:
     counterexample_total: int
     witness_sample: list[dict]
     stats: dict
-    elapsed_ms: int = 0
 
 
 @dataclass
@@ -233,7 +231,6 @@ def verify_additive(
     task: str = "sum-of-two",
 ) -> VerificationReport:
     """Check that every n in [lo, hi] is x + y with x, y in the two domains."""
-    t0 = time.perf_counter()
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
     _check_scan(hi, table, jobs, max_counterexamples, sample_size)
@@ -286,7 +283,6 @@ def verify_additive(
             "max_search_depth": depth,
             "mode": "right-descending" if descending else "left-ascending",
         },
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )
 
 
@@ -309,7 +305,6 @@ def verify_linear(
     counterexamples.  The stats compare the largest failure against the
     (a-1)(b-1) threshold classically tied to coprime coefficient pairs.
     """
-    t0 = time.perf_counter()
     if a < 1 or b < 1 or gcd(a, b) != 1:
         raise UsageError("need a, b >= 1 with gcd(a, b) = 1")
     if not 1 <= lo <= hi:
@@ -369,5 +364,4 @@ def verify_linear(
                 None if largest is None else largest <= threshold
             ),
         },
-        elapsed_ms=int((time.perf_counter() - t0) * 1000),
     )

@@ -8,7 +8,6 @@ C(q**b, j) <= value_bound is found.
 from __future__ import annotations
 
 import re
-import time
 from dataclasses import dataclass
 from importlib.resources import files
 from math import comb, factorial, isqrt

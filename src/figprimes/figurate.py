@@ -47,13 +47,16 @@ class FigurateWitness:
 
 @dataclass(frozen=True)
 class FigurateTable:
-    """Membership structures for the set restricted to [1, limit]."""
+    """Membership structures for the set restricted to [1, limit].
+
+    The table stores membership only; ``witness`` derives the canonical
+    witness of a member on demand, through ``figurate_witness``.
+    """
 
     limit: int
     include_one: bool
     values: np.ndarray          # ascending member values, dtype int64
     membership: np.ndarray      # bool, indexable by value
-    binomial_witnesses: dict[int, FigurateWitness]  # strata i >= 2, plus 1
     prime_table: PrimeTable
 
     @property
@@ -67,15 +70,7 @@ class FigurateTable:
 
     def witness(self, n: int) -> FigurateWitness | None:
         """Canonical witness for a member value, None for non-members."""
-        n = index(n)
-        if not self.contains(n):
-            return None
-        if n == 1:
-            return self.binomial_witnesses[1]
-        pp = prime_power_decompose(n)
-        if pp is not None:
-            return FigurateWitness(n, pp.p, pp.a, 1)
-        return self.binomial_witnesses[n]
+        return figurate_witness(n) if self.contains(n) else None
 
 
 def generate_figurate(
@@ -90,8 +85,7 @@ def generate_figurate(
     Strata run over i: i = 1 contributes the prime powers, taken as one array
     from ``prime_powers_upto``; for i >= 2 only arguments m >= 2i matter since
     C(m, i) = C(m, m - i) and C(m, m) = 1 is handled by the include_one flag.
-    Witness canonicality follows from visiting strata in ascending i and
-    arguments in ascending m.
+    Only membership is recorded; ``FigurateTable.witness`` finds witnesses.
     """
     if limit < 2:
         raise UsageError("generation limit must be >= 2")
@@ -113,22 +107,17 @@ def generate_figurate(
     # C(m, i) >= C(m, 2) > limit once m > isqrt(2 * limit) + 1, for every i >= 2
     cut = int(np.searchsorted(prime_powers, isqrt(2 * limit) + 2, side="right"))
     powers = prime_powers[:cut].tolist()
-    deep: dict[int, FigurateWitness] = {}
     i = 2
     while comb(2 * i, i) <= limit:
         for m in powers[bisect_left(powers, 2 * i) :]:
             v = comb(m, i)
             if v > limit:
                 break
-            if not membership[v]:
-                d = prime_power_decompose(m)
-                deep[v] = FigurateWitness(v, d.p, d.a, i)
-                membership[v] = True
+            membership[v] = True
         i += 1
 
     if include_one:
         membership[1] = True
-        deep[1] = FigurateWitness(*ONE_WITNESS_ARGS)
 
     values = np.flatnonzero(membership).astype(np.int64)
     return FigurateTable(
@@ -136,7 +125,6 @@ def generate_figurate(
         include_one=include_one,
         values=values,
         membership=membership,
-        binomial_witnesses=deep,
         prime_table=table,
     )
 

@@ -80,7 +80,7 @@ class TestExitCodes:
         assert env["verified"] is True
         assert env["errata"][0]["status"] == "MATCH"
 
-    def test_usage_problems_are_two(self, tmp_path):
+    def test_usage_problems_are_two(self, tmp_path, capsys):
         assert run(["twins"]) == 2                      # missing --limit
         assert run(["no-such-command"]) == 2
         assert run(["figurate"]) == 2                   # neither --limit nor --member
@@ -93,6 +93,14 @@ class TestExitCodes:
                     "--max-counterexamples", "-1"]) == 2
         assert run(["linear", "--a", "2", "--b", "3", "--from", "1", "--to", "100",
                     "--sample-size", "-3"]) == 2
+        # an --out or --dump path in a missing directory: one line on stderr
+        missing = str(tmp_path / "missing" / "x")
+        capsys.readouterr()
+        for argv in (["figurate", "--limit", "100", "--dump", missing],
+                     ["sum2", "--from", "2", "--to", "100", "--out", missing]):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_arithmetic_guard_is_three(self):
         code = run(

@@ -107,7 +107,8 @@ class TestWitnesses:
                 assert all(comb(m, i) != n for m in pps), (n, i)
 
     def test_table_free_witness_agrees(self, fig2e4):
-        for n in [*range(1, 3000), np.int64(97)]:
+        # every value below 3000, then every member of the table
+        for n in [*range(1, 3000), *fig2e4.values.tolist(), np.int64(97)]:
             w = figurate_witness(n)
             member = fig2e4.contains(n)
             assert (w is not None) == member
@@ -115,10 +116,17 @@ class TestWitnesses:
                 t = fig2e4.witness(n)
                 assert (w.p, w.a, w.i) == (t.p, t.a, t.i)
                 # plain ints, so that reports serialize
-                assert all(type(x) is int for x in (w.value, w.p, w.a, w.i))
+                assert all(type(x) is int for x in (t.value, t.p, t.a, t.i))
+                assert binomial_checked(t.base, t.i) == n
+        # without 1 the table has no witness for it; the rest is unchanged
+        no_one = generate_figurate(2000, include_one=False)
+        assert no_one.witness(1) is None
+        for n in no_one.values.tolist():
+            assert no_one.witness(n) == fig2e4.witness(n)
 
     def test_symmetry_on_stored_witnesses(self, fig2e4):
-        for n, w in fig2e4.binomial_witnesses.items():
+        for n in fig2e4.values.tolist():
+            w = fig2e4.witness(n)
             m = w.base
             if 2 <= w.i <= m // 2:
                 assert comb(m, m - w.i) == comb(m, w.i)
