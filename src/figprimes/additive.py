@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import UsageError
 from .figurate import FigurateTable
-from .intkernel import prime_power_decompose
+from .intkernel import prime_power_decompose, prime_powers_upto
 
 CHUNK = 1 << 16
 
@@ -63,17 +63,15 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
     if spec.kind == "primes":
         return _Domain(spec.label, pt.primes, pt.prime_mask)
     if spec.kind == "prime-powers":
+        values = prime_powers_upto(table.limit, pt)[0]
         membership = np.zeros(table.limit + 1, dtype=bool)
-        marks = []
-        for p in pt.primes.tolist():
-            v = p
-            while v <= table.limit:
-                marks.append(v)
-                v *= p
-        membership[marks] = True
-        return _Domain(spec.label, np.flatnonzero(membership).astype(np.int64), membership)
+        membership[values] = True
+        return _Domain(spec.label, values, membership)
     if spec.include_one and not table.include_one:
         raise UsageError("table was generated without the value 1")
+    if spec.kind == "figurate" and (spec.include_one or not table.include_one):
+        # the table's own arrays, shared: the kernel only reads them
+        return _Domain(spec.label, table.values, table.membership)
     membership = table.membership.copy()
     if spec.kind == "proper":
         membership &= ~pt.prime_mask

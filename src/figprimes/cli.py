@@ -190,6 +190,10 @@ def _listing(task: str, params: dict, header: list[str], rows: list, sample_size
 
 
 def _figurate(args, jobs) -> Result:
+    if args.member is not None and (args.limit is not None or args.stats or args.dump):
+        raise UsageError("--member takes none of --limit, --stats and --dump")
+    if args.stats and args.dump:
+        raise UsageError("--stats and --dump cannot be combined")
     if args.member is not None:
         if not 1 <= args.member <= U63_MAX:
             raise UsageError("--member must be in [1, 2^63 - 1]")

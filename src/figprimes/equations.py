@@ -13,14 +13,17 @@ from importlib.resources import files
 from math import comb, factorial, isqrt
 from operator import index
 
+import numpy as np
+
 from .errors import ArithmeticGuardError, UsageError
 from .intkernel import (
     U63_MAX,
     PrimeTable,
     build_sieve,
     integer_root,
-    is_prime,
+    is_prime_many,
     prime_power_decompose,
+    prime_power_decompose_many,
     prime_powers_upto,
 )
 
@@ -104,6 +107,24 @@ def _shared_table(table: PrimeTable | None, needed: int) -> PrimeTable:
     return build_sieve(max(needed, 2))
 
 
+def _binomials(v: np.ndarray, i: int) -> np.ndarray:
+    """C(v, i) over an int64 array whose binomials all fit in 63 bits.
+
+    For i = 2 the even factor of v(v - 1) is halved first, so no product
+    exceeds C(v, 2); larger i go through Python integers.
+    """
+    if i == 2:
+        return np.where(v % 2 == 0, (v // 2) * (v - 1), v * ((v - 1) // 2))
+    return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
+
+
+def _prime_power_hits(values: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Positions of the prime powers among values, with their bases and exponents."""
+    bases, exponents = prime_power_decompose_many(values)
+    hits = np.flatnonzero(exponents)
+    return hits, bases[hits].tolist(), exponents[hits].tolist()
+
+
 def solve_equation(
     inst: EquationInstance,
     value_bound: int = 10**12,
@@ -150,30 +171,34 @@ def solve_equation(
                 f"up to the bound; use value_bound <= {UNIT_INSTANCE_BOUND}"
             )
         table = _shared_table(table, value_bound)
-        for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(value_bound, table))):
-            d = prime_power_decompose(v + k)
-            if d is not None:
-                found.append(EquationSolution(d.p, d.a, q, b, v + k, v))
+        values, qs, bs = prime_powers_upto(value_bound, table)
+        hits, ps, as_ = _prime_power_hits(values + k)
+        for p, a, q, b, right in zip(
+            ps, as_, qs[hits].tolist(), bs[hits].tolist(), values[hits].tolist()
+        ):
+            found.append(EquationSolution(p, a, q, b, right + k, right))
     elif j == 1:
         # Walk the minuend side: C(n, i) <= value_bound + k exactly covers
-        # every solution with q**b <= value_bound.
+        # every solution with q**b <= value_bound.  C(v, i) = 0 for v < i,
+        # so the filter rights >= 1 also drops those.
         n_max = _max_binomial_arg(i, value_bound + k)
         table = _shared_table(table, n_max)
-        for v, p, a in zip(*(x.tolist() for x in prime_powers_upto(n_max, table))):
-            if v < i:
-                continue
-            m = comb(v, i) - k
-            if m < 1:
-                continue
-            d = prime_power_decompose(m)
-            if d is not None:
-                found.append(EquationSolution(p, a, d.p, d.a, m + k, m))
+        values, ps, as_ = prime_powers_upto(n_max, table)
+        rights = _binomials(values, i) - k
+        keep = np.flatnonzero(rights >= 1)
+        hits, qs, bs = _prime_power_hits(rights[keep])
+        sel = keep[hits]
+        for p, a, q, b, right in zip(
+            ps[sel].tolist(), as_[sel].tolist(), qs, bs, rights[sel].tolist()
+        ):
+            found.append(EquationSolution(p, a, q, b, right + k, right))
     elif i > j:
         # i > j >= 2: the minuend side carries the larger index, so walk it
         # and invert the subtrahend.  left <= value_bound + k covers exactly
         # right <= value_bound.
         n_max = _max_binomial_arg(i, value_bound + k)
         table = _shared_table(table, n_max)
+        rows = []  # (p, a, left, m) with C(m, j) = left - k
         for v, p, a in zip(*(x.tolist() for x in prime_powers_upto(n_max, table))):
             if v < i:
                 continue
@@ -181,27 +206,46 @@ def solve_equation(
             if left <= k:
                 continue
             m = _invert_binomial(left - k, j)
-            if m is None or m < j:
-                continue
-            d = prime_power_decompose(m)
-            if d is not None:
-                found.append(EquationSolution(p, a, d.p, d.a, left, left - k))
+            if m is not None and m >= j:
+                rows.append((p, a, left, m))
+        hits, qs, bs = _prime_power_hits(np.array([r[3] for r in rows], dtype=np.int64))
+        for t, q, b in zip(hits.tolist(), qs, bs):
+            p, a, left, _ = rows[t]
+            found.append(EquationSolution(p, a, q, b, left, left - k))
     else:
         m_max = _max_binomial_arg(j, value_bound)
         table = _shared_table(table, m_max)
+        rows = []  # (q, b, right, n) with C(n, i) = right + k
         for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(m_max, table))):
             if v < j:
                 continue
             right = comb(v, j)
             n = _invert_binomial(right + k, i)
-            if n is None or n < i:
-                continue
-            d = prime_power_decompose(n)
-            if d is not None:
-                found.append(EquationSolution(d.p, d.a, q, b, right + k, right))
+            if n is not None and n >= i:
+                rows.append((q, b, right, n))
+        hits, ps, as_ = _prime_power_hits(np.array([r[3] for r in rows], dtype=np.int64))
+        for t, p, a in zip(hits.tolist(), ps, as_):
+            q, b, right, _ = rows[t]
+            found.append(EquationSolution(p, a, q, b, right + k, right))
 
     found.sort(key=lambda s: (s.right, s.left))
     return found
+
+
+def _triangular_candidates(
+    bound: int, table: PrimeTable | None
+) -> tuple[np.ndarray, np.ndarray, PrimeTable]:
+    """Primes q with C(q, 2) + 1 <= bound and those values, as int64 arrays,
+    and the prime table they come from.
+
+    q is at most the sieve limit, far below 2^31, so q(q - 1) fits in int64.
+    """
+    qmax = isqrt(2 * bound) + 2
+    table = _shared_table(table, qmax)
+    qs = table.primes[: int(np.searchsorted(table.primes, qmax, side="right"))]
+    values = qs * (qs - 1) // 2 + 1
+    keep = values <= bound
+    return qs[keep], values[keep], table
 
 
 def enumerate_p_minus1_triangular(
@@ -210,18 +254,9 @@ def enumerate_p_minus1_triangular(
     """Primes p <= limit with p - 1 = C(q, 2) for prime q, ascending by p."""
     if limit < 2:
         raise UsageError("limit must be >= 2")
-    qmax = isqrt(2 * limit) + 2
-    table = _shared_table(table, qmax)
-    pairs: list[tuple[int, int]] = []
-    for q in table.primes.tolist():
-        if q > qmax:
-            break
-        p = q * (q - 1) // 2 + 1
-        if p > limit:
-            break
-        if is_prime(p):
-            pairs.append((p, q))
-    return pairs
+    qs, ps, _ = _triangular_candidates(limit, table)
+    hits = is_prime_many(ps)
+    return list(zip(ps[hits].tolist(), qs[hits].tolist()))
 
 
 @dataclass
@@ -254,34 +289,24 @@ def special_family_checks(bound: int = 10**9, table: PrimeTable | None = None) -
     """
     if bound < 10**6:
         raise UsageError("family checks need bound >= 10^6")
-    qmax = isqrt(2 * bound) + 2
-    table = _shared_table(table, qmax)
-
+    qs, values, table = _triangular_candidates(bound, table)
+    hits, ps, as_ = _prime_power_hits(values)
     even_hits: list[tuple[int, ...]] = []
     odd_hits: list[tuple[int, ...]] = []
-    for q in table.primes.tolist():
-        value = q * (q - 1) // 2 + 1
-        if value > bound:
-            break
-        d = prime_power_decompose(value)
-        if d is None:
-            continue
-        if d.a % 2 == 0:
-            even_hits.append((d.p, d.a, q))
-        elif d.a in (3, 5, 7):
-            odd_hits.append((d.p, d.a, q))
+    for p, a, q in zip(ps, as_, qs[hits].tolist()):
+        if a % 2 == 0:
+            even_hits.append((p, a, q))
+        elif a in (3, 5, 7):
+            odd_hits.append((p, a, q))
 
-    tetra_hits: list[tuple[int, ...]] = []
+    # m_max keeps every C(v, 3) + 1 <= bound; v < 3 gives the value 1,
+    # which is no prime power
     m_max = _max_binomial_arg(3, bound - 1)
-    for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(m_max, table))):
-        if v < 3:
-            continue
-        value = comb(v, 3) + 1
-        if value > bound:
-            break
-        d = prime_power_decompose(value)
-        if d is not None:
-            tetra_hits.append((d.p, q, d.a, b))
+    vs, qs, bs = prime_powers_upto(m_max, table)
+    hits, ps, as_ = _prime_power_hits(_binomials(vs, 3) + 1)
+    tetra_hits: list[tuple[int, ...]] = list(
+        zip(ps, qs[hits].tolist(), as_, bs[hits].tolist())
+    )
 
     return FamilyReport(
         bound=bound,

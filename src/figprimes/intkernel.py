@@ -1,7 +1,14 @@
 """Exact integer arithmetic: primality, sieves, prime powers, roots, binomials.
 
 Every routine here is deterministic and exact.  Floating point may be used to
-seed an iteration but never decides a result.
+seed an iteration but never decides a result.  It appears in two places: the
+batch functions ``is_prime_many`` and ``prime_power_decompose_many`` take the
+quotient of a*b mod n from float64, which is off from the true quotient by
+less than 1/4 for n <= 2^50, so one correction by n in wrapping 64-bit
+arithmetic makes the residue exact (see ``_mulmod``); and they seed integer
+roots with a float64 power whose rounded value is then checked in integers.
+Values above 2^50 go to the scalar ``is_prime`` and
+``prime_power_decompose``, which use Python integers throughout.
 """
 from __future__ import annotations
 
@@ -29,6 +36,15 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # Deterministic Miller-Rabin witness set, correct for every n < 2^64.
 _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _MR_LIMIT = 2**64
+
+#: prime exponents of the perfect-power step; 41**13 > 2^64
+_ROOT_EXPONENTS = (2, 3, 5, 7, 11)
+
+#: batch Miller-Rabin runs in 64-bit lanes below this bound (see ``_mulmod``)
+_LANE_LIMIT = 2**50
+
+#: lanes per batch Miller-Rabin block, which bounds its temporaries
+_BLOCK = 1 << 14
 
 
 def _check_exact(n: int) -> None:
@@ -250,9 +266,16 @@ def prime_power_decompose(n: int) -> PrimePower | None:
             return PrimePower(d, a, value) if n == 1 else None
     if is_prime(n):
         return PrimePower(n, 1, n)
-    # No factor <= 37, so a nontrivial power has base >= 41 and exponent
-    # <= log_41(2^64) < 13; prime exponents cover the rest via recursion.
-    for e in (2, 3, 5, 7, 11):
+    return _power_root(n)
+
+
+def _power_root(n: int) -> PrimePower | None:
+    """n = p**a with a >= 2, for a composite n < 2^64 with no prime factor <= 37.
+
+    Such a power has base >= 41 and exponent <= log_41(2^64) < 13; prime
+    exponents cover the rest through the decomposition of the root.
+    """
+    for e in _ROOT_EXPONENTS:
         if 41**e > n:
             break
         r, exact = integer_root(n, e)
@@ -262,6 +285,165 @@ def prime_power_decompose(n: int) -> PrimePower | None:
                 return PrimePower(inner.p, inner.a * e, n)
             return None
     return None
+
+
+def _int64_lanes(values) -> np.ndarray:
+    lanes = np.asarray(values, dtype=np.int64)
+    if lanes.ndim != 1:
+        raise UsageError("batch arithmetic needs a one-dimensional array")
+    return lanes
+
+
+def _small_factor(v: np.ndarray) -> np.ndarray:
+    """The smallest prime <= 37 dividing each lane of v, or 0 where none does."""
+    factor = np.zeros(v.size, dtype=np.int64)
+    for p in reversed(_SMALL_PRIMES):
+        factor[v % p == 0] = p
+    return factor
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
+    """a*b mod n over uint64 lanes with a, b < n <= 2^50; nf is n as float64.
+
+    Proof of exactness: a, b and n are below 2^53, so their float64 values
+    are exact.  The product and the quotient each round once, with relative
+    error below u = 2^-53 / (1 + 2^-53), and (1 + u)^2 - 1 < 2^-52, so the
+    float quotient is within (ab/n) * 2^-52 < 2^50 * 2^-52 = 1/4 of ab/n.
+    Its floor q is therefore the true quotient Q = floor(ab/n) or off from
+    it by one, and ab - q*n = (ab mod n) + (Q - q)*n lies in [-n, 2n),
+    inside (-2^63, 2^63).  Computed in wrapping uint64 and read as int64 it
+    is exact, and one correction by n brings it into [0, n).
+    """
+    q = (a.astype(np.float64) * b.astype(np.float64) / nf).astype(np.uint64)
+    r = (a * b - q * n).view(np.int64)
+    ni = n.view(np.int64)
+    r = np.where(r < 0, r + ni, np.where(r >= ni, r - ni, r))
+    return r.view(np.uint64)
+
+
+def _miller_rabin_block(n: np.ndarray) -> np.ndarray:
+    """``is_prime``'s witness loop over int64 lanes: odd n in (37, 2^50] with
+    no factor <= 37.  Each base runs only on the lanes no earlier base has
+    proved composite.
+    """
+    n = n.astype(np.uint64)
+    nf = n.astype(np.float64)
+    n1 = n - np.uint64(1)
+    # n - 1 = d * 2^s; the lowest set bit of n - 1 is a power of two below
+    # 2^50, so its float64 log2 is exact.
+    s = np.log2((n1 & (~n1 + np.uint64(1))).astype(np.float64)).astype(np.uint64)
+    d = n1 >> s
+    s = s.astype(np.int64)
+    prime = np.ones(n.size, dtype=bool)
+    for base in _MR_BASES:
+        lanes = np.flatnonzero(prime)
+        if not lanes.size:
+            break
+        m, mf, e, sl = n[lanes], nf[lanes], d[lanes], s[lanes]
+        a = np.uint64(base) % m
+        # x = a^d mod m, left to right over the bits of d
+        x = np.ones(m.size, dtype=np.uint64)
+        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
+            x = _mulmod(x, x, m, mf)
+            odd = ((e >> np.uint64(bit)) & np.uint64(1)).astype(bool)
+            x = np.where(odd, _mulmod(x, a, m, mf), x)
+        m1 = m - np.uint64(1)
+        passed = (a == 0) | (x == 1) | (x == m1)
+        # up to s - 1 squarings, looking for m - 1
+        wait = np.flatnonzero(~passed & (sl > 1))
+        y = x[wait]
+        for r in range(1, int(sl.max())):
+            if not wait.size:
+                break
+            y = _mulmod(y, y, m[wait], mf[wait])
+            hit = y == m1[wait]
+            passed[wait[hit]] = True
+            go = ~hit & (sl[wait] > r + 1)
+            wait, y = wait[go], y[go]
+        prime[lanes[~passed]] = False
+    return prime
+
+
+def _power_screen(n: np.ndarray) -> np.ndarray:
+    """Lanes of n < 2^50 that are a perfect e-th power for an e in _ROOT_EXPONENTS.
+
+    The float64 e-th root is within a few ulps of the true root, which is
+    below 2^25, so it is off by far less than 1/2 and rounds to the exact
+    root whenever there is one; the integer check r**e == n decides.
+    """
+    hit = np.zeros(n.size, dtype=bool)
+    nf = n.astype(np.float64)
+    for e in _ROOT_EXPONENTS:
+        r = np.rint(nf ** (1.0 / e)).astype(np.int64)
+        hit |= r**e == n
+    return hit
+
+
+def _miller_rabin_many(n: np.ndarray) -> np.ndarray:
+    """Primality of int64 lanes n > 37 with no factor <= 37, n < 2^50."""
+    blocks = [_miller_rabin_block(n[s : s + _BLOCK]) for s in range(0, n.size, _BLOCK)]
+    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
+
+
+def is_prime_many(values) -> np.ndarray:
+    """``is_prime`` over a one-dimensional int64 array, as a bool array.
+
+    The same three steps as the scalar test: the small-prime screen, then
+    Miller-Rabin with the same seven bases, run in fixed-size blocks of int64
+    lanes.  Values at or above 2^50 go through scalar ``is_prime``.
+    """
+    v = _int64_lanes(values)
+    out = np.zeros(v.size, dtype=bool)
+    big = np.flatnonzero(v >= _LANE_LIMIT)
+    out[big] = [is_prime(x) for x in v[big].tolist()]
+    small = (v >= 2) & (v < _LANE_LIMIT)
+    factor = _small_factor(v)
+    out[small & (factor == v)] = True
+    rest = np.flatnonzero(small & (factor == 0))
+    out[rest] = _miller_rabin_many(v[rest])
+    return out
+
+
+def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
+    """``prime_power_decompose`` over a one-dimensional int64 array.
+
+    Returns aligned int64 arrays ``(bases, exponents)`` with
+    ``values == bases**exponents`` where the value is a prime power, and
+    ``bases == exponents == 0`` where it is not.  Small-prime exponents are
+    stripped in numpy, the lanes with no factor <= 37 run batch Miller-Rabin,
+    and only the composite lanes whose float root screen finds an exact
+    power reach the scalar ``_power_root``.  Values at or above 2^50 go
+    through scalar ``prime_power_decompose``.
+    """
+    v = _int64_lanes(values)
+    bases = np.zeros(v.size, dtype=np.int64)
+    exponents = np.zeros(v.size, dtype=np.int64)
+    for lane in np.flatnonzero(v >= _LANE_LIMIT).tolist():
+        d = prime_power_decompose(int(v[lane]))
+        if d is not None:
+            bases[lane], exponents[lane] = d.p, d.a
+    small = (v >= 2) & (v < _LANE_LIMIT)
+    factor = _small_factor(v)
+    # divide out the smallest prime factor; a power of it leaves 1
+    lanes = np.flatnonzero(small & (factor > 0))
+    p, m = factor[lanes], v[lanes].copy()
+    a = np.zeros(lanes.size, dtype=np.int64)
+    left = np.arange(lanes.size)
+    while left.size:
+        m[left] //= p[left]
+        a[left] += 1
+        left = left[m[left] % p[left] == 0]
+    pure = m == 1
+    bases[lanes[pure]], exponents[lanes[pure]] = p[pure], a[pure]
+    rest = np.flatnonzero(small & (factor == 0))
+    prime = _miller_rabin_many(v[rest])
+    bases[rest[prime]], exponents[rest[prime]] = v[rest[prime]], 1
+    composite = rest[~prime]
+    for lane in composite[_power_screen(v[composite])].tolist():
+        d = _power_root(int(v[lane]))
+        if d is not None:
+            bases[lane], exponents[lane] = d.p, d.a
+    return bases, exponents
 
 
 def powerful_class(n: int, t: int, table: PrimeTable) -> bool:

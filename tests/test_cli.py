@@ -93,6 +93,15 @@ class TestExitCodes:
                     "--max-counterexamples", "-1"]) == 2
         assert run(["linear", "--a", "2", "--b", "3", "--from", "1", "--to", "100",
                     "--sample-size", "-3"]) == 2
+        # figurate options its mode would ignore; no dump file is written
+        dump = tmp_path / "ignored.txt"
+        for argv in (["figurate", "--member", "17", "--limit", "100"],
+                     ["figurate", "--member", "17", "--stats"],
+                     ["figurate", "--member", "17", "--dump", str(dump)],
+                     ["figurate", "--member", "17", "--limit", "5", "--dump", str(dump)],
+                     ["figurate", "--limit", "100", "--stats", "--dump", str(dump)]):
+            assert run(argv) == 2, argv
+            assert not dump.exists(), argv
         # an --out or --dump path in a missing directory: one line on stderr
         missing = str(tmp_path / "missing" / "x")
         capsys.readouterr()

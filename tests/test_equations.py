@@ -6,7 +6,7 @@ solution sets appear here only through the shipped catalog file.
 """
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -17,8 +17,10 @@ from figprimes import (
     EquationInstance,
     UsageError,
     binomial_checked,
+    build_sieve,
     enumerate_p_minus1_triangular,
     is_prime,
+    prime_powers_upto,
     solve_equation,
     special_family_checks,
     theorem_errata,
@@ -175,6 +177,42 @@ class TestTriangularPredecessors:
     def test_guard(self):
         with pytest.raises(UsageError):
             enumerate_p_minus1_triangular(1)
+
+    def test_batch_matches_scalar_walk_at_1e12(self):
+        # the batch test against one scalar is_prime call per candidate
+        limit = 10**12
+        table = build_sieve(isqrt(2 * limit) + 2)
+        walk, candidates = [], 0
+        for q in table.primes.tolist():
+            p = q * (q - 1) // 2 + 1
+            if p > limit:
+                break
+            candidates += 1
+            if is_prime(p):
+                walk.append((p, q))
+        assert candidates == 108_108
+        assert len(walk) == 7_968
+        assert enumerate_p_minus1_triangular(limit, table) == walk
+
+
+class TestEvenUnitInstance:
+    @pytest.mark.parametrize("k, count", [(2, 59_130), (30, 156_750)])
+    def test_matches_prime_power_mask_at_1e7(self, k, count):
+        # p**a = q**b + k read off a prime-power mask, with no decomposition
+        bound = 10**7
+        table = build_sieve(bound + k)
+        values, bases, exps = prime_powers_upto(bound + k, table)
+        mask = np.zeros(bound + k + 1, dtype=bool)
+        mask[values] = True
+        power = dict(zip(values.tolist(), zip(bases.tolist(), exps.tolist())))
+        expected = set()
+        for v in values[values <= bound].tolist():
+            if mask[v + k]:
+                (p, a), (q, b) = power[v + k], power[v]
+                expected.add((p, q, a, b))
+        sols = solve_equation(EquationInstance(1, 1, k), bound, table)
+        assert len(sols) == count
+        assert {s.pqab for s in sols} == expected
 
 
 class TestSpecialFamilies:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import isprime, nextprime, perfect_power
 
 from figprimes import (
     ArithmeticGuardError,
@@ -26,7 +27,15 @@ from figprimes import (
     prime_power_decompose,
     prime_powers_upto,
 )
-from figprimes.intkernel import BINOM_OK, BINOM_OVERFLOW, BINOM_ZERO, U63_MAX
+from figprimes import intkernel
+from figprimes.intkernel import (
+    BINOM_OK,
+    BINOM_OVERFLOW,
+    BINOM_ZERO,
+    U63_MAX,
+    is_prime_many,
+    prime_power_decompose_many,
+)
 
 
 def trial_division_prime(n: int) -> bool:
@@ -334,3 +343,146 @@ class TestPowerfulClass:
             powerful_class(0, 2, table)
         with pytest.raises(UsageError):
             powerful_class(10**10 + 19, 2, table)  # needs primes past the table
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+STRONG_PSEUDOPRIMES = (
+    2047, 3277, 4033, 4681, 8321, 1373653, 25326001, 3215031751,
+    2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+)
+
+CARMICHAEL = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    5394826801, 232250619601, 9746347772161,
+)
+
+
+def chernick_carmichael(count: int) -> list[int]:
+    """(6k+1)(12k+1)(18k+1) with all three factors prime and above 37."""
+    out, k = [], 7
+    while len(out) < count:
+        f = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(isprime(x) for x in f):
+            out.append(f[0] * f[1] * f[2])
+        k += 1
+    return out
+
+
+def max_exponent(p: int, cap: int) -> int:
+    a = 1
+    while p ** (a + 1) <= cap:
+        a += 1
+    return a
+
+
+def assert_batch_agrees(values) -> None:
+    """Both batch functions equal their scalar function on every value."""
+    values = [int(v) for v in values]
+    arr = np.array(values, dtype=np.int64)
+    flags = is_prime_many(arr)
+    assert flags.dtype == bool and flags.shape == arr.shape
+    assert flags.tolist() == [is_prime(v) for v in values]
+    bases, exps = prime_power_decompose_many(arr)
+    assert bases.dtype == exps.dtype == np.int64
+    got = list(zip(bases.tolist(), exps.tolist()))
+    for v, pair in zip(values, got):
+        d = prime_power_decompose(v)
+        assert pair == ((d.p, d.a) if d is not None else (0, 0)), v
+
+
+def sympy_decompose(n: int) -> tuple[int, int] | None:
+    if isprime(n):
+        return n, 1
+    pp = perfect_power(n)
+    return pp if pp and isprime(pp[0]) else None
+
+
+class TestBatchAgainstScalar:
+    def test_every_value_below_1e5(self):
+        assert_batch_agrees(range(10**5))
+
+    def test_blocks_split_anywhere(self, monkeypatch):
+        # the same lanes cut into many blocks of an odd size
+        monkeypatch.setattr(intkernel, "_BLOCK", 997)
+        assert_batch_agrees(range(2 * 10**4))
+
+    def test_seeded_random_below_2_50(self):
+        rng = np.random.default_rng(2026)
+        values = rng.integers(0, 2**50, size=20_000)
+        odd_high = rng.integers(2**49, 2**50, size=20_000) | 1
+        assert_batch_agrees(np.concatenate([values, odd_high]))
+
+    def test_pseudoprimes_and_carmichael_numbers(self):
+        chernick = chernick_carmichael(12)
+        assert all(not is_prime(n) for n in chernick)
+        assert_batch_agrees(STRONG_PSEUDOPRIMES + CARMICHAEL + tuple(chernick))
+
+    def test_prime_powers_and_neighbours(self):
+        powers = [p**a for p in SMALL_PRIMES for a in range(1, max_exponent(p, U63_MAX) + 1)]
+        for p in (41, 43, 101, 1009, 65537, 2**31 - 1):
+            powers += [p**a for a in range(1, max_exponent(p, U63_MAX) + 1)]
+        powers += [41**9, 1009**5, 41**10, 101**6, 41**2 * 43, 1009**2 * 1013]
+        values = {v + d for v in powers for d in (-1, 0, 1)}
+        assert_batch_agrees(sorted(v for v in values if v <= U63_MAX))
+        bases, exps = prime_power_decompose_many(np.array([41**9, 1009**5], dtype=np.int64))
+        assert bases.tolist() == [41, 1009] and exps.tolist() == [9, 5]
+
+    def test_scalar_fallback_above_2_50(self):
+        near = [2**50 + d for d in range(-40, 41)]
+        primes = [nextprime(2**50 + 10**6), nextprime(2**55), nextprime(2**62)]
+        top = [2**63 - 1, 2**62, 3**39, 2**61 - 1, (2**31 - 1) ** 2, 3825123056546413051]
+        assert_batch_agrees(near + primes + top)
+        assert is_prime_many(np.array(primes, dtype=np.int64)).all()
+
+    def test_zero_one_and_empty(self):
+        assert_batch_agrees([0, 1, 2, 3, 4])
+        assert_batch_agrees([-5, -2, -1])
+        empty = np.zeros(0, dtype=np.int64)
+        assert is_prime_many(empty).shape == (0,)
+        bases, exps = prime_power_decompose_many(empty)
+        assert bases.shape == exps.shape == (0,)
+
+    def test_rejects_non_vector(self):
+        with pytest.raises(UsageError):
+            is_prime_many(np.zeros((2, 2), dtype=np.int64))
+        with pytest.raises(UsageError):
+            prime_power_decompose_many(np.int64(7))
+
+
+def prime_power_strategy(cap: int):
+    """p**a below cap for a prime p, with any exponent that fits."""
+    return st.tuples(st.integers(2, 2**32), st.integers(1, 63)).map(
+        lambda t: nextprime(t[0] - 1) ** min(t[1], max_exponent(nextprime(t[0] - 1), cap - 1))
+    )
+
+
+def u64_values(cap: int):
+    return st.one_of(
+        st.integers(0, cap - 1),
+        st.integers(0, 10**6),
+        prime_power_strategy(cap),
+        st.integers(2**50 - 2**20, 2**50 + 2**20),
+    )
+
+
+class TestSympyOracle:
+    @given(u64_values(2**64))
+    @settings(max_examples=300, deadline=None)
+    def test_is_prime(self, n):
+        assert is_prime(n) == isprime(n)
+
+    @given(u64_values(2**64))
+    @settings(max_examples=300, deadline=None)
+    def test_prime_power_decompose(self, n):
+        d = prime_power_decompose(n)
+        assert (None if d is None else (d.p, d.a)) == (sympy_decompose(n) if n >= 2 else None)
+
+    @given(st.lists(u64_values(2**63), max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_functions(self, values):
+        arr = np.array(values, dtype=np.int64)
+        assert is_prime_many(arr).tolist() == [isprime(v) for v in values]
+        bases, exps = prime_power_decompose_many(arr)
+        expected = [sympy_decompose(v) if v >= 2 else None for v in values]
+        assert list(zip(bases.tolist(), exps.tolist())) == [e or (0, 0) for e in expected]
