@@ -3,14 +3,16 @@
 An instance fixes (i, j, k); a solution is a quadruple (p, a, q, b) of a
 prime-power pair, reported together with both binomial values.  Completeness
 is always relative to a bound on the subtrahend: every solution with
-C(q**b, j) <= value_bound is found.
+C(q**b, j) <= value_bound is found.  Apart from the closed form for
+i = j = 1 with odd k, one walk over the prime powers of one side solves every
+instance, and the sieve budget is its only ceiling.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from importlib.resources import files
-from math import comb, factorial, isqrt
+from math import comb, isqrt
 from operator import index
 
 import numpy as np
@@ -19,18 +21,13 @@ from .errors import ArithmeticGuardError, UsageError
 from .intkernel import (
     U63_MAX,
     PrimeTable,
+    binomial_arg,
     build_sieve,
-    integer_root,
     is_prime_many,
     prime_power_decompose,
     prime_power_decompose_many,
     prime_powers_upto,
 )
-
-#: the i = j = 1 case with even k walks every prime power up to the bound, so
-#: it gets a much lower ceiling than the inverted cases; odd k needs none, as
-#: one side of p**a - q**b = k is then a power of two
-UNIT_INSTANCE_BOUND = 10**8
 
 
 @dataclass(frozen=True)
@@ -62,45 +59,6 @@ class EquationSolution:
         return (self.p, self.q, self.a, self.b)
 
 
-def _max_binomial_arg(i: int, bound: int) -> int:
-    """Largest n with C(n, i) <= bound (n >= i), assuming bound >= 1."""
-    if i == 1:
-        return bound
-    lo, hi = i, i + 1
-    while comb(hi, i) <= bound:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if comb(mid, i) <= bound:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
-
-
-def _invert_binomial(target: int, i: int) -> int | None:
-    """The unique n >= i with C(n, i) = target, if any (target >= 1).
-
-    C(n, i) is strictly increasing in n for n >= i, and the product form
-    i! * C(n, i) = n(n-1)...(n-i+1) pins n into a window of width i around
-    the i-th root, so only a handful of candidates need testing.
-    """
-    if i == 1:
-        return target
-    if i == 2:
-        # n(n-1) = 2t
-        n = (1 + isqrt(1 + 8 * target)) // 2
-        return n if n >= 2 and comb(n, 2) == target else None
-    r, _ = integer_root(target * factorial(i), i)
-    for n in range(max(i, r), r + i + 1):
-        v = comb(n, i)
-        if v == target:
-            return n
-        if v > target:
-            return None
-    return None
-
-
 def _shared_table(table: PrimeTable | None, needed: int) -> PrimeTable:
     if table is not None and table.limit >= needed:
         return table
@@ -110,9 +68,11 @@ def _shared_table(table: PrimeTable | None, needed: int) -> PrimeTable:
 def _binomials(v: np.ndarray, i: int) -> np.ndarray:
     """C(v, i) over an int64 array whose binomials all fit in 63 bits.
 
-    For i = 2 the even factor of v(v - 1) is halved first, so no product
-    exceeds C(v, 2); larger i go through Python integers.
+    C(v, 1) is v itself.  For i = 2 the even factor of v(v - 1) is halved
+    first, so no product exceeds C(v, 2); larger i go through Python integers.
     """
+    if i == 1:
+        return v
     if i == 2:
         return np.where(v % 2 == 0, (v // 2) * (v - 1), v * ((v - 1) // 2))
     return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
@@ -125,6 +85,13 @@ def _prime_power_hits(values: np.ndarray) -> tuple[np.ndarray, list, list]:
     return hits, bases[hits].tolist(), exponents[hits].tolist()
 
 
+def _walk_limit(i: int, j: int, k: int, value_bound: int) -> int:
+    """Upper end of the prime powers the walk of ``solve_equation`` runs over."""
+    if i > j:
+        return binomial_arg(value_bound + k, i)[0]
+    return binomial_arg(value_bound, j)[0]
+
+
 def solve_equation(
     inst: EquationInstance,
     value_bound: int = 10**12,
@@ -132,15 +99,20 @@ def solve_equation(
 ) -> list[EquationSolution]:
     """All solutions with C(q**b, j) <= value_bound, sorted by (right, left).
 
-    The side with the larger binomial index is enumerated directly over
-    prime powers; the opposite value is then inverted, which keeps the walk
-    far shorter than scanning the subtrahend when j = 1.
+    One walk covers every instance but one: it runs over the prime powers v
+    of the side with the larger binomial index (the subtrahend on a tie),
+    takes C(v, index) in one array, inverts the opposite value with
+    ``binomial_arg`` and decomposes the arguments in one batch.  Walking the
+    minuend up to C(n, i) <= value_bound + k covers exactly the subtrahends
+    up to value_bound.  Prime powers ascend and C(v, index) strictly
+    increases for v >= index, so the walk emits its solutions in order.  Its
+    only ceiling is the sieve budget, which a (1, 1, k) walk reaches near
+    2.7e8.
 
     For i = j = 1 and odd k, exactly one of p**a and q**b is even, so it is a
     power of two 2**e: each e up to the bound costs one decomposition and no
-    sieve is built.  Even k enumerates every prime power up to the bound and
-    is capped at ``UNIT_INSTANCE_BOUND``.  The minuend never exceeds
-    value_bound + k, which must fit in 63 bits.
+    sieve is built.  The minuend never exceeds value_bound + k, which must
+    fit in 63 bits.
     """
     value_bound = index(value_bound)
     if value_bound < 1:
@@ -150,9 +122,9 @@ def solve_equation(
     i, j, k = inst.i, inst.j, index(inst.k)
     if value_bound + k > U63_MAX:
         raise ArithmeticGuardError("value_bound + k exceeds 2^63 - 1")
-    found: list[EquationSolution] = []
 
     if i == 1 and j == 1 and k % 2:
+        found: list[EquationSolution] = []
         # 2**e - q**b = k with q**b <= value_bound, i.e. 2**e <= value_bound + k ...
         for e in range(1, (value_bound + k).bit_length()):
             d = prime_power_decompose(2**e - k)
@@ -163,73 +135,28 @@ def solve_equation(
             d = prime_power_decompose(2**e + k)
             if d is not None:
                 found.append(EquationSolution(d.p, d.a, 2, e, 2**e + k, 2**e))
-    elif i == 1 and j == 1:
-        # p**a - q**b = k: no binomial to invert on either side.
-        if value_bound > UNIT_INSTANCE_BOUND:
-            raise UsageError(
-                f"instance (1, 1, k) with even k enumerates every prime power "
-                f"up to the bound; use value_bound <= {UNIT_INSTANCE_BOUND}"
-            )
-        table = _shared_table(table, value_bound)
-        values, qs, bs = prime_powers_upto(value_bound, table)
-        hits, ps, as_ = _prime_power_hits(values + k)
-        for p, a, q, b, right in zip(
-            ps, as_, qs[hits].tolist(), bs[hits].tolist(), values[hits].tolist()
-        ):
-            found.append(EquationSolution(p, a, q, b, right + k, right))
-    elif j == 1:
-        # Walk the minuend side: C(n, i) <= value_bound + k exactly covers
-        # every solution with q**b <= value_bound.  C(v, i) = 0 for v < i,
-        # so the filter rights >= 1 also drops those.
-        n_max = _max_binomial_arg(i, value_bound + k)
-        table = _shared_table(table, n_max)
-        values, ps, as_ = prime_powers_upto(n_max, table)
-        rights = _binomials(values, i) - k
-        keep = np.flatnonzero(rights >= 1)
-        hits, qs, bs = _prime_power_hits(rights[keep])
-        sel = keep[hits]
-        for p, a, q, b, right in zip(
-            ps[sel].tolist(), as_[sel].tolist(), qs, bs, rights[sel].tolist()
-        ):
-            found.append(EquationSolution(p, a, q, b, right + k, right))
-    elif i > j:
-        # i > j >= 2: the minuend side carries the larger index, so walk it
-        # and invert the subtrahend.  left <= value_bound + k covers exactly
-        # right <= value_bound.
-        n_max = _max_binomial_arg(i, value_bound + k)
-        table = _shared_table(table, n_max)
-        rows = []  # (p, a, left, m) with C(m, j) = left - k
-        for v, p, a in zip(*(x.tolist() for x in prime_powers_upto(n_max, table))):
-            if v < i:
-                continue
-            left = comb(v, i)
-            if left <= k:
-                continue
-            m = _invert_binomial(left - k, j)
-            if m is not None and m >= j:
-                rows.append((p, a, left, m))
-        hits, qs, bs = _prime_power_hits(np.array([r[3] for r in rows], dtype=np.int64))
-        for t, q, b in zip(hits.tolist(), qs, bs):
-            p, a, left, _ = rows[t]
-            found.append(EquationSolution(p, a, q, b, left, left - k))
-    else:
-        m_max = _max_binomial_arg(j, value_bound)
-        table = _shared_table(table, m_max)
-        rows = []  # (q, b, right, n) with C(n, i) = right + k
-        for v, q, b in zip(*(x.tolist() for x in prime_powers_upto(m_max, table))):
-            if v < j:
-                continue
-            right = comb(v, j)
-            n = _invert_binomial(right + k, i)
-            if n is not None and n >= i:
-                rows.append((q, b, right, n))
-        hits, ps, as_ = _prime_power_hits(np.array([r[3] for r in rows], dtype=np.int64))
-        for t, p, a in zip(hits.tolist(), ps, as_):
-            q, b, right, _ = rows[t]
-            found.append(EquationSolution(p, a, q, b, right + k, right))
+        found.sort(key=lambda s: (s.right, s.left))
+        return found
 
-    found.sort(key=lambda s: (s.right, s.left))
-    return found
+    # walk the side with the larger index; the other side is sides + shift
+    walk, other, shift = (i, j, -k) if i > j else (j, i, k)
+    limit = _walk_limit(i, j, k, value_bound)
+    values, bases, exponents = prime_powers_upto(limit, _shared_table(table, limit))
+    sides = _binomials(values, walk)
+    keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))
+    sides, bases, exponents = sides[keep], bases[keep], exponents[keep]
+    targets = sides + shift
+    if other == 1:
+        args = targets
+    else:
+        # 0 marks a target with no argument; it is no prime power
+        inverse = (binomial_arg(t, other) for t in targets.tolist())
+        args = np.array([n if exact else 0 for n, exact in inverse], dtype=np.int64)
+    hits, hit_bases, hit_exponents = _prime_power_hits(args)
+    walked = (bases[hits].tolist(), exponents[hits].tolist(), sides[hits].tolist())
+    inverted = (hit_bases, hit_exponents, targets[hits].tolist())
+    (p, a, left), (q, b, right) = (walked, inverted) if i > j else (inverted, walked)
+    return [EquationSolution(*s) for s in zip(p, a, q, b, left, right)]
 
 
 def _triangular_candidates(
@@ -301,7 +228,7 @@ def special_family_checks(bound: int = 10**9, table: PrimeTable | None = None) -
 
     # m_max keeps every C(v, 3) + 1 <= bound; v < 3 gives the value 1,
     # which is no prime power
-    m_max = _max_binomial_arg(3, bound - 1)
+    m_max = binomial_arg(bound - 1, 3)[0]
     vs, qs, bs = prime_powers_upto(m_max, table)
     hits, ps, as_ = _prime_power_hits(_binomials(vs, 3) + 1)
     tetra_hits: list[tuple[int, ...]] = list(
@@ -385,10 +312,7 @@ def theorem_errata(
     note carrying the actual difference, so the report is self-contained.
     """
     catalog = load_published_catalog()
-    needed = max(
-        _max_binomial_arg(i, value_bound + k) if i > j else _max_binomial_arg(j, value_bound)
-        for (i, j, k) in catalog
-    )
+    needed = max(_walk_limit(i, j, k, value_bound) for (i, j, k) in catalog)
     table = _shared_table(table, needed)
     entries: list[ErrataEntry] = []
     for key, published in catalog.items():

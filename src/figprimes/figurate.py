@@ -18,6 +18,7 @@ from .errors import ResourceLimitError, UsageError
 from .intkernel import (
     U63_MAX,
     PrimeTable,
+    binomial_arg,
     build_sieve,
     prime_power_decompose,
     prime_powers_upto,
@@ -129,29 +130,13 @@ def generate_figurate(
     )
 
 
-def _binomial_arg(target: int, i: int) -> int | None:
-    """The unique m >= 2i with C(m, i) = target, if it exists."""
-    lo = 2 * i
-    if comb(lo, i) > target:
-        return None
-    hi = lo
-    while comb(hi, i) < target:
-        hi *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if comb(mid, i) < target:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if comb(lo, i) == target else None
-
-
 def figurate_witness(n: int) -> FigurateWitness | None:
     """Table-free canonical witness for n, None when n is not a member.
 
     Mirrors the table construction: try i = 1 (prime powers), then each
     stratum i >= 2 while C(2i, i) <= n.  C(m, i) is strictly increasing in m
-    for m >= 2i, so each stratum has at most one candidate argument.
+    for m >= i, so each stratum has at most one candidate argument, and it is
+    at least 2i because C(2i, i) <= n.
     """
     n = index(n)
     if n < 1:
@@ -163,8 +148,8 @@ def figurate_witness(n: int) -> FigurateWitness | None:
         return FigurateWitness(n, pp.p, pp.a, 1)
     i = 2
     while comb(2 * i, i) <= n:
-        m = _binomial_arg(n, i)
-        if m is not None:
+        m, exact = binomial_arg(n, i)
+        if exact:
             d = prime_power_decompose(m)
             if d is not None:
                 return FigurateWitness(n, d.p, d.a, i)

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: primality, sieves, prime powers, roots, binomials.
+"""Exact integer arithmetic: primality, sieves, prime powers, roots, binomial inverse.
 
 Every routine here is deterministic and exact.  Floating point may be used to
 seed an iteration but never decides a result.  It appears in two places: the
@@ -14,22 +14,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isqrt
+from math import comb, factorial, isqrt
 from operator import index
 
 import numpy as np
 
 from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 
-#: inclusive cap for values reported by the checked binomial helpers
+#: inclusive cap for every value the package computes with: values stay in 63 bits
 U63_MAX = 2**63 - 1
 
 #: default sieve budget, counted in table entries
 DEFAULT_SIEVE_ENTRIES = 1 << 28
-
-BINOM_OK = "ok"
-BINOM_ZERO = "zero"
-BINOM_OVERFLOW = "overflow"
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -219,32 +215,22 @@ def integer_root(n: int, e: int) -> tuple[int, bool]:
     return r, r**e == n
 
 
-def binomial_status(n: int, i: int) -> tuple[str, int | None]:
-    """C(n, i) capped at 2^63-1.
+def binomial_arg(target: int, i: int) -> tuple[int, bool]:
+    """(n, exact?) for the largest n >= i with C(n, i) <= target, target >= 1.
 
-    Returns (BINOM_OK, value), (BINOM_ZERO, None) when i > n, or
-    (BINOM_OVERFLOW, None) once the exact value exceeds the cap.  The two
-    empty outcomes are deliberately distinct.
+    For n >= i, i! * C(n, i) = n(n-1)...(n-i+1) lies between (n-i+1)^i and
+    n^i.  With r the integer i-th root of i! * target, C(n, i) <= target
+    gives n - i + 1 <= r, and C(n + 1, i) > target gives n + 1 > r, so
+    r <= n <= r + i - 1.  C(m, i) increases with m >= i, so the walk starts
+    at max(r, i) and steps up at most i - 1 times.
     """
-    if n < 0 or i < 1:
-        raise UsageError("binomial_status needs n >= 0 and i >= 1")
-    if i > n:
-        return BINOM_ZERO, None
-    i = min(i, n - i)
-    value = 1
-    # After step t the partial product equals C(n-i+t, t); those ascend to
-    # C(n, i), so the first partial above the cap proves overflow.
-    for t in range(1, i + 1):
-        value = value * (n - i + t) // t
-        if value > U63_MAX:
-            return BINOM_OVERFLOW, None
-    return BINOM_OK, value
-
-
-def binomial_checked(n: int, i: int) -> int | None:
-    """C(n, i) when it is positive and fits in 63 bits, else None."""
-    status, value = binomial_status(n, i)
-    return value if status == BINOM_OK else None
+    if i == 1:
+        return target, True
+    r, _ = integer_root(factorial(i) * target, i)
+    n = max(r, i)
+    while comb(n + 1, i) <= target:
+        n += 1
+    return n, comb(n, i) == target
 
 
 def prime_power_decompose(n: int) -> PrimePower | None:
@@ -444,44 +430,3 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
         if d is not None:
             bases[lane], exponents[lane] = d.p, d.a
     return bases, exponents
-
-
-def powerful_class(n: int, t: int, table: PrimeTable) -> bool:
-    """True iff every prime exponent of n is >= t (t=2 square-full, t=3 cube-full).
-
-    n = 1 counts vacuously.  Beyond the table the check strips primes up to
-    n^(1/3) by trial division, which pins the unfactored remainder down to a
-    prime, a prime square, or a product of two distinct primes.
-    """
-    if t not in (2, 3):
-        raise UsageError("powerful_class supports t = 2 or 3")
-    if n < 1:
-        raise UsageError("powerful_class needs n >= 1")
-    if n == 1:
-        return True
-    if n <= table.limit:
-        for e in table.factorize(n).values():
-            if e < t:
-                return False
-        return True
-    root3, _ = integer_root(n, 3)
-    if table.limit < root3:
-        raise UsageError("prime table too small to classify this value")
-    m = n
-    cut = int(np.searchsorted(table.primes, root3, side="right"))
-    for p in table.primes[:cut].tolist():
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            if e < t:
-                return False
-    if m == 1:
-        return True
-    if is_prime(m):
-        return False
-    r, exact = integer_root(m, 2)
-    if exact and is_prime(r):
-        return t == 2
-    return False

@@ -12,7 +12,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import ResourceLimitError, UsageError
-from .intkernel import U63_MAX, PrimeTable, build_sieve
+from .intkernel import U63_MAX, PrimeTable, build_sieve, integer_root
 
 #: default budget for the square-full bitmap, in entries
 DEFAULT_MASK_ENTRIES = 1 << 28
@@ -113,6 +113,12 @@ def _products_with_min_exp(primes: list[int], limit: int, min_exp: int) -> list[
     return out
 
 
+def _cubefull_upto(limit: int, table: PrimeTable) -> list[int]:
+    """Every cube-full number up to limit, ascending; the table covers limit^(1/3)."""
+    cut = int(np.searchsorted(table.primes, integer_root(limit, 3)[0], side="right"))
+    return sorted(_products_with_min_exp(table.primes[:cut].tolist(), limit, 3))
+
+
 def _merged_exponents_at_least(A: int, B: int, t: int, table: PrimeTable) -> bool:
     merged = table.factorize(A)
     for p, e in table.factorize(B).items():
@@ -142,8 +148,7 @@ def diff_cubefull_search(
     if table is None or table.limit < limit:
         table = build_sieve(limit)
     if cubefull is None:
-        roots = [p for p in table.primes.tolist() if p**3 <= limit]
-        cubefull = sorted(_products_with_min_exp(roots, limit, 3))
+        cubefull = _cubefull_upto(limit, table)
     d_primes = sorted(table.factorize(d)) if d > 1 else []
     smooth = sorted(_products_with_min_exp(d_primes, limit, 1))
     candidates = sorted({m * c for m in smooth for c in cubefull if m * c <= limit})
@@ -189,8 +194,7 @@ def power_of_two_gap_report(
         raise UsageError("limit too small to contain the expected pair at rmax")
     if table is None or table.limit < limit:
         table = build_sieve(limit)
-    roots = [p for p in table.primes.tolist() if p**3 <= limit]
-    cubefull = sorted(_products_with_min_exp(roots, limit, 3))
+    cubefull = _cubefull_upto(limit, table)
     rows = []
     for r in range(rmax + 1):
         d = 2**r
@@ -235,8 +239,7 @@ def prime_gap_report(
         raise UsageError("limit must exceed search_cap")
     if table is None or table.limit < limit:
         table = build_sieve(limit)
-    roots = [p for p in table.primes.tolist() if p**3 <= limit]
-    cubefull = sorted(_products_with_min_exp(roots, limit, 3))
+    cubefull = _cubefull_upto(limit, table)
     rows: list[GapCountRow] = []
     least_empty = None
     least_empty_prime = None

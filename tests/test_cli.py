@@ -86,6 +86,8 @@ class TestExitCodes:
         assert run(["figurate"]) == 2                   # neither --limit nor --member
         assert run(["sum2", "--from", "2", "--to", "10", "--jobs", "0"]) == 2
         assert run(["figurate", "--member", "0"]) == 2
+        # an even-k unit solve past the sieve budget
+        assert run(["solve", "--i", "1", "--j", "1", "--k", "2", "--bound", "300000000"]) == 2
         # negative counts would slice from the end of a list
         assert run(["curve", "samples", "--kind", "cubic", "--sign", "1", "--k", "1",
                     "--xlo", "-2", "--xhi", "1", "--sample-size", "-1"]) == 2

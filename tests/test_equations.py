@@ -15,8 +15,8 @@ from sympy import isprime
 from figprimes import (
     ArithmeticGuardError,
     EquationInstance,
+    ResourceLimitError,
     UsageError,
-    binomial_checked,
     build_sieve,
     enumerate_p_minus1_triangular,
     is_prime,
@@ -25,7 +25,7 @@ from figprimes import (
     special_family_checks,
     theorem_errata,
 )
-from figprimes.equations import UNIT_INSTANCE_BOUND, load_published_catalog
+from figprimes.equations import load_published_catalog
 
 CATALOG_INSTANCES = [
     (2, 1, 1), (3, 1, 1), (4, 1, 1),
@@ -70,7 +70,9 @@ class TestSolveOracle:
     @pytest.mark.parametrize(
         "key",
         [(*key, 10**6) for key in CATALOG_INSTANCES + [(1, 1, 1), (2, 2, 1)]]
-        + [(1, 1, k, 10**5) for k in range(1, 100, 2)],
+        + [(1, 1, k, 10**5) for k in range(1, 100, 2)]
+        + [(*key, 10**6) for key in [(2, 2, 3), (3, 3, 6), (1, 2, 7), (1, 3, 2), (3, 1, 5)]]
+        + [(1, 1, k, 10**5) for k in range(2, 40, 2)],
     )
     def test_agrees_with_subtraction_table(self, table1e6, key):
         i, j, k, bound = key
@@ -81,13 +83,13 @@ class TestSolveOracle:
         for key in CATALOG_INSTANCES:
             inst = EquationInstance(*key)
             for s in solve_equation(inst, 10**8, table1e6):
-                assert binomial_checked(s.p**s.a, inst.i) == s.left
-                assert binomial_checked(s.q**s.b, inst.j) == s.right
+                assert comb(s.p**s.a, inst.i) == s.left
+                assert comb(s.q**s.b, inst.j) == s.right
                 assert s.left - s.right == inst.k
                 assert is_prime(s.p) and is_prime(s.q)
 
     def test_output_sorted_by_right_then_left(self, table1e6):
-        for key in [(2, 1, 1), (1, 1, 1), (2, 3, 2)]:
+        for key in [(2, 1, 1), (1, 1, 1), (2, 3, 2), (1, 1, 2), (3, 2, 1), (2, 2, 3), (2, 4, 1)]:
             sols = solve_equation(EquationInstance(*key), 10**6, table1e6)
             keys = [(s.right, s.left) for s in sols]
             assert keys == sorted(keys)
@@ -135,8 +137,9 @@ class TestSolveOracle:
             solve_equation(EquationInstance(2, 1, 1), 0)
         with pytest.raises(UsageError):
             solve_equation(EquationInstance(2, 1, 1), 2**62 + 1)
-        with pytest.raises(UsageError):
-            solve_equation(EquationInstance(1, 1, 2), UNIT_INSTANCE_BOUND + 1)
+        # an even-k unit walk needs a sieve up to the bound
+        with pytest.raises(ResourceLimitError):
+            solve_equation(EquationInstance(1, 1, 2), 3 * 10**8)
         # the minuend reaches value_bound + k, which must fit in 63 bits
         for k, bound in [(10**25 + 1, 100), (2**62 + 1, 2**62 - 1), (2**62, 2**62)]:
             for i in (1, 2):

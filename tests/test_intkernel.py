@@ -18,21 +18,16 @@ from figprimes import (
     ArithmeticGuardError,
     PrimePower,
     UsageError,
-    binomial_checked,
-    binomial_status,
     build_sieve,
     integer_root,
     is_prime,
-    powerful_class,
     prime_power_decompose,
     prime_powers_upto,
 )
 from figprimes import intkernel
 from figprimes.intkernel import (
-    BINOM_OK,
-    BINOM_OVERFLOW,
-    BINOM_ZERO,
     U63_MAX,
+    binomial_arg,
     is_prime_many,
     prime_power_decompose_many,
 )
@@ -221,54 +216,38 @@ class TestIntegerRoot:
 
 
 class TestBinomial:
-    def test_agrees_with_comb_small(self):
-        for n in range(0, 200):
-            for i in range(1, n + 2):
-                status, value = binomial_status(n, i)
-                if i > n:
-                    assert status == BINOM_ZERO and value is None
-                elif comb(n, i) <= U63_MAX:
-                    assert status == BINOM_OK and value == comb(n, i)
-                else:
-                    assert status == BINOM_OVERFLOW and value is None
-
-    def test_overflow_boundary_central(self):
-        assert binomial_checked(66, 33) == comb(66, 33)  # largest central fit
-        assert binomial_status(68, 34) == (BINOM_OVERFLOW, None)
-
-    def test_overflow_large_argument(self):
-        assert binomial_checked(10**9, 2) == comb(10**9, 2)
-        assert binomial_status(2**40, 2) == (BINOM_OVERFLOW, None)
-
-    def test_symmetry_reduction(self):
-        assert binomial_checked(100, 98) == comb(100, 98)
-        assert binomial_checked(2**62, 2**62 - 1) == 2**62
-
-    def test_edge_cases(self):
-        assert binomial_checked(5, 5) == 1
-        assert binomial_checked(1, 1) == 1
-        assert binomial_status(0, 1) == (BINOM_ZERO, None)
-        with pytest.raises(UsageError):
-            binomial_status(5, 0)
-        with pytest.raises(UsageError):
-            binomial_status(-1, 1)
-
     def test_difference_identity_and_gcd(self):
         # 2*(C(n,2) - 1) = (n+1)(n-2), whose factors share at most a 3
         for n in range(2, 2001):
-            assert 2 * (binomial_checked(n, 2) - 1) == (n + 1) * (n - 2)
+            assert 2 * (comb(n, 2) - 1) == (n + 1) * (n - 2)
             assert gcd(n + 1, n - 2) in (1, 3)
 
-    @given(st.integers(min_value=0, max_value=3000), st.integers(min_value=1, max_value=3100))
+
+def assert_binomial_arg(t: int, i: int) -> None:
+    n, exact = binomial_arg(t, i)
+    assert n >= i and comb(n, i) <= t < comb(n + 1, i), (t, i)
+    assert exact == (comb(n, i) == t), (t, i)
+
+
+class TestBinomialArg:
+    def test_every_small_target(self):
+        for i in range(1, 13):
+            for t in range(1, 5001):
+                assert_binomial_arg(t, i)
+
+    # m = isqrt(2^63) for i = 2; for i = 3 and 33, C(m + 1, i) passes 2^63
+    @pytest.mark.parametrize("i, m", [(2, 3_037_000_499), (3, 3_810_779), (33, 66)])
+    def test_neighbours_near_2_63(self, i, m):
+        assert comb(m, i) + 1 <= U63_MAX
+        for t in (comb(m, i) - 1, comb(m, i), comb(m, i) + 1):
+            assert_binomial_arg(t, i)
+        assert binomial_arg(comb(m, i), i) == (m, True)
+        assert binomial_arg(comb(m, i) - 1, i) == (m - 1, False)
+
+    @given(st.integers(min_value=1, max_value=U63_MAX), st.integers(min_value=1, max_value=40))
     @settings(max_examples=300, deadline=None)
-    def test_matches_comb_property(self, n, i):
-        status, value = binomial_status(n, i)
-        if i > n:
-            assert (status, value) == (BINOM_ZERO, None)
-        elif comb(n, i) <= U63_MAX:
-            assert (status, value) == (BINOM_OK, comb(n, i))
-        else:
-            assert (status, value) == (BINOM_OVERFLOW, None)
+    def test_bracketing_property(self, t, i):
+        assert_binomial_arg(t, i)
 
 
 class TestPrimePowerDecompose:
@@ -302,47 +281,6 @@ class TestPrimePowerDecompose:
         # exponent 6 = 2*3 resolves through the recursive root path
         assert prime_power_decompose(101**6) == PrimePower(101, 6, 101**6)
         assert prime_power_decompose(41**10) == PrimePower(41, 10, 41**10)
-
-
-class TestPowerfulClass:
-    def test_matches_factorization_oracle(self):
-        table = build_sieve(5000)
-        for n in range(1, 5001):
-            f = trial_factorize(n)
-            for t in (2, 3):
-                expected = all(e >= t for e in f.values())
-                assert powerful_class(n, t, table) == expected, (n, t)
-
-    def test_cubefull_implies_squarefull(self):
-        table = build_sieve(10**5)
-        for n in range(1, 10**5 + 1, 7):
-            if powerful_class(n, 3, table):
-                assert powerful_class(n, 2, table)
-
-    def test_beyond_table_paths(self):
-        table = build_sieve(10**4)
-        assert powerful_class(2**3 * 3**2 * 5**4, 2, table)
-        assert powerful_class(9800 * 9801, 2, table)
-        assert not powerful_class(9800 * 9801, 3, table)
-        big_prime = 99991  # cube root of its square stays within the table
-        assert not powerful_class(big_prime, 2, table)
-        assert powerful_class(big_prime**2, 2, table)
-        assert not powerful_class(big_prime**2, 3, table)
-        assert not powerful_class(10007 * 10037, 2, table)
-
-    def test_one_is_vacuously_powerful(self):
-        table = build_sieve(10)
-        assert powerful_class(1, 2, table)
-        assert powerful_class(1, 3, table)
-
-    def test_guards(self):
-        table = build_sieve(1000)
-        with pytest.raises(UsageError):
-            powerful_class(10, 4, table)
-        with pytest.raises(UsageError):
-            powerful_class(0, 2, table)
-        with pytest.raises(UsageError):
-            powerful_class(10**10 + 19, 2, table)  # needs primes past the table
 
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
