@@ -171,11 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # A handler returns its report's envelope fields (the arguments of
-# ``build_envelope`` but ``elapsed_ms``), its csv table and whether it flags a
-# counterexample or a discrepancy.  Handlers call the library through this
-# module's globals, so wrapping a name here wraps it for every command.
+# ``build_envelope`` but ``elapsed_ms``) and its csv table.  A report that
+# flags a counterexample or a discrepancy sets ``verified`` to False, which
+# makes the exit code 1.  Handlers call the library through this module's
+# globals, so wrapping a name here wraps it for every command.
 
-Result = tuple[dict, Table, bool]
+Result = tuple[dict, Table]
 
 
 def _listing(task: str, params: dict, header: list[str], rows: list, sample_size: int) -> dict:
@@ -206,7 +207,7 @@ def _figurate(args, jobs) -> Result:
             witness_sample=sample,
             stats={"member": member},
         )
-        return fields, Table(["value", "p", "a", "i"], [list(s.values()) for s in sample]), False
+        return fields, Table(["value", "p", "a", "i"], [list(s.values()) for s in sample])
     if args.limit is None:
         raise UsageError("figurate needs --limit unless --member is given")
     params = {"limit": args.limit, "include_one": args.include_one}
@@ -214,7 +215,7 @@ def _figurate(args, jobs) -> Result:
     if args.stats:
         rows = figurate_stats(table).as_rows()
         fields = dict(task="figurate-stats", params=params, stats=dict(rows))
-        return fields, Table(["key", "value"], [list(r) for r in rows]), False
+        return fields, Table(["key", "value"], [list(r) for r in rows])
     dumped = write_values(table, args.dump) if args.dump else None
     fields = dict(
         task="figurate-generate",
@@ -222,14 +223,14 @@ def _figurate(args, jobs) -> Result:
         witness_sample=[{"value": v} for v in table.values[: args.sample_size].tolist()],
         stats={"count": table.count, "dumped": dumped, "dump_path": args.dump},
     )
-    return fields, Table(["value"], table.values), False
+    return fields, Table(["value"], table.values)
 
 
 def _twins(args, jobs) -> Result:
     pairs = twin_figurate(args.limit)
     params = {"limit": args.limit}
     fields = _listing("twin-members", params, ["f", "g"], pairs, args.sample_size)
-    return fields, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2)), False
+    return fields, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def _scan(args, jobs) -> Result:
@@ -253,7 +254,7 @@ def _scan(args, jobs) -> Result:
     del fields["lo"], fields["hi"]
     rows: list[list[object]] = [["witness", w["n"], w["x"], w["y"]] for w in rep.witness_sample]
     rows += [["counterexample", n, "", ""] for n in rep.counterexamples]
-    return fields, Table(["kind", "n", "x", "y"], rows), rep.counterexample_total > 0
+    return fields, Table(["kind", "n", "x", "y"], rows)
 
 
 def _solve(args, jobs) -> Result:
@@ -269,10 +270,8 @@ def _solve(args, jobs) -> Result:
         stats={"solutions": len(sols)},
     )
     published = load_published_catalog().get(inst.key)
-    flagged = False
     if published is not None:
         match = set(published) == {s.pqab for s in sols}
-        flagged = not match
         fields["verified"] = match
         fields["errata"] = [
             {
@@ -283,7 +282,7 @@ def _solve(args, jobs) -> Result:
             }
         ]
     rows = [[s.p, s.q, s.a, s.b, s.left, s.right] for s in sols]
-    return fields, Table(["p", "q", "a", "b", "left", "right"], rows), flagged
+    return fields, Table(["p", "q", "a", "b", "left", "right"], rows)
 
 
 def _triangular(args, jobs) -> Result:
@@ -291,7 +290,7 @@ def _triangular(args, jobs) -> Result:
     fields = _listing(
         "triangular-predecessors", {"limit": args.limit}, ["p", "q"], rows, args.sample_size
     )
-    return fields, Table(["p", "q"], rows), False
+    return fields, Table(["p", "q"], rows)
 
 
 def _families(args, jobs) -> Result:
@@ -313,7 +312,7 @@ def _families(args, jobs) -> Result:
         },
     )
     rows = [[s.name, str(tuple(t))] for s in rep.sections for t in s.solutions]
-    return fields, Table(["family", "solution"], rows), not rep.consistent
+    return fields, Table(["family", "solution"], rows)
 
 
 def _curve_corrections() -> list[dict]:
@@ -358,7 +357,7 @@ def _errata(args, jobs) -> Result:
         ]
         for e in rep.entries
     ]
-    return fields, Table(["instance", "status", "published", "computed"], rows), bool(bad)
+    return fields, Table(["instance", "status", "published", "computed"], rows)
 
 
 def _curve(args, jobs) -> Result:
@@ -381,7 +380,7 @@ def _curve(args, jobs) -> Result:
             },
         )
         rows = [["equation", model.equation_text()], ["coeffs", list(model.coeffs)]]
-        return fields, Table(["key", "value"], rows), False
+        return fields, Table(["key", "value"], rows)
     if args.action == "search":
         # cubics enjoy the wider default window; quartic coefficients grow faster
         xmax = args.xmax
@@ -395,7 +394,7 @@ def _curve(args, jobs) -> Result:
             witness_sample=[{"X": pt.X, "Y": pt.Y} for pt in points],
             stats={"points": len(points), "solutions": [list(s.pqab) for s in sols]},
         )
-        return fields, Table(["X", "Y"], [[pt.X, pt.Y] for pt in points]), False
+        return fields, Table(["X", "Y"], [[pt.X, pt.Y] for pt in points])
     if args.action == "lift":
         if args.X is None or args.Y is None:
             raise UsageError("curve lift needs --X and --Y")
@@ -409,7 +408,7 @@ def _curve(args, jobs) -> Result:
             stats={"lifted": lifted is not None, "solutions": [list(s.pqab) for s in sols]},
         )
         rows = [[lifted[0], lifted[1]]] if lifted else []
-        return fields, Table(["x", "y"], rows), False
+        return fields, Table(["x", "y"], rows)
     rows = emit_samples(model, args.xlo, args.xhi, args.step)
     fields = dict(
         task="curve-samples",
@@ -424,14 +423,14 @@ def _curve(args, jobs) -> Result:
         ["X", "rhs", "is_square", "Y"],
         [[r[0], r[1], str(r[2]).lower(), "" if r[3] is None else r[3]] for r in rows],
     )
-    return fields, table, False
+    return fields, table
 
 
 def _gap_pairs(task: str, params: dict, pairs: list, sample_size: int) -> Result:
     """Report on pairs A - B = d: powerful-pairs and cubefull-diff."""
     header = ["d", "A", "B"]
     rows = [[p.d, p.A, p.B] for p in pairs]
-    return _listing(task, params, header, rows, sample_size), Table(header, rows), False
+    return _listing(task, params, header, rows, sample_size), Table(header, rows)
 
 
 def _powerful_pairs(args, jobs) -> Result:
@@ -451,7 +450,7 @@ def _pell(args, jobs) -> Result:
     fields = _listing("pell-family", {"count": args.count}, ["u", "v", "A", "B"], rows,
                       args.sample_size)
     fields["stats"] = {"returned": len(fam.pairs), "truncated": fam.truncated}
-    return fields, Table(["u", "v", "A", "B"], rows), False
+    return fields, Table(["u", "v", "A", "B"], rows)
 
 
 def _conj41(args, jobs) -> Result:
@@ -475,7 +474,7 @@ def _conj41(args, jobs) -> Result:
         },
     )
     rows = [[p.d, p.A, p.B] for row in rep.rows for p in row.pairs]
-    return fields, Table(["d", "A", "B"], rows), not rep.consistent
+    return fields, Table(["d", "A", "B"], rows)
 
 
 def _conj42(args, jobs) -> Result:
@@ -499,7 +498,7 @@ def _conj42(args, jobs) -> Result:
         },
     )
     rows = [[row.d, row.first[0], row.first[1]] for row in rep.rows if row.first]
-    return fields, Table(["d", "A", "B"], rows), not rep.all_nonempty
+    return fields, Table(["d", "A", "B"], rows)
 
 
 def _execute(args) -> Result:
@@ -509,9 +508,9 @@ def _execute(args) -> Result:
         raise UsageError("--max-counterexamples and --sample-size must be >= 0")
     jobs = args.jobs if args.jobs is not None else _default_jobs()
     t0 = time.perf_counter()
-    fields, table, flagged = args.handler(args, jobs)
+    fields, table = args.handler(args, jobs)
     env = build_envelope(**fields, elapsed_ms=int((time.perf_counter() - t0) * 1000))
-    return env, table, flagged
+    return env, table
 
 
 def run(argv: list[str]) -> int:
@@ -521,7 +520,7 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        env, table, flagged = _execute(args)
+        env, table = _execute(args)
         payload = render_report(env, args.format, table)
         if args.out:
             with open(args.out, "wb") as fh:
@@ -537,7 +536,7 @@ def run(argv: list[str]) -> int:
     except ArithmeticGuardError as exc:
         print(f"arithmetic guard: {exc}", file=sys.stderr)
         return 3
-    return 1 if flagged else 0
+    return 1 if env["verified"] is False else 0
 
 
 def main() -> None:

@@ -27,6 +27,9 @@ from .intkernel import U63_MAX, prime_power_decompose
 
 CUBIC_LINEAR = -144
 
+#: most rows ``emit_samples`` returns for one window
+MAX_SAMPLE_ROWS = 1_000_000
+
 #: published constant for the cubic with s = -1, k = 1; inconsistent with the
 #: published point list, which lies on the recomputed constant instead
 PUBLISHED_CUBIC_NEG_K1 = -3024
@@ -230,13 +233,12 @@ def emit_samples(
     xlo: int,
     xhi: int,
     step: int = 1,
-    max_rows: int = 1_000_000,
 ) -> list[tuple[int, int, bool, int | None]]:
     """Rows (X, rhs, is_square, Y) over an X window, for offline inspection."""
     if step < 1 or xlo > xhi:
         raise UsageError("need step >= 1 and xlo <= xhi")
-    if (xhi - xlo) // step + 1 > max_rows:
-        raise ResourceLimitError(f"window exceeds {max_rows} rows")
+    if (xhi - xlo) // step + 1 > MAX_SAMPLE_ROWS:
+        raise ResourceLimitError(f"window exceeds {MAX_SAMPLE_ROWS} rows")
     _guard_window(model, max(abs(xlo), abs(xhi)))
     rows: list[tuple[int, int, bool, int | None]] = []
     for X in range(xlo, xhi + 1, step):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UsageError
 from .intkernel import (
+    DEFAULT_SIEVE_ENTRIES,
     U63_MAX,
     PrimeTable,
     binomial_arg,
@@ -24,9 +25,6 @@ from .intkernel import (
     prime_powers_upto,
 )
 from .reporting import int_lines
-
-#: default membership bitmap budget, counted in entries
-DEFAULT_BITMAP_ENTRIES = 1 << 28
 
 #: canonical witness for the value 1: C(2**1, 2) = 1
 ONE_WITNESS_ARGS = (1, 2, 1, 2)
@@ -79,7 +77,6 @@ def generate_figurate(
     include_one: bool = True,
     *,
     table: PrimeTable | None = None,
-    max_entries: int = DEFAULT_BITMAP_ENTRIES,
 ) -> FigurateTable:
     """Enumerate all members up to ``limit``.
 
@@ -92,9 +89,10 @@ def generate_figurate(
         raise UsageError("generation limit must be >= 2")
     if limit > U63_MAX:
         raise UsageError("values are capped at 2^63 - 1")
-    if limit + 1 > max_entries:
+    if limit + 1 > DEFAULT_SIEVE_ENTRIES:
         raise ResourceLimitError(
-            f"membership bitmap of {limit + 1} entries exceeds the budget of {max_entries}"
+            f"membership bitmap of {limit + 1} entries exceeds the budget of "
+            f"{DEFAULT_SIEVE_ENTRIES}"
         )
     if table is None:
         table = build_sieve(limit)

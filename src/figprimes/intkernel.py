@@ -13,7 +13,6 @@ Values above 2^50 go to the scalar ``is_prime`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import comb, factorial, isqrt
 from operator import index
 
@@ -24,7 +23,7 @@ from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 #: inclusive cap for every value the package computes with: values stay in 63 bits
 U63_MAX = 2**63 - 1
 
-#: default sieve budget, counted in table entries
+#: budget of every table indexed by value (sieve, membership bitmap), in entries
 DEFAULT_SIEVE_ENTRIES = 1 << 28
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -93,65 +92,24 @@ class PrimePower:
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Sieve products up to ``limit``: prime list and prime mask.
-
-    The smallest-prime-factor table ``spf`` is not part of the sieve: it is
-    built on the first ``factorize`` call (or ``spf`` access) and then kept,
-    so callers that only need primes never hold its 4 bytes per entry.
-    """
+    """Sieve products up to ``limit``: prime list and prime mask."""
 
     limit: int
     primes: np.ndarray      # ascending, dtype int64
     prime_mask: np.ndarray  # bool, prime_mask[n] iff n prime
 
-    @property
-    def prime_count(self) -> int:
-        return int(self.primes.size)
 
-    @cached_property
-    def spf(self) -> np.ndarray:
-        """spf[n] = smallest prime factor of n, n in [2, limit]; built on first use."""
-        dtype = np.uint32 if self.limit < 2**32 else np.uint64
-        spf = np.zeros(self.limit + 1, dtype=dtype)
-        root = int(np.searchsorted(self.primes, isqrt(self.limit), side="right"))
-        for p in self.primes[:root].tolist():
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-        spf[self.primes] = self.primes
-        return spf
-
-    def contains_prime(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise UsageError(f"{n} outside sieve range [0, {self.limit}]")
-        return bool(self.prime_mask[n])
-
-    def factorize(self, n: int) -> dict[int, int]:
-        """Prime -> exponent map by walking the spf chain.  Needs 1 <= n <= limit."""
-        if not 1 <= n <= self.limit:
-            raise UsageError(f"{n} outside sieve range [1, {self.limit}]")
-        out: dict[int, int] = {}
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out[p] = e
-        return out
-
-
-def build_sieve(limit: int, max_entries: int = DEFAULT_SIEVE_ENTRIES) -> PrimeTable:
+def build_sieve(limit: int) -> PrimeTable:
     """Sieve of Eratosthenes over [2, limit] into a boolean prime mask.
 
     Each prime p up to sqrt(limit) clears its multiples from p*p on with one
-    slice assignment.  The ``spf`` table is left to ``PrimeTable.spf``.
+    slice assignment.  The budget is checked before anything is allocated.
     """
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
-    if limit + 1 > max_entries:
+    if limit + 1 > DEFAULT_SIEVE_ENTRIES:
         raise ResourceLimitError(
-            f"sieve of {limit + 1} entries exceeds the budget of {max_entries}"
+            f"sieve of {limit + 1} entries exceeds the budget of {DEFAULT_SIEVE_ENTRIES}"
         )
     mask = np.ones(limit + 1, dtype=bool)
     mask[:2] = False

@@ -2,20 +2,24 @@
 recurrence family, and cube-full constraints on pairs with a fixed gap.
 
 A number is t-full when every prime in it carries exponent >= t; 1 counts
-vacuously.  "Square-full" is t = 2, "cube-full" is t = 3.
+vacuously.  "Square-full" is t = 2, "cube-full" is t = 3.  Every search
+takes its t-full numbers from one enumerator, ``_tfull_upto``: there are
+only about c * N^(1/t) of them up to N, so nothing is indexed by value.
+
+A gap pair A - B = d has A*B cube-full iff, with A' and B' the parts of A
+and B prime to d, (1) for each prime p | d, v_p(A) + v_p(B) is 0 or >= 3,
+and (2) A' and B' are cube-full.  A prime q outside d divides at most one
+of A and B (else it divides d), so its whole exponent in A*B lies in one
+cofactor, and (2) says exactly that this exponent is 0 or >= 3.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 
-import numpy as np
-
 from .errors import ResourceLimitError, UsageError
-from .intkernel import U63_MAX, PrimeTable, build_sieve, integer_root
-
-#: default budget for the square-full bitmap, in entries
-DEFAULT_MASK_ENTRIES = 1 << 28
+from .intkernel import DEFAULT_SIEVE_ENTRIES, U63_MAX, build_sieve, integer_root, is_prime
 
 #: fundamental solution of u^2 - 2*v^2 = 1
 PELL_SEED = (3, 2)
@@ -46,32 +50,51 @@ class PellFamily:
     truncated: bool
 
 
-def squarefull_mask(limit: int, max_entries: int = DEFAULT_MASK_ENTRIES) -> np.ndarray:
-    """Boolean array marking square-full numbers; every such n is a^2 * b^3."""
-    if limit < 1:
-        raise UsageError("limit must be >= 1")
-    if limit + 1 > max_entries:
+def _products_with_min_exp(primes: list[int], limit: int, min_exp: int) -> list[int]:
+    """All products over ``primes`` with every exponent >= min_exp, up to limit."""
+    out = [1]
+
+    def extend(idx: int, value: int) -> None:
+        for pos in range(idx, len(primes)):
+            p = primes[pos]
+            nxt = value * p**min_exp
+            if nxt > limit:
+                break
+            while nxt <= limit:
+                out.append(nxt)
+                extend(pos + 1, nxt)
+                nxt *= p
+
+    extend(0, 1)
+    return out
+
+
+def _tfull_upto(limit: int, t: int) -> list[int]:
+    """Every t-full number up to limit >= 1, ascending, 1 included.
+
+    The searches keep the sieve budget as their ceiling, though none sieves
+    up to limit: with no ceiling, a square-full list up to 10^18 would not
+    fit in memory.
+    """
+    if limit + 1 > DEFAULT_SIEVE_ENTRIES:
         raise ResourceLimitError(
-            f"square-full bitmap of {limit + 1} entries exceeds the budget of {max_entries}"
+            f"limit {limit} exceeds the ceiling of {DEFAULT_SIEVE_ENTRIES - 1}"
         )
-    mask = np.zeros(limit + 1, dtype=bool)
-    b = 1
-    while b * b * b <= limit:
-        cube = b * b * b
-        amax = isqrt(limit // cube)
-        squares = np.arange(1, amax + 1, dtype=np.int64) ** 2 * cube
-        mask[squares] = True
-        b += 1
-    return mask
+    root = integer_root(limit, t)[0]
+    primes = build_sieve(root).primes.tolist() if root >= 2 else []
+    return sorted(_products_with_min_exp(primes, limit, t))
 
 
 def consecutive_powerful_pairs(limit: int) -> list[DifferencePair]:
-    """All (B + 1, B) with both members square-full and B + 1 <= limit."""
+    """All (B + 1, B) with both members square-full and B + 1 <= limit.
+
+    They are the adjacent entries of the square-full list that differ by 1;
+    2 is not square-full, so B = 1 never pairs.
+    """
     if limit < 9:
         raise UsageError("limit must be >= 9")
-    mask = squarefull_mask(limit)
-    both = np.flatnonzero(mask[:-1] & mask[1:])
-    return [DifferencePair(int(b) + 1, int(b), 1, 2) for b in both if b >= 2]
+    full = _tfull_upto(limit, 2)
+    return [DifferencePair(A, B, 1, 2) for B, A in zip(full, full[1:]) if A == B + 1]
 
 
 def pell_family(count: int) -> PellFamily:
@@ -94,70 +117,67 @@ def pell_family(count: int) -> PellFamily:
     return PellFamily(requested=count, pairs=pairs, truncated=truncated)
 
 
-def _products_with_min_exp(primes: list[int], limit: int, min_exp: int) -> list[int]:
-    """All products over ``primes`` with every exponent >= min_exp, up to limit."""
-    out = [1]
-
-    def extend(idx: int, value: int) -> None:
-        for pos in range(idx, len(primes)):
-            p = primes[pos]
-            nxt = value * p**min_exp
-            if nxt > limit:
-                break
-            while nxt <= limit:
-                out.append(nxt)
-                extend(pos + 1, nxt)
-                nxt *= p
-
-    extend(0, 1)
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes of n >= 1, ascending, by trial division up to isqrt(n)."""
+    out = []
+    for p in range(2, isqrt(n) + 1):
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    if n > 1:
+        out.append(n)
     return out
 
 
-def _cubefull_upto(limit: int, table: PrimeTable) -> list[int]:
-    """Every cube-full number up to limit, ascending; the table covers limit^(1/3)."""
-    cut = int(np.searchsorted(table.primes, integer_root(limit, 3)[0], side="right"))
-    return sorted(_products_with_min_exp(table.primes[:cut].tolist(), limit, 3))
+def _gap_pairs(d: int, limit: int, cubefull: list[int]) -> list[DifferencePair]:
+    """``diff_cubefull_search`` with ``cubefull`` every cube-full number up
+    to limit, ascending."""
+    d_primes = _prime_factors(d)
+    top = limit - d
+    candidates = sorted({
+        m * c
+        for m in _products_with_min_exp(d_primes, top, 1)
+        for c in cubefull[: bisect_right(cubefull, top // m)]
+    })
+    members = set(cubefull)
+    out: list[DifferencePair] = []
+    for B in candidates:
+        A = B + d
+        # B's part prime to d is its cube-full factor with d's primes taken
+        # out, so it is cube-full already; only A's part needs the list
+        a, b = A, B
+        for p in d_primes:
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            while b % p == 0:
+                b //= p
+                e += 1
+            if e in (1, 2):
+                break
+        else:
+            if a in members:
+                out.append(DifferencePair(A, B, d, 3))
+    return out
 
 
-def _merged_exponents_at_least(A: int, B: int, t: int, table: PrimeTable) -> bool:
-    merged = table.factorize(A)
-    for p, e in table.factorize(B).items():
-        merged[p] = merged.get(p, 0) + e
-    return all(e >= t for e in merged.values())
-
-
-def diff_cubefull_search(
-    d: int,
-    limit: int,
-    table: PrimeTable | None = None,
-    cubefull: list[int] | None = None,
-) -> list[DifferencePair]:
+def diff_cubefull_search(d: int, limit: int) -> list[DifferencePair]:
     """All B with A = B + d <= limit and A*B cube-full, ascending by B.
 
-    Any prime q outside d cannot divide both A and B (it would divide d), so
-    its full exponent in A*B sits in one factor and must already be >= 3
-    there.  Hence every admissible B factors as a d-smooth part times a
-    cube-full part, which cuts the candidate set far below a full range scan.
-    Candidates are then validated on the merged factorizations of A and B;
-    the product itself is never factored.
+    A prime q outside d cannot divide both A and B (it would divide d), so
+    its whole exponent in A*B lies in one of them.  Hence every admissible
+    B is a d-smooth part times a cube-full part, and these products are the
+    candidates.  A candidate passes iff v_p(A) + v_p(B) is 0 or >= 3 for
+    each prime p | d and the parts of A and B prime to d are cube-full, the
+    latter holding each q with its whole exponent.  Only d is factored.
     """
     if d < 1:
         raise UsageError("d must be >= 1")
     if limit <= d:
         raise UsageError("limit must exceed d")
-    if table is None or table.limit < limit:
-        table = build_sieve(limit)
-    if cubefull is None:
-        cubefull = _cubefull_upto(limit, table)
-    d_primes = sorted(table.factorize(d)) if d > 1 else []
-    smooth = sorted(_products_with_min_exp(d_primes, limit, 1))
-    candidates = sorted({m * c for m in smooth for c in cubefull if m * c <= limit})
-    out: list[DifferencePair] = []
-    for B in candidates:
-        A = B + d
-        if A <= limit and _merged_exponents_at_least(A, B, 3, table):
-            out.append(DifferencePair(A, B, d, 3))
-    return out
+    return _gap_pairs(d, limit, _tfull_upto(limit, 3))
 
 
 @dataclass
@@ -183,22 +203,18 @@ class PowerOfTwoGapReport:
         return all(row.matches for row in self.rows)
 
 
-def power_of_two_gap_report(
-    rmax: int, limit: int, table: PrimeTable | None = None
-) -> PowerOfTwoGapReport:
+def power_of_two_gap_report(rmax: int, limit: int) -> PowerOfTwoGapReport:
     """Check d = 2^r for r in [0, rmax]: no pair at r = 0, exactly the pair
     (2^(r+1), 2^r) for r >= 1."""
     if rmax < 0:
         raise UsageError("rmax must be >= 0")
     if 2 ** (rmax + 1) > limit:
         raise UsageError("limit too small to contain the expected pair at rmax")
-    if table is None or table.limit < limit:
-        table = build_sieve(limit)
-    cubefull = _cubefull_upto(limit, table)
+    cubefull = _tfull_upto(limit, 3)
     rows = []
     for r in range(rmax + 1):
         d = 2**r
-        pairs = diff_cubefull_search(d, limit, table, cubefull)
+        pairs = _gap_pairs(d, limit, cubefull)
         expected = [] if r == 0 else [(2 ** (r + 1), 2**r)]
         rows.append(PowerGapRow(r=r, d=d, pairs=pairs, expected=expected))
     return PowerOfTwoGapReport(limit=limit, rmax=rmax, rows=rows)
@@ -225,33 +241,26 @@ class PrimeGapReport:
         return all(row.count > 0 for row in self.rows)
 
 
-def prime_gap_report(
-    limit: int,
-    nmax: int = 28,
-    search_cap: int = 64,
-    table: PrimeTable | None = None,
-) -> PrimeGapReport:
+def prime_gap_report(limit: int, nmax: int = 28, search_cap: int = 64) -> PrimeGapReport:
     """Tabulate cube-full-product pairs for every gap n in [2, nmax] and find
     the least gap (and least prime gap) with no pair up to ``search_cap``."""
     if not 2 <= nmax <= search_cap:
         raise UsageError("need 2 <= nmax <= search_cap")
     if limit <= search_cap:
         raise UsageError("limit must exceed search_cap")
-    if table is None or table.limit < limit:
-        table = build_sieve(limit)
-    cubefull = _cubefull_upto(limit, table)
+    cubefull = _tfull_upto(limit, 3)
     rows: list[GapCountRow] = []
     least_empty = None
     least_empty_prime = None
     for n in range(2, search_cap + 1):
-        pairs = diff_cubefull_search(n, limit, table, cubefull)
+        pairs = _gap_pairs(n, limit, cubefull)
         if n <= nmax:
             first = (pairs[0].A, pairs[0].B) if pairs else None
             rows.append(GapCountRow(d=n, count=len(pairs), first=first))
         if not pairs:
             if least_empty is None:
                 least_empty = n
-            if least_empty_prime is None and table.contains_prime(n):
+            if least_empty_prime is None and is_prime(n):
                 least_empty_prime = n
         if n >= nmax and least_empty_prime is not None:
             break

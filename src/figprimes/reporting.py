@@ -1,8 +1,8 @@
 """Report envelope shared by every CLI task, plus json/csv/text renderers.
 
-The envelope key order is part of the contract; renderers are pure functions
-of the envelope (and the optional tabular attachment), so identical inputs
-always serialize to identical bytes.
+The envelope key order is part of the contract; the json and text renderers
+are pure functions of the envelope and the csv renderer of the tabular
+attachment, so identical inputs always serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-FORMATS = ("json", "csv", "text")
 
 ENVELOPE_KEYS = (
     "task",
@@ -85,23 +83,14 @@ def render_json(env: dict) -> bytes:
     return (json.dumps(env, indent=2) + "\n").encode("utf-8")
 
 
-def render_csv(env: dict, table: Table | None) -> bytes:
+def render_csv(table: Table) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if table is None:
-        # fall back to a key/value dump of the scalar envelope fields
-        writer.writerow(["key", "value"])
-        for key in ("task", "range", "verified", "counterexample_total", "elapsed_ms"):
-            writer.writerow([key, env.get(key)])
-        for key, value in env["stats"].items():
-            writer.writerow([f"stats.{key}", value])
+    writer.writerow(table.header)
+    if isinstance(table.rows, np.ndarray):
+        buf.write(int_lines(table.rows))
     else:
-        writer.writerow(table.header)
-        if isinstance(table.rows, np.ndarray):
-            buf.write(int_lines(table.rows))
-        else:
-            for row in table.rows:
-                writer.writerow(row)
+        writer.writerows(table.rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -129,11 +118,11 @@ def render_text(env: dict) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def render_report(env: dict, fmt: str, table: Table | None = None) -> bytes:
+def render_report(env: dict, fmt: str, table: Table | None) -> bytes:
     if fmt == "json":
         return render_json(env)
     if fmt == "csv":
-        return render_csv(env, table)
+        return render_csv(table)
     if fmt == "text":
         return render_text(env)
     raise ValueError(f"unknown format {fmt!r}")

@@ -113,6 +113,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_powerful_searches_keep_the_sieve_ceiling(self, tmp_path):
+        # no powerful search sieves up to its limit, yet each stops where the
+        # 2^28-entry sieve budget does
+        for argv in (["powerful-pairs"], ["cubefull-diff", "--d", "7"],
+                     ["conj41", "--rmax", "3"], ["conj42"]):
+            for limit in (300000000, 1 << 28):
+                assert run(argv + ["--limit", str(limit)]) == 2, (argv, limit)
+            code, _ = run_json(argv + ["--limit", str((1 << 28) - 1)], tmp_path)
+            assert code == 0, argv
+
     def test_arithmetic_guard_is_three(self):
         code = run(
             ["curve", "samples", "--kind", "quartic", "--sign", "1", "--k", "1",
@@ -339,12 +349,6 @@ class TestRenderers:
         assert text.startswith("task: goldbach-even\n")
         assert "verified: True" in text
         assert text.rstrip().splitlines()[-1].startswith("elapsed_ms:")
-
-    def test_csv_fallback_without_table(self):
-        env = build_envelope("demo", {}, range_=(1, 9), stats={"n": 3})
-        payload = render_report(env, "csv", None).decode()
-        assert payload.splitlines()[0] == "key,value"
-        assert "stats.n,3" in payload
 
     def test_csv_integer_array_rows(self):
         env = build_envelope("demo", {})

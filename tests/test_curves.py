@@ -259,6 +259,6 @@ class TestSampleEmission:
         with pytest.raises(UsageError):
             emit_samples(model, 0, 10, step=0)
         with pytest.raises(ResourceLimitError):
-            emit_samples(model, 0, 10**7, max_rows=10**6)
+            emit_samples(model, 0, 10**7)
         with pytest.raises(ArithmeticGuardError):
             emit_samples(quartic_model(1, 1), 0, 2**16)

@@ -153,7 +153,7 @@ class TestTableShape:
         with pytest.raises(UsageError):
             generate_figurate(1)
         with pytest.raises(ResourceLimitError):
-            generate_figurate(10**6, max_entries=1000)
+            generate_figurate(1 << 28)
         with pytest.raises(UsageError):
             generate_figurate(100, table=build_sieve(50))
 
@@ -186,7 +186,7 @@ class TestStats:
 
     def test_density_below_bound_at_1e6(self, fig1e6, table1e6):
         rec = figurate_stats(fig1e6)
-        assert rec.primes == table1e6.prime_count
+        assert rec.primes == table1e6.primes.size
         assert 1.0 < rec.density_vs_primes < 1.02
 
     def test_composite_parity_balance_at_1e6(self, fig1e6):

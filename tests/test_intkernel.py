@@ -17,6 +17,7 @@ from sympy import isprime, nextprime, perfect_power
 from figprimes import (
     ArithmeticGuardError,
     PrimePower,
+    ResourceLimitError,
     UsageError,
     build_sieve,
     integer_root,
@@ -57,11 +58,11 @@ def trial_factorize(n: int) -> dict[int, int]:
     return out
 
 
-def eager_spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def eager_spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Eager smallest-prime-factor sieve, primes read off its zeros: the oracle
-    for ``build_sieve`` and the on-demand ``PrimeTable.spf``.
+    for ``build_sieve``.
 
-    Returns ``(primes, prime_mask, spf)``.
+    Returns ``(primes, prime_mask)``.
     """
     spf = np.zeros(limit + 1, dtype=np.uint32)
     for p in range(2, isqrt(limit) + 1):
@@ -71,8 +72,7 @@ def eager_spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mask = spf == 0
     mask[:2] = False
     primes = np.flatnonzero(mask).astype(np.int64)
-    spf[primes] = primes
-    return primes, mask, spf
+    return primes, mask
 
 
 class TestIsPrime:
@@ -113,7 +113,7 @@ class TestSieve:
         expected = [n for n in range(limit + 1) if flags[n]]
         table = build_sieve(limit)
         assert table.primes.tolist() == expected
-        assert table.prime_count == len(expected)
+        assert table.primes.size == len(expected)
         for n in range(limit + 1):
             assert bool(table.prime_mask[n]) == flags[n]
 
@@ -124,35 +124,20 @@ class TestSieve:
         # 9, 25, 961 and 994009 are prime squares: the last sieving prime's
         # first multiple is the limit itself
         for limit in limits:
-            primes, mask, spf = eager_spf_sieve(limit)
+            primes, mask = eager_spf_sieve(limit)
             table = build_sieve(limit)
             assert table.primes.dtype == np.int64
             assert np.array_equal(table.primes, primes), limit
             assert np.array_equal(table.prime_mask, mask), limit
-            assert np.array_equal(table.spf, spf), limit
-
-    def test_spf_built_on_first_factorize(self):
-        table = build_sieve(10**6)
-        assert "spf" not in vars(table)
-        assert table.factorize(994009) == {997: 2}
-        assert vars(table)["spf"].dtype == np.uint32
-
-    def test_factorize_matches_trial_division(self):
-        table = build_sieve(3000)
-        for n in range(2, 3001):
-            assert table.factorize(n) == trial_factorize(n), n
-
-    def test_factorize_of_one_is_empty(self):
-        assert build_sieve(10).factorize(1) == {}
-
-    def test_contains_prime_range_checked(self):
-        table = build_sieve(100)
-        with pytest.raises(UsageError):
-            table.contains_prime(101)
 
     def test_limit_below_two_rejected(self):
         with pytest.raises(UsageError):
             build_sieve(1)
+
+    def test_budget_checked_before_allocation(self):
+        # 2^28 + 1 entries: over the budget by one
+        with pytest.raises(ResourceLimitError):
+            build_sieve(1 << 28)
 
 
 class TestPrimePowers:

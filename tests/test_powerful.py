@@ -7,15 +7,14 @@ from math import isqrt
 import pytest
 
 from figprimes import (
-    ResourceLimitError,
     UsageError,
     consecutive_powerful_pairs,
     diff_cubefull_search,
     pell_family,
     power_of_two_gap_report,
     prime_gap_report,
-    squarefull_mask,
 )
+from figprimes.powerful import _tfull_upto
 
 ORACLE_LIMIT = 3 * 10**4
 
@@ -59,17 +58,16 @@ def oracle_gap_pairs(d: int, limit: int, spf: list[int]) -> list[tuple[int, int]
 
 
 class TestSquarefullMask:
-    def test_matches_factorization_oracle(self, spf):
-        mask = squarefull_mask(10**4)
-        for n in range(1, 10**4 + 1):
-            assert mask[n] == all(e >= 2 for e in factor(n, spf).values()), n
-        assert not mask[0]
+    """The t-full enumerator behind every search, square-full and cube-full."""
 
-    def test_guards(self):
-        with pytest.raises(UsageError):
-            squarefull_mask(0)
-        with pytest.raises(ResourceLimitError):
-            squarefull_mask(10**6, max_entries=10**4)
+    def test_matches_factorization_oracle(self, spf):
+        for t, limit in ((2, 10**4), (3, ORACLE_LIMIT)):
+            got = _tfull_upto(limit, t)
+            assert got == sorted(set(got)), t
+            want = {
+                n for n in range(1, limit + 1) if all(e >= t for e in factor(n, spf).values())
+            }
+            assert set(got) == want, t
 
 
 class TestConsecutivePairs:
@@ -133,7 +131,8 @@ class TestPellFamily:
 
 
 class TestDiffCubefull:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 25, 26, 27])
+    # 9973 and 9998 = 2 * 4999 have a prime factor above sqrt(d)
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 25, 26, 27, 9973, 9998])
     def test_matches_scan_oracle(self, spf, d):
         pairs = diff_cubefull_search(d, 10**4)
         assert [(p.A, p.B) for p in pairs] == oracle_gap_pairs(d, 10**4, spf)
