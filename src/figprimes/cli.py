@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .additive import DomainSpec, verify_additive, verify_linear
+from .additive import DOMAIN_KINDS, DomainSpec, verify_additive, verify_linear
 from .curves import (
     CurvePoint,
     cubic_model,
@@ -25,8 +25,10 @@ from .curves import (
 )
 from .equations import (
     EquationInstance,
+    ErrataEntry,
     enumerate_p_minus1_triangular,
     load_published_catalog,
+    reconcile,
     solve_equation,
     special_family_checks,
     theorem_errata,
@@ -104,11 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("linear", parents=[common, ones, span], help="every n as a*x + b*y")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument(
-        "--domain",
-        choices=("primes", "figurate", "proper", "prime-powers"),
-        default="figurate",
-    )
+    p.add_argument("--domain", choices=DOMAIN_KINDS, default="figurate")
     p.set_defaults(handler=_scan)
 
     p = sub.add_parser("solve", parents=[common], help="all solutions of one instance")
@@ -257,6 +255,16 @@ def _scan(args, jobs) -> Result:
     return fields, Table(["kind", "n", "x", "y"], rows)
 
 
+def _errata_fields(entry: ErrataEntry) -> dict:
+    """An errata entry as a report lists it, less its notes."""
+    return {
+        "instance": list(entry.instance),
+        "status": entry.status,
+        "published": [list(t) for t in entry.published],
+        "computed": [list(t) for t in entry.computed],
+    }
+
+
 def _solve(args, jobs) -> Result:
     inst = EquationInstance(args.i, args.j, args.k)
     sols = solve_equation(inst, args.bound)
@@ -271,16 +279,9 @@ def _solve(args, jobs) -> Result:
     )
     published = load_published_catalog().get(inst.key)
     if published is not None:
-        match = set(published) == {s.pqab for s in sols}
-        fields["verified"] = match
-        fields["errata"] = [
-            {
-                "instance": list(inst.key),
-                "status": "MATCH" if match else "DISCREPANCY",
-                "published": [list(t) for t in published],
-                "computed": [list(s.pqab) for s in sols],
-            }
-        ]
+        entry = reconcile(inst, published, [s.pqab for s in sols])
+        fields["verified"] = entry.status == "MATCH"
+        fields["errata"] = [_errata_fields(entry)]
     rows = [[s.p, s.q, s.a, s.b, s.left, s.right] for s in sols]
     return fields, Table(["p", "q", "a", "b", "left", "right"], rows)
 
@@ -328,16 +329,7 @@ def _curve_corrections() -> list[dict]:
 
 def _errata(args, jobs) -> Result:
     rep = theorem_errata(args.bound)
-    entries = [
-        {
-            "instance": list(e.instance),
-            "status": e.status,
-            "published": [list(t) for t in e.published],
-            "computed": [list(t) for t in e.computed],
-            "notes": e.notes,
-        }
-        for e in rep.entries
-    ]
+    entries = [{**_errata_fields(e), "notes": e.notes} for e in rep.entries]
     bad = [list(e.instance) for e in rep.discrepancies]
     fields = dict(
         task="catalog-reconciliation",

@@ -5,7 +5,10 @@ prime-power pair, reported together with both binomial values.  Completeness
 is always relative to a bound on the subtrahend: every solution with
 C(q**b, j) <= value_bound is found.  Apart from the closed form for
 i = j = 1 with odd k, one walk over the prime powers of one side solves every
-instance, and the sieve budget is its only ceiling.
+instance, and the sieve budget is its only ceiling.  The special families
+are instances too: p**a = C(q, 2) + 1 is (1, 2, 1) with b = 1, and
+p**a = C(q**b, 3) + 1 is (1, 3, 1).  ``reconcile`` compares a solution set
+with the published one, for the catalog report and for a single solve alike.
 """
 from __future__ import annotations
 
@@ -78,20 +81,6 @@ def _binomials(v: np.ndarray, i: int) -> np.ndarray:
     return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
 
 
-def _prime_power_hits(values: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Positions of the prime powers among values, with their bases and exponents."""
-    bases, exponents = prime_power_decompose_many(values)
-    hits = np.flatnonzero(exponents)
-    return hits, bases[hits].tolist(), exponents[hits].tolist()
-
-
-def _walk_limit(i: int, j: int, k: int, value_bound: int) -> int:
-    """Upper end of the prime powers the walk of ``solve_equation`` runs over."""
-    if i > j:
-        return binomial_arg(value_bound + k, i)[0]
-    return binomial_arg(value_bound, j)[0]
-
-
 def solve_equation(
     inst: EquationInstance,
     value_bound: int = 10**12,
@@ -140,7 +129,7 @@ def solve_equation(
 
     # walk the side with the larger index; the other side is sides + shift
     walk, other, shift = (i, j, -k) if i > j else (j, i, k)
-    limit = _walk_limit(i, j, k, value_bound)
+    limit = binomial_arg(value_bound + k if i > j else value_bound, walk)[0]
     values, bases, exponents = prime_powers_upto(limit, _shared_table(table, limit))
     sides = _binomials(values, walk)
     keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))
@@ -152,36 +141,25 @@ def solve_equation(
         # 0 marks a target with no argument; it is no prime power
         inverse = (binomial_arg(t, other) for t in targets.tolist())
         args = np.array([n if exact else 0 for n, exact in inverse], dtype=np.int64)
-    hits, hit_bases, hit_exponents = _prime_power_hits(args)
+    arg_bases, arg_exponents = prime_power_decompose_many(args)
+    hits = np.flatnonzero(arg_exponents)
     walked = (bases[hits].tolist(), exponents[hits].tolist(), sides[hits].tolist())
-    inverted = (hit_bases, hit_exponents, targets[hits].tolist())
+    inverted = (arg_bases[hits].tolist(), arg_exponents[hits].tolist(), targets[hits].tolist())
     (p, a, left), (q, b, right) = (walked, inverted) if i > j else (inverted, walked)
     return [EquationSolution(*s) for s in zip(p, a, q, b, left, right)]
 
 
-def _triangular_candidates(
-    bound: int, table: PrimeTable | None
-) -> tuple[np.ndarray, np.ndarray, PrimeTable]:
-    """Primes q with C(q, 2) + 1 <= bound and those values, as int64 arrays,
-    and the prime table they come from.
+def enumerate_p_minus1_triangular(limit: int) -> list[tuple[int, int]]:
+    """Primes p <= limit with p - 1 = C(q, 2) for prime q, ascending by p.
 
     q is at most the sieve limit, far below 2^31, so q(q - 1) fits in int64.
     """
-    qmax = isqrt(2 * bound) + 2
-    table = _shared_table(table, qmax)
-    qs = table.primes[: int(np.searchsorted(table.primes, qmax, side="right"))]
-    values = qs * (qs - 1) // 2 + 1
-    keep = values <= bound
-    return qs[keep], values[keep], table
-
-
-def enumerate_p_minus1_triangular(
-    limit: int, table: PrimeTable | None = None
-) -> list[tuple[int, int]]:
-    """Primes p <= limit with p - 1 = C(q, 2) for prime q, ascending by p."""
     if limit < 2:
         raise UsageError("limit must be >= 2")
-    qs, ps, _ = _triangular_candidates(limit, table)
+    qs = build_sieve(isqrt(2 * limit) + 2).primes
+    ps = qs * (qs - 1) // 2 + 1
+    keep = ps <= limit
+    qs, ps = qs[keep], ps[keep]
     hits = is_prime_many(ps)
     return list(zip(ps[hits].tolist(), qs[hits].tolist()))
 
@@ -199,7 +177,6 @@ class FamilySection:
 
 @dataclass
 class FamilyReport:
-    bound: int
     sections: list[FamilySection]
 
     @property
@@ -207,36 +184,23 @@ class FamilyReport:
         return all(s.matches for s in self.sections)
 
 
-def special_family_checks(bound: int = 10**9, table: PrimeTable | None = None) -> FamilyReport:
+def special_family_checks(bound: int = 10**9) -> FamilyReport:
     """Search three constrained one-parameter families up to p**a <= bound.
 
     1. p**a = C(q, 2) + 1 with a even: expected only 2**2 = C(3, 2) + 1.
     2. the same with a in {3, 5, 7}: expected empty.
     3. p**a = C(q**b, 3) + 1: expected exactly three solutions.
+
+    The first two read the solutions of instance (1, 2, 1) with b = 1, the
+    third those of (1, 3, 1); p**a <= bound is C(q**b, j) <= bound - 1.
     """
     if bound < 10**6:
         raise UsageError("family checks need bound >= 10^6")
-    qs, values, table = _triangular_candidates(bound, table)
-    hits, ps, as_ = _prime_power_hits(values)
-    even_hits: list[tuple[int, ...]] = []
-    odd_hits: list[tuple[int, ...]] = []
-    for p, a, q in zip(ps, as_, qs[hits].tolist()):
-        if a % 2 == 0:
-            even_hits.append((p, a, q))
-        elif a in (3, 5, 7):
-            odd_hits.append((p, a, q))
-
-    # m_max keeps every C(v, 3) + 1 <= bound; v < 3 gives the value 1,
-    # which is no prime power
-    m_max = binomial_arg(bound - 1, 3)[0]
-    vs, qs, bs = prime_powers_upto(m_max, table)
-    hits, ps, as_ = _prime_power_hits(_binomials(vs, 3) + 1)
-    tetra_hits: list[tuple[int, ...]] = list(
-        zip(ps, qs[hits].tolist(), as_, bs[hits].tolist())
-    )
-
+    triangular = [s for s in solve_equation(EquationInstance(1, 2, 1), bound - 1) if s.b == 1]
+    even_hits = [(s.p, s.a, s.q) for s in triangular if s.a % 2 == 0]
+    odd_hits = [(s.p, s.a, s.q) for s in triangular if s.a in (3, 5, 7)]
+    tetra_hits = [s.pqab for s in solve_equation(EquationInstance(1, 3, 1), bound - 1)]
     return FamilyReport(
-        bound=bound,
         sections=[
             FamilySection("square-plus-one-triangular", even_hits, [(2, 2, 3)]),
             FamilySection("odd-exponent-triangular", odd_hits, []),
@@ -286,7 +250,6 @@ class ErrataEntry:
 
 @dataclass
 class ErrataReport:
-    bound: int
     entries: list[ErrataEntry]
 
     @property
@@ -294,42 +257,35 @@ class ErrataReport:
         return [e for e in self.entries if e.status != "MATCH"]
 
 
-def _tuple_note(i: int, j: int, p: int, q: int, a: int, b: int) -> str | None:
-    left = comb(p**a, i)
-    right = comb(q**b, j)
-    return (
-        f"published ({p},{q},{a},{b}) evaluates to "
-        f"C({p**a},{i}) - C({q**b},{j}) = {left - right}"
-    )
+def reconcile(
+    inst: EquationInstance,
+    published: list[tuple[int, int, int, int]],
+    computed: list[tuple[int, int, int, int]],
+) -> ErrataEntry:
+    """Compare computed (p, q, a, b) tuples with the published ones.
 
-
-def theorem_errata(
-    value_bound: int = 10**12, table: PrimeTable | None = None
-) -> ErrataReport:
-    """Recompute every cataloged instance and reconcile against the catalog.
-
-    Published tuples that do not satisfy their own equation get an explicit
-    note carrying the actual difference, so the report is self-contained.
+    The status is MATCH when both sets agree.  A published tuple that does not
+    satisfy its own equation gets a note carrying the actual difference, so
+    the entry is self-contained.
     """
-    catalog = load_published_catalog()
-    needed = max(_walk_limit(i, j, k, value_bound) for (i, j, k) in catalog)
-    table = _shared_table(table, needed)
-    entries: list[ErrataEntry] = []
-    for key, published in catalog.items():
-        i, j, k = key
-        computed = [s.pqab for s in solve_equation(EquationInstance(i, j, k), value_bound, table)]
-        notes = []
-        for p, q, a, b in published:
-            if comb(p**a, i) - comb(q**b, j) != k:
-                notes.append(_tuple_note(i, j, p, q, a, b))
-        status = "MATCH" if set(published) == set(computed) else "DISCREPANCY"
-        entries.append(
-            ErrataEntry(
-                instance=key,
-                published=list(published),
-                computed=computed,
-                status=status,
-                notes=notes,
+    i, j, k = inst.key
+    notes = []
+    for p, q, a, b in published:
+        left, right = comb(p**a, i), comb(q**b, j)
+        if left - right != k:
+            notes.append(
+                f"published ({p},{q},{a},{b}) evaluates to "
+                f"C({p**a},{i}) - C({q**b},{j}) = {left - right}"
             )
-        )
-    return ErrataReport(bound=value_bound, entries=entries)
+    status = "MATCH" if set(published) == set(computed) else "DISCREPANCY"
+    return ErrataEntry(inst.key, list(published), list(computed), status, notes)
+
+
+def theorem_errata(value_bound: int = 10**12) -> ErrataReport:
+    """Solve every cataloged instance and reconcile it with the catalog."""
+    entries = []
+    for key, published in load_published_catalog().items():
+        inst = EquationInstance(*key)
+        computed = [s.pqab for s in solve_equation(inst, value_bound)]
+        entries.append(reconcile(inst, published, computed))
+    return ErrataReport(entries)

@@ -197,12 +197,9 @@ def figurate_stats(table: FigurateTable) -> StatsRecord:
     )
 
 
-def twin_figurate(limit: int, table: FigurateTable | None = None) -> list[tuple[int, int]]:
+def twin_figurate(limit: int) -> list[tuple[int, int]]:
     """All pairs (f, f + 2) of members with f + 2 <= limit, ascending."""
-    if table is None:
-        table = generate_figurate(limit)
-    if table.limit < limit:
-        raise UsageError("table limit below twin limit")
+    table = generate_figurate(limit)
     vals = table.values[table.values + 2 <= limit]
     hits = vals[table.membership[vals + 2]]
     return [(f, f + 2) for f in hits.tolist()]

@@ -45,7 +45,6 @@ class PellPair:
 
 @dataclass
 class PellFamily:
-    requested: int
     pairs: list[PellPair]
     truncated: bool
 
@@ -114,7 +113,7 @@ def pell_family(count: int) -> PellFamily:
             break
         pairs.append(PellPair(u, v, u * u, 2 * v * v))
         u, v = 3 * u + 4 * v, 2 * u + 3 * v
-    return PellFamily(requested=count, pairs=pairs, truncated=truncated)
+    return PellFamily(pairs=pairs, truncated=truncated)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -194,8 +193,6 @@ class PowerGapRow:
 
 @dataclass
 class PowerOfTwoGapReport:
-    limit: int
-    rmax: int
     rows: list[PowerGapRow]
 
     @property
@@ -217,7 +214,7 @@ def power_of_two_gap_report(rmax: int, limit: int) -> PowerOfTwoGapReport:
         pairs = _gap_pairs(d, limit, cubefull)
         expected = [] if r == 0 else [(2 ** (r + 1), 2**r)]
         rows.append(PowerGapRow(r=r, d=d, pairs=pairs, expected=expected))
-    return PowerOfTwoGapReport(limit=limit, rmax=rmax, rows=rows)
+    return PowerOfTwoGapReport(rows=rows)
 
 
 @dataclass
@@ -229,9 +226,6 @@ class GapCountRow:
 
 @dataclass
 class PrimeGapReport:
-    limit: int
-    nmax: int
-    search_cap: int
     rows: list[GapCountRow]          # every gap d = n in [2, nmax]
     least_empty: int | None          # least n in [2, search_cap] with no pair
     least_empty_prime: int | None    # least prime in that range with no pair
@@ -264,11 +258,4 @@ def prime_gap_report(limit: int, nmax: int = 28, search_cap: int = 64) -> PrimeG
                 least_empty_prime = n
         if n >= nmax and least_empty_prime is not None:
             break
-    return PrimeGapReport(
-        limit=limit,
-        nmax=nmax,
-        search_cap=search_cap,
-        rows=rows,
-        least_empty=least_empty,
-        least_empty_prime=least_empty_prime,
-    )
+    return PrimeGapReport(rows, least_empty, least_empty_prime)

@@ -30,8 +30,8 @@ def fig2e4():
 
 
 @pytest.fixture(scope="session")
-def errata_report(table1e6):
-    return theorem_errata(10**12, table=table1e6)
+def errata_report():
+    return theorem_errata(10**12)
 
 
 def pytest_runtest_logreport(report):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from figprimes import generate_figurate, twin_figurate
+from figprimes import generate_figurate, theorem_errata, twin_figurate
 from figprimes.cli import run
 from figprimes.reporting import ENVELOPE_KEYS, Table, build_envelope, render_report
 
@@ -88,6 +88,9 @@ class TestExitCodes:
         assert run(["figurate", "--member", "0"]) == 2
         # an even-k unit solve past the sieve budget
         assert run(["solve", "--i", "1", "--j", "1", "--k", "2", "--bound", "300000000"]) == 2
+        # families and errata past the solver's value_bound <= 2^62 check
+        for cmd in ("errata", "families"):
+            assert run([cmd, "--bound", "5000000000000000000"]) == 2, cmd
         # negative counts would slice from the end of a list
         assert run(["curve", "samples", "--kind", "cubic", "--sign", "1", "--k", "1",
                     "--xlo", "-2", "--xhi", "1", "--sample-size", "-1"]) == 2
@@ -198,6 +201,21 @@ class TestErrataCommand:
         assert sum(1 for s in statuses.values() if s == "MATCH") == 10
         kinds = [e["kind"] for e in env["errata"] if "kind" in e]
         assert kinds == ["curve-constant", "curve-map", "curve-variable"]
+
+    def test_solve_prints_the_errata_entry(self, tmp_path):
+        # one reconciliation rule: solve prints the catalog entry less its notes
+        rep = theorem_errata(10**6)
+        for e in rep.entries:
+            i, j, k = (str(v) for v in e.instance)
+            _, env = run_json(["solve", "--i", i, "--j", j, "--k", k, "--bound", "1000000"],
+                              tmp_path)
+            assert env["errata"] == [{
+                "instance": list(e.instance),
+                "status": e.status,
+                "published": [list(t) for t in e.published],
+                "computed": [list(t) for t in e.computed],
+            }]
+            assert env["verified"] is (e.status == "MATCH")
 
 
 class TestCsvPayloads:

@@ -20,6 +20,7 @@ from figprimes import (
     build_sieve,
     enumerate_p_minus1_triangular,
     is_prime,
+    prime_power_decompose,
     prime_powers_upto,
     solve_equation,
     special_family_checks,
@@ -195,7 +196,7 @@ class TestTriangularPredecessors:
                 walk.append((p, q))
         assert candidates == 108_108
         assert len(walk) == 7_968
-        assert enumerate_p_minus1_triangular(limit, table) == walk
+        assert enumerate_p_minus1_triangular(limit) == walk
 
 
 class TestEvenUnitInstance:
@@ -218,7 +219,41 @@ class TestEvenUnitInstance:
         assert {s.pqab for s in sols} == expected
 
 
+def family_oracle(bound):
+    """The three family sections by a scalar walk: one decomposition of
+    C(q, 2) + 1 per prime q and of C(q**b, 3) + 1 per prime power q**b."""
+    even, odd, tetra = [], [], []
+    q = 2
+    while comb(q, 2) + 1 <= bound:
+        d = prime_power_decompose(comb(q, 2) + 1) if isprime(q) else None
+        if d is not None and d.a % 2 == 0:
+            even.append((d.p, d.a, q))
+        elif d is not None and d.a in (3, 5, 7):
+            odd.append((d.p, d.a, q))
+        q += 1
+    m = 3
+    while comb(m, 3) + 1 <= bound:
+        base = prime_power_decompose(m)
+        d = prime_power_decompose(comb(m, 3) + 1) if base is not None else None
+        if d is not None:
+            tetra.append((d.p, base.p, d.a, base.a))
+        m += 1
+    return [even, odd, tetra]
+
+
 class TestSpecialFamilies:
+    @pytest.mark.parametrize("bound", [10**6, 10**6 + 1, 10**7, 10**8, 10**9])
+    def test_matches_scalar_walk(self, bound):
+        rep = special_family_checks(bound)
+        assert [s.solutions for s in rep.sections] == family_oracle(bound)
+
+    def test_triangular_family_takes_prime_q_only(self):
+        # 11**2 = C(2**4, 2) + 1 solves (1, 2, 1), but q**b = 16 is no prime
+        sols = solve_equation(EquationInstance(1, 2, 1), 10**6 - 1)
+        assert (11, 2, 2, 4) in {s.pqab for s in sols}
+        first = special_family_checks(10**6).sections[0]
+        assert (11, 2, 16) not in first.solutions
+
     def test_all_sections_match_expectations(self):
         rep = special_family_checks(10**9)
         assert rep.consistent

@@ -205,7 +205,7 @@ class TestTwins:
         assert all(g == f + 2 for f, g in pairs)
 
     def test_pair_members_in_set(self, fig2e4):
-        pairs = twin_figurate(fig2e4.limit, table=fig2e4)
+        pairs = twin_figurate(fig2e4.limit)
         members = set(fig2e4.values.tolist())
         for f, g in pairs:
             assert f in members and g in members
