@@ -12,6 +12,7 @@ the minimal left summand x.
 """
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -193,7 +194,8 @@ def _scan(worker, lo, hi, width, jobs, sample_size, left, right, table):
     """
     chunks = [(s, min(s + width - 1, hi)) for s in range(lo, hi + 1, width)]
     if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
+        # ex.map submits every chunk at once, each starting a thread while none idles
+        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
             results = list(ex.map(worker, chunks))
     else:
         results = [worker(c) for c in chunks]

@@ -15,7 +15,10 @@ import numpy as np
 
 from .additive import DOMAIN_KINDS, DomainSpec, verify_additive, verify_linear
 from .curves import (
+    _KINDS,
+    CORRECTION_NOTES,
     CurvePoint,
+    _model,
     cubic_model,
     emit_samples,
     lift_point,
@@ -65,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=None, help=f"default ${JOBS_ENV} or 1")
+    common.add_argument("--jobs", type=int, default=_default_jobs(),
+                        help=f"default ${JOBS_ENV} or 1")
     common.add_argument("--max-counterexamples", type=int, default=100)
     common.add_argument("--sample-size", type=int, default=10)
 
@@ -130,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curve", parents=[common], help="plane-curve models and point search")
     p.add_argument("action", choices=("model", "search", "lift", "samples"))
-    p.add_argument("--kind", choices=("cubic", "quartic"), required=True)
+    p.add_argument("--kind", choices=tuple(_KINDS), required=True)
     p.add_argument("--sign", type=int, choices=(1, -1), required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--xmax", type=int, default=None)
@@ -168,11 +172,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# A handler returns its report's envelope fields (the arguments of
-# ``build_envelope`` but ``elapsed_ms``) and its csv table.  A report that
-# flags a counterexample or a discrepancy sets ``verified`` to False, which
-# makes the exit code 1.  Handlers call the library through this module's
-# globals, so wrapping a name here wraps it for every command.
+# A handler takes the parsed arguments, their --jobs checked, and returns its
+# report's envelope fields (the arguments of ``build_envelope`` but
+# ``elapsed_ms``) and its csv table.  A report that flags a counterexample or
+# a discrepancy sets ``verified`` to False, which makes the exit code 1.
+# Handlers call the library through this module's globals, so wrapping a name
+# here wraps it for every command.
 
 Result = tuple[dict, Table]
 
@@ -188,7 +193,7 @@ def _listing(task: str, params: dict, header: list[str], rows: list, sample_size
     )
 
 
-def _figurate(args, jobs) -> Result:
+def _figurate(args) -> Result:
     if args.member is not None and (args.limit is not None or args.stats or args.dump):
         raise UsageError("--member takes none of --limit, --stats and --dump")
     if args.stats and args.dump:
@@ -224,19 +229,19 @@ def _figurate(args, jobs) -> Result:
     return fields, Table(["value"], table.values)
 
 
-def _twins(args, jobs) -> Result:
+def _twins(args) -> Result:
     pairs = twin_figurate(args.limit)
     params = {"limit": args.limit}
     fields = _listing("twin-members", params, ["f", "g"], pairs, args.sample_size)
     return fields, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
-def _scan(args, jobs) -> Result:
+def _scan(args) -> Result:
     """sum2, prime-proper, goldbach and linear.  The set is generated inside
     the timed region, so ``elapsed_ms`` counts it."""
     table = generate_figurate(args.hi, include_one=True)
     counts = dict(
-        jobs=jobs, max_counterexamples=args.max_counterexamples, sample_size=args.sample_size
+        jobs=args.jobs, max_counterexamples=args.max_counterexamples, sample_size=args.sample_size
     )
     if args.cmd == "linear":
         domain = DomainSpec(args.domain, args.include_one)
@@ -265,7 +270,7 @@ def _errata_fields(entry: ErrataEntry) -> dict:
     }
 
 
-def _solve(args, jobs) -> Result:
+def _solve(args) -> Result:
     inst = EquationInstance(args.i, args.j, args.k)
     sols = solve_equation(inst, args.bound)
     fields = dict(
@@ -286,7 +291,7 @@ def _solve(args, jobs) -> Result:
     return fields, Table(["p", "q", "a", "b", "left", "right"], rows)
 
 
-def _triangular(args, jobs) -> Result:
+def _triangular(args) -> Result:
     rows = [list(p) for p in enumerate_p_minus1_triangular(args.limit)]
     fields = _listing(
         "triangular-predecessors", {"limit": args.limit}, ["p", "q"], rows, args.sample_size
@@ -294,7 +299,7 @@ def _triangular(args, jobs) -> Result:
     return fields, Table(["p", "q"], rows)
 
 
-def _families(args, jobs) -> Result:
+def _families(args) -> Result:
     rep = special_family_checks(args.bound)
     bad = [s.name for s in rep.sections if not s.matches]
     fields = dict(
@@ -317,17 +322,14 @@ def _families(args, jobs) -> Result:
 
 
 def _curve_corrections() -> list[dict]:
-    neg = cubic_model(-1, 1)
-    qua = quartic_model(1, 1)
-    shifted = quartic_model(1, 2)
-    return [
-        {"kind": "curve-constant", "curve": neg.equation_text(), "note": neg.notes[0]},
-        {"kind": "curve-map", "curve": qua.equation_text(), "note": qua.notes[0]},
-        {"kind": "curve-variable", "curve": shifted.equation_text(), "note": shifted.notes[1]},
-    ]
+    shown = (("curve-constant", cubic_model(-1, 1), ("cubic", -1, 1)),
+             ("curve-map", quartic_model(1, 1), ("quartic", "map")),
+             ("curve-variable", quartic_model(1, 2), ("quartic", "shift", 2)))
+    return [{"kind": kind, "curve": model.equation_text(), "note": CORRECTION_NOTES[key]}
+            for kind, model, key in shown]
 
 
-def _errata(args, jobs) -> Result:
+def _errata(args) -> Result:
     rep = theorem_errata(args.bound)
     entries = [{**_errata_fields(e), "notes": e.notes} for e in rep.entries]
     bad = [list(e.instance) for e in rep.discrepancies]
@@ -352,14 +354,10 @@ def _errata(args, jobs) -> Result:
     return fields, Table(["instance", "status", "published", "computed"], rows)
 
 
-def _curve(args, jobs) -> Result:
-    model = (cubic_model if args.kind == "cubic" else quartic_model)(args.sign, args.k)
-    params = {
-        "kind": model.kind,
-        "sign": model.s,
-        "k": model.k,
-        "instance": list(model.instance.key),
-    }
+def _curve(args) -> Result:
+    model = _model(args.kind, args.sign, args.k)
+    params = {"kind": model.kind, "sign": model.s, "k": model.k,
+              "instance": list(model.instance.key)}
     if args.action == "model":
         fields = dict(
             task="curve-model",
@@ -374,10 +372,7 @@ def _curve(args, jobs) -> Result:
         rows = [["equation", model.equation_text()], ["coeffs", list(model.coeffs)]]
         return fields, Table(["key", "value"], rows)
     if args.action == "search":
-        # cubics enjoy the wider default window; quartic coefficients grow faster
-        xmax = args.xmax
-        if xmax is None:
-            xmax = 10**5 if model.kind == "cubic" else 10**4
+        xmax = args.xmax if args.xmax is not None else _KINDS[model.kind].window
         points = search_integral_points(model, xmax)
         sols = lift_to_solutions(model, points, model.instance)
         fields = dict(
@@ -399,8 +394,7 @@ def _curve(args, jobs) -> Result:
             witness_sample=[] if lifted is None else [{"x": lifted[0], "y": lifted[1]}],
             stats={"lifted": lifted is not None, "solutions": [list(s.pqab) for s in sols]},
         )
-        rows = [[lifted[0], lifted[1]]] if lifted else []
-        return fields, Table(["x", "y"], rows)
+        return fields, Table(["x", "y"], [list(lifted)] if lifted else [])
     rows = emit_samples(model, args.xlo, args.xhi, args.step)
     fields = dict(
         task="curve-samples",
@@ -411,11 +405,10 @@ def _curve(args, jobs) -> Result:
         ],
         stats={"rows": len(rows), "squares": sum(1 for r in rows if r[2])},
     )
-    table = Table(
+    return fields, Table(
         ["X", "rhs", "is_square", "Y"],
         [[r[0], r[1], str(r[2]).lower(), "" if r[3] is None else r[3]] for r in rows],
     )
-    return fields, table
 
 
 def _gap_pairs(task: str, params: dict, pairs: list, sample_size: int) -> Result:
@@ -425,18 +418,18 @@ def _gap_pairs(task: str, params: dict, pairs: list, sample_size: int) -> Result
     return _listing(task, params, header, rows, sample_size), Table(header, rows)
 
 
-def _powerful_pairs(args, jobs) -> Result:
+def _powerful_pairs(args) -> Result:
     pairs = consecutive_powerful_pairs(args.limit)
     return _gap_pairs("consecutive-powerful", {"limit": args.limit}, pairs, args.sample_size)
 
 
-def _cubefull_diff(args, jobs) -> Result:
+def _cubefull_diff(args) -> Result:
     pairs = diff_cubefull_search(args.d, args.limit)
     params = {"d": args.d, "limit": args.limit}
     return _gap_pairs("cubefull-gap", params, pairs, args.sample_size)
 
 
-def _pell(args, jobs) -> Result:
+def _pell(args) -> Result:
     fam = pell_family(args.count)
     rows = [[p.u, p.v, p.A, p.B] for p in fam.pairs]
     fields = _listing("pell-family", {"count": args.count}, ["u", "v", "A", "B"], rows,
@@ -445,7 +438,7 @@ def _pell(args, jobs) -> Result:
     return fields, Table(["u", "v", "A", "B"], rows)
 
 
-def _conj41(args, jobs) -> Result:
+def _conj41(args) -> Result:
     rep = power_of_two_gap_report(args.rmax, args.limit)
     bad = [row.r for row in rep.rows if not row.matches]
     found = [
@@ -469,7 +462,7 @@ def _conj41(args, jobs) -> Result:
     return fields, Table(["d", "A", "B"], rows)
 
 
-def _conj42(args, jobs) -> Result:
+def _conj42(args) -> Result:
     rep = prime_gap_report(args.limit, nmax=args.nmax, search_cap=args.cap)
     bad = [row.d for row in rep.rows if row.count == 0]
     found = [
@@ -498,9 +491,10 @@ def _execute(args) -> Result:
     with the handler's wall time as ``elapsed_ms``."""
     if args.max_counterexamples < 0 or args.sample_size < 0:
         raise UsageError("--max-counterexamples and --sample-size must be >= 0")
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
+    if args.jobs < 1:
+        raise UsageError("jobs must be >= 1")
     t0 = time.perf_counter()
-    fields, table = args.handler(args, jobs)
+    fields, table = args.handler(args)
     env = build_envelope(**fields, elapsed_ms=int((time.perf_counter() - t0) * 1000))
     return env, table
 
@@ -533,3 +527,7 @@ def run(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -12,6 +12,10 @@ under the invertible substitutions
     cubic:   x = (X + 12) / 12,  y = (Y + 36) / 72
     quartic: x = X + 2,          y = (Y + 3) / 6.
 
+Each kind is one row of the private table ``_KINDS`` (coefficients, constant
+term base + step*s*k, substitutions X = m*x - t and Y = m*y - t, default
+search window, published shift); every function below reads that row.
+
 Throughout, the affine coordinate y is the argument of the index-2 binomial
 and x is the argument of the index-3 or index-4 binomial; s = +1 puts the
 index-2 binomial on the positive side of the difference.
@@ -19,7 +23,9 @@ index-2 binomial on the positive side of the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, isqrt
+from typing import NamedTuple
 
 from .equations import EquationInstance, EquationSolution
 from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
@@ -56,6 +62,22 @@ class CurvePoint:
     Y: int
 
 
+class _Kind(NamedTuple):
+    lead: tuple[int, ...]      # leading coefficients that ``coeffs`` leaves out
+    fixed: tuple[int, ...]     # the coefficients that s and k leave alone
+    constant: tuple[int, int]  # (base, step): the constant term is base + step*s*k
+    maps: tuple[tuple[int, int], tuple[int, int]]  # (m, t) pairs: X = m*x - t, Y = m*y - t
+    window: int                # default xmax of a point search
+    shifts: dict[int, int]     # k -> published_shift
+
+
+# quartic coefficients grow faster, hence the narrower window
+_KINDS = {
+    "cubic": _Kind((1, 0), (CUBIC_LINEAR,), (1296, 10368), ((12, 12), (72, 36)), 10**5, {}),
+    "quartic": _Kind((), (3, 6, -3, -6), (9, 72), ((1, 2), (6, 3)), 10**4, {2: 2}),
+}
+
+
 @dataclass(frozen=True)
 class CurveModel:
     kind: str                 # "cubic" | "quartic"
@@ -65,85 +87,69 @@ class CurveModel:
     published_shift: int = 0  # add to model X to recover the published variable
     notes: tuple[str, ...] = ()
 
+    @cached_property
+    def _poly(self) -> tuple[int, ...]:
+        """The coefficients of X^4, ..., X^0 on the right-hand side."""
+        poly = _KINDS[self.kind].lead + self.coeffs
+        return (0,) * (5 - len(poly)) + poly
+
     @property
     def instance(self) -> EquationInstance:
-        high = 3 if self.kind == "cubic" else 4
+        high = len(_KINDS[self.kind].lead + self.coeffs) - 1
         if self.s > 0:
             return EquationInstance(2, high, self.k)
         return EquationInstance(high, 2, self.k)
 
     def rhs(self, X: int) -> int:
-        if self.kind == "cubic":
-            c1, c0 = self.coeffs
-            return X**3 + c1 * X + c0
-        c4, c3, c2, c1, c0 = self.coeffs
-        return c4 * X**4 + c3 * X**3 + c2 * X**2 + c1 * X + c0
+        c4, c3, c2, c1, c0 = self._poly
+        return (((c4 * X + c3) * X + c2) * X + c1) * X + c0
 
     def contains(self, pt: CurvePoint) -> bool:
         return pt.Y * pt.Y == self.rhs(pt.X)
 
     def equation_text(self) -> str:
-        def term(c: int, mono: str) -> str:
-            return f" {'+' if c >= 0 else '-'} {abs(c)}{mono}"
+        def term(c: int, d: int) -> str:
+            mono = "" if d == 0 else "X" if d == 1 else f"X^{d}"
+            coef = str(abs(c)) if d == 0 else "" if c == 1 else f"{abs(c)}*"
+            return f" {'+' if c >= 0 else '-'} {coef}{mono}"
 
-        if self.kind == "cubic":
-            c1, c0 = self.coeffs
-            return "Y^2 = X^3" + term(c1, "*X") + term(c0, "")
-        c4, c3, c2, c1, c0 = self.coeffs
-        return (
-            f"Y^2 = {c4}*X^4" + term(c3, "*X^3") + term(c2, "*X^2")
-            + term(c1, "*X") + term(c0, "")
-        )
+        terms = [term(c, d) for d, c in enumerate(reversed(self._poly)) if c]
+        return "Y^2 =" + "".join(reversed(terms)).removeprefix(" +")
+
+
+def _model(kind: str, s: int, k: int) -> CurveModel:
+    """The model of one kind, built from its row of ``_KINDS``."""
+    if s not in (1, -1) or k < 1:
+        raise UsageError(f"{kind}_model needs s in {{1, -1}} and k >= 1")
+    spec = _KINDS[kind]
+    base, step = spec.constant
+    keys = ((kind, s, k), (kind, "map"), (kind, "shift", k))
+    return CurveModel(
+        kind=kind, s=s, k=k,
+        coeffs=spec.fixed + (base + step * s * k,),
+        published_shift=spec.shifts.get(k, 0),
+        notes=tuple(CORRECTION_NOTES[key] for key in keys if key in CORRECTION_NOTES),
+    )
 
 
 def cubic_model(s: int, k: int) -> CurveModel:
     """Model for C(y,2) - C(x,3) = s*k (s = +1) or C(x,3) - C(y,2) = k (s = -1)."""
-    if s not in (1, -1) or k < 1:
-        raise UsageError("cubic_model needs s in {1, -1} and k >= 1")
-    notes = []
-    if (("cubic", s, k)) in CORRECTION_NOTES:
-        notes.append(CORRECTION_NOTES[("cubic", s, k)])
-    return CurveModel(
-        kind="cubic",
-        s=s,
-        k=k,
-        coeffs=(CUBIC_LINEAR, 1296 + 10368 * s * k),
-        notes=tuple(notes),
-    )
+    return _model("cubic", s, k)
 
 
 def quartic_model(s: int, k: int) -> CurveModel:
     """Model for C(y,2) - C(x,4) = s*k (s = +1) or C(x,4) - C(y,2) = k (s = -1)."""
-    if s not in (1, -1) or k < 1:
-        raise UsageError("quartic_model needs s in {1, -1} and k >= 1")
-    notes = [CORRECTION_NOTES[("quartic", "map")]]
-    shift = 0
-    if k == 2:
-        shift = 2
-        notes.append(CORRECTION_NOTES[("quartic", "shift", 2)])
-    return CurveModel(
-        kind="quartic",
-        s=s,
-        k=k,
-        coeffs=(3, 6, -3, -6, 9 + 72 * s * k),
-        published_shift=shift,
-        notes=tuple(notes),
-    )
+    return _model("quartic", s, k)
 
 
 def lift_coordinates(model: CurveModel, pt: CurvePoint) -> tuple[int, int] | None:
     """The divisibility/sign filters and the bare affine inverse; does not
     check curve membership.  The filters accept exactly the image of
-    map_solution over positive (x, y)."""
-    if pt.Y <= 0:
-        return None
-    if model.kind == "cubic":
-        if pt.X % 12 != 0 or pt.Y % 72 != 36:
-            return None
-        return (pt.X + 12) // 12, (pt.Y + 36) // 72
-    if pt.Y % 6 != 3:
-        return None
-    return pt.X + 2, (pt.Y + 3) // 6
+    map_solution over integer x and positive y."""
+    (mx, tx), (my, ty) = _KINDS[model.kind].maps
+    x, rx = divmod(pt.X + tx, mx)
+    y, ry = divmod(pt.Y + ty, my)
+    return None if pt.Y <= 0 or rx or ry else (x, y)
 
 
 def lift_point(model: CurveModel, pt: CurvePoint) -> tuple[int, int] | None:
@@ -158,23 +164,15 @@ def map_solution(model: CurveModel, x: int, y: int) -> CurvePoint:
     """Point with coordinates mapped from affine (x, y); y is always the
     index-2 argument.  Pure transform: the result lies on the curve exactly
     when (x, y) solves the model's difference equation."""
-    if model.kind == "cubic":
-        return CurvePoint(12 * x - 12, 72 * y - 36)
-    return CurvePoint(x - 2, 6 * y - 3)
+    (mx, tx), (my, ty) = _KINDS[model.kind].maps
+    return CurvePoint(mx * x - tx, my * y - ty)
 
 
 def _guard_window(model: CurveModel, span: int) -> None:
     # conservative envelope on |rhs| over |X| <= span
-    if model.kind == "cubic":
-        c1, c0 = model.coeffs
-        peak = span**3 + abs(c1) * span + abs(c0)
-    else:
-        c4, c3, c2, c1, c0 = model.coeffs
-        peak = c4 * span**4 + abs(c3) * span**3 + abs(c2) * span**2 + abs(c1) * span + abs(c0)
+    peak = sum(abs(c) * span**d for d, c in enumerate(reversed(model._poly)))
     if peak > U63_MAX:
-        raise ArithmeticGuardError(
-            f"|rhs| may reach {peak} within |X| <= {span}, beyond 2^63 - 1"
-        )
+        raise ArithmeticGuardError(f"|rhs| may reach {peak} within |X| <= {span}, beyond 2^63 - 1")
 
 
 def search_integral_points(model: CurveModel, xmax: int) -> list[CurvePoint]:
@@ -182,9 +180,11 @@ def search_integral_points(model: CurveModel, xmax: int) -> list[CurvePoint]:
     if xmax < 1:
         raise UsageError("xmax must be >= 1")
     _guard_window(model, xmax)
+    # rhs inline: a call per X costs more than the polynomial
+    c4, c3, c2, c1, c0 = model._poly
     out: list[CurvePoint] = []
     for X in range(-xmax, xmax + 1):
-        r = model.rhs(X)
+        r = (((c4 * X + c3) * X + c2) * X + c1) * X + c0
         if r < 0:
             continue
         y = isqrt(r)

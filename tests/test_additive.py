@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from figprimes import DomainSpec, UsageError, verify_additive, verify_linear
+from figprimes import additive
 from figprimes.additive import resolve_domain
 
 
@@ -147,6 +148,34 @@ class TestEngineMechanics:
         assert a.witness_sample == b.witness_sample
         assert a.stats == b.stats
         assert a.verified == b.verified
+
+    def test_pool_capped_at_cpu_count(self, fig2e4, monkeypatch):
+        # a recording stand-in for the pool runs map serially, so no thread
+        # starts however many jobs are asked for
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(additive, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(additive.os, "cpu_count", lambda: 3)
+        spec = DomainSpec("figurate", True)
+        serial = verify_additive(2, 9000, spec, spec, fig2e4)
+        for jobs in (2, 3, 10**5):
+            rep = verify_additive(2, 9000, spec, spec, fig2e4, jobs=jobs)
+            assert (rep.counterexamples, rep.stats) == (serial.counterexamples, serial.stats)
+        verify_linear(2, 3, 1, 9000, spec, fig2e4, jobs=10**5)
+        assert workers == [2, 3, 3, 3]
 
     def test_split_ranges_merge_to_full_run(self, fig2e4):
         spec = DomainSpec("figurate", True)

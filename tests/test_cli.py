@@ -5,7 +5,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +89,10 @@ class TestExitCodes:
         assert run(["no-such-command"]) == 2
         assert run(["figurate"]) == 2                   # neither --limit nor --member
         assert run(["sum2", "--from", "2", "--to", "10", "--jobs", "0"]) == 2
+        # every command checks --jobs, not only the scans that use it
+        assert run(["pell", "--count", "2", "--jobs", "-3"]) == 2
+        assert run(["solve", "--i", "2", "--j", "1", "--k", "1", "--bound", "100",
+                    "--jobs", "0"]) == 2
         assert run(["figurate", "--member", "0"]) == 2
         # an even-k unit solve past the sieve budget
         assert run(["solve", "--i", "1", "--j", "1", "--k", "2", "--bound", "300000000"]) == 2
@@ -326,6 +334,18 @@ class TestDumpAndStdout:
         assert run(["twins", "--limit", "10", "--format", "csv"]) == 0
         out = capfdbinary.readouterr().out
         assert out.startswith(b"f,g\n")
+
+    def test_module_entry_point(self):
+        # ``python -m figprimes.cli`` from a checkout that is not installed
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "figprimes.cli", "pell", "--count", "1"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        env = json.loads(done.stdout)
+        assert env["task"] == "pell-family"
+        assert env["witness_sample"] == [{"u": 3, "v": 2, "A": 9, "B": 8}]
 
 
 class TestDeterminism:

@@ -2,9 +2,11 @@
 and agreement between lifted curve solutions and the direct solver."""
 from __future__ import annotations
 
+import re
 from math import comb
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +26,9 @@ from figprimes import (
     search_integral_points,
     solve_equation,
 )
+from figprimes import curves
 from figprimes.curves import PUBLISHED_CUBIC_NEG_K1
+from figprimes.intkernel import U63_MAX
 
 ALL_MODELS = [
     cubic_model(1, 1), cubic_model(-1, 1), cubic_model(1, 2), cubic_model(-1, 2),
@@ -73,10 +77,11 @@ class TestModelShape:
             quartic_model(1, 0)
 
     def test_equation_text(self):
-        assert cubic_model(1, 1).equation_text() == "Y^2 = X^3 - 144*X + 11664"
-        assert quartic_model(-1, 1).equation_text() == (
-            "Y^2 = 3*X^4 + 6*X^3 - 3*X^2 - 6*X - 63"
-        )
+        cubic, quartic = "Y^2 = X^3 - 144*X", "Y^2 = 3*X^4 + 6*X^3 - 3*X^2 - 6*X"
+        assert [m.equation_text() for m in ALL_MODELS] == [
+            cubic + " + 11664", cubic + " - 9072", cubic + " + 22032", cubic + " - 19440",
+            quartic + " + 81", quartic + " - 63", quartic + " + 153", quartic + " - 135",
+        ]
 
 
 class TestCorrespondence:
@@ -178,6 +183,23 @@ class TestPointSearch:
             search_integral_points(cubic_model(1, 1), 2**21)
         with pytest.raises(ArithmeticGuardError):
             search_integral_points(quartic_model(1, 1), 2**16)
+        # the guard bounds sum |c| * span^d, with the coefficients read from
+        # the module docstring's polynomials; it passes at the largest span
+        # whose bound fits 63 bits and trips one past it
+        X, s, k = sympy.symbols("X s k")
+        docstring = dict(re.findall(r"(cubic|quartic): +Y\^2 = (.+)", curves.__doc__))
+        for model in ALL_MODELS:
+            rhs = sympy.sympify(docstring[model.kind].replace("^", "**"))
+            poly = sympy.Poly(rhs.subs({s: model.s, k: model.k}), X)
+            coeffs = [abs(int(c)) for c in poly.all_coeffs()[::-1]]
+            lo, hi = 1, 2**32  # the bound fits at lo and not at hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                fits = sum(c * mid**d for d, c in enumerate(coeffs)) <= U63_MAX
+                lo, hi = (mid, hi) if fits else (lo, mid)
+            emit_samples(model, lo, lo)
+            with pytest.raises(ArithmeticGuardError):
+                emit_samples(model, hi, hi)
 
 
 class TestLifting:
