@@ -1,21 +1,32 @@
 """Range verification for additive representations n = x + y and n = ax + by.
 
-Both verifiers run one kernel.  It settles an arithmetic progression of
-targets n = n0 + step*t as n = a*c + b*o by trying candidates c in order; for
-one c the values o of every target lie on a single strided slice of the
-membership array, so each pass is one vectorized AND.  Sums of two run over
-all targets (stride 1) or the even ones (stride 2); n = ax + by runs once per
-residue class of x mod b, whose targets form a progression of stride b.  The
-range is chunked and chunk results are merged in chunk order, so the report
-is identical no matter how many worker threads run.  Witnesses always use
-the minimal left summand x.
+Both public verifiers are thin wrappers over one engine, ``_verify``; x + y is
+its case a = b = 1.  The engine iterates one side and looks the other up in a
+membership array: either x ascending in its residue classes mod b, or y
+descending in its classes mod a, whose first hit from the top gives the same
+minimal x.  It goes descending when the right domain has fewer than a quarter
+of the left's members, or when a < b and b*b exceeds the number of targets,
+so that ascending would have more classes than targets per class.  Only the
+candidates that leave room for the other summand below hi are kept.  The
+candidates of one class reach exactly one class of targets, a progression of
+stride equal to the modulus, which one kernel settles with one vectorized AND
+per candidate; classes holding no candidate are never visited, and their
+targets stay counterexamples.  The range is cut into chunks of CHUNK times
+the modulus, each chunk fills one witness array over its targets, and chunk
+results are merged in chunk order, so the report is identical no matter how
+many worker threads run.  Witnesses always use the minimal x.
+
+The witness sample is the represented targets below a sample end, at most
+``sample_size`` of them.  ``verify_additive`` ends it after its first
+``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
+the first ``sample_size`` represented targets of [lo, hi].
 """
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
@@ -94,38 +105,29 @@ class VerificationReport:
     stats: dict
 
 
-@dataclass
-class _ChunkResult:
-    counterexamples: list[int] = field(default_factory=list)
-    samples: list[tuple[int, int, int]] = field(default_factory=list)
-    scanned: int = 0
-    depth: int = 0
-
-
 def _settle(
     n0: int,
     step: int,
-    count: int,
+    wit: np.ndarray,
     cands: list[int],
     a: int,
     b: int,
     mem: np.ndarray,
     ascending: bool,
-) -> tuple[np.ndarray, int]:
-    """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
+) -> int:
+    """Settle the targets n = n0 + step*t, 0 <= t < wit.size, as n = a*c + b*o.
 
     Candidates c are tried in the given order, and the first one with o >= 1
     and ``mem[o]`` is the witness.  Callers keep n0 - a*c divisible by b and
     step a multiple of b, so for one c the o of all targets are the slice
     o0, o0 + step//b, ... of ``mem``.  A candidate that leaves no room
     (a*c + b > n) is skipped, and in ascending order it ends the search.
-    Returns each target's witness c (-1 for none) and the search depth, the
-    largest 1-based candidate position that settled a target.
+    Writes each target's witness c into ``wit``, which comes filled with -1,
+    and returns the search depth, the largest 1-based candidate position
+    that settled a target.
     """
-    wit = np.full(count, -1, dtype=np.int64)
+    count = wit.size
     depth = 0
-    if count == 0:
-        return wit, depth
     open_ = np.ones(count, dtype=bool)
     pending = count
     last = n0 + step * (count - 1)
@@ -164,7 +166,7 @@ def _settle(
                 if ascending:
                     depth = max(depth, pos + 1)
                 break
-    return wit, depth
+    return depth
 
 
 def _certificate(value: int, spec: DomainSpec, table: FigurateTable) -> dict:
@@ -186,13 +188,62 @@ def _check_scan(hi, table, jobs, max_counterexamples, sample_size) -> None:
         raise UsageError("max_counterexamples and sample_size must be >= 0")
 
 
-def _scan(worker, lo, hi, width, jobs, sample_size, left, right, table):
-    """Run ``worker`` over [lo, hi] in chunks of ``width`` and merge in order.
+def _verify(a, b, lo, hi, left, right, table, jobs, step, sample_size, sample_end):
+    """Settle every target n = a*x + b*y in [lo, hi], x from ``left`` and y
+    from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1).
 
-    Returns every counterexample, the certified witness sample, the number
-    of targets the chunks scanned and the largest search depth.
+    Returns every counterexample in order, the certified witness sample, the
+    number of targets scanned from a + b on, the largest search depth and
+    whether y was iterated descending.
     """
-    chunks = [(s, min(s + width - 1, hi)) for s in range(lo, hi + 1, width)]
+    ldom = resolve_domain(left, table)
+    rdom = ldom if right == left else resolve_domain(right, table)
+    descending = rdom.values.size * 4 < ldom.values.size or (a < b and b * b > hi - lo + 1)
+    # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
+    ci, m, it, other = (b, a, rdom, ldom) if descending else (a, b, ldom, rdom)
+    cands = it.values[: np.searchsorted(it.values, (hi - m) // ci, "right")]
+    res = cands % m if cands.size else cands  # m may pass int64 only when none is left
+    order = np.argsort(res, kind="stable")
+    cuts = np.flatnonzero(np.diff(res[order])) + 1
+    # c = r (mod m) reaches exactly the targets n = ci*r (mod m)
+    groups = (g.tolist() for g in np.split(cands[order], cuts))
+    classes = [(ci * g[0] % m, g) for g in groups if g]
+
+    def worker(span):
+        n0 = span[0] + -span[0] % step
+        count = max(0, (span[1] - n0) // step + 1)
+        # members stay below the 2^28-entry table budget, so int32 holds them
+        wit = np.full(count, -1, dtype=np.int32)
+        depth = 0
+        for q, group in classes:
+            t0 = (q - n0) % m  # m = 1 whenever step > 1
+            k = (count - 1 - t0) // m + 1
+            if k <= 0:
+                continue
+            first = n0 + step * t0
+            if descending:
+                # start at the largest c that leaves room below the class's last target
+                last = first + step * m * (k - 1)
+                group = group[: bisect_right(group, (last - m) // ci)][::-1]
+            d = _settle(first, step * m, wit[t0::m], group, ci, m, other.membership, not descending)
+            depth = max(depth, d)
+        opens = np.flatnonzero(wit < 0)
+        # the first sample_size represented targets lie among the first
+        # opens.size + sample_size
+        end = min(opens.size + sample_size, max(0, -((n0 - sample_end) // step)))
+        found = []
+        for t in np.flatnonzero(wit[:end] >= 0)[:sample_size].tolist():
+            n, c = n0 + step * t, int(wit[t])
+            o = (n - ci * c) // m
+            found.append((n, o, c) if descending else (n, c, o))
+        del wit  # a chunk can span the range; free it before the list is built
+        opens *= step
+        opens += n0
+        return opens.tolist(), found, count, depth
+
+    width = CHUNK * m
+    # no target below a + b has x, y >= 1
+    chunks = [(s, min(s + width - 1, hi)) for s in range(max(lo, a + b), hi + 1, width)]
     if jobs > 1:
         # ex.map submits every chunk at once, each starting a thread while none idles
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
@@ -201,9 +252,12 @@ def _scan(worker, lo, hi, width, jobs, sample_size, left, right, table):
         results = [worker(c) for c in chunks]
     counterexamples: list[int] = []
     samples: list[dict] = []
-    for r in results:
-        counterexamples.extend(r.counterexamples)
-        for n, x, y in r.samples[: sample_size - len(samples)]:
+    scanned = depth = 0
+    for cex, found, count, d in results:
+        counterexamples.extend(cex)
+        scanned += count
+        depth = max(depth, d)
+        for n, x, y in found[: sample_size - len(samples)]:
             samples.append(
                 {
                     "n": n,
@@ -213,8 +267,7 @@ def _scan(worker, lo, hi, width, jobs, sample_size, left, right, table):
                     "y_cert": _certificate(y, right, table),
                 }
             )
-    scanned = sum(r.scanned for r in results)
-    return counterexamples, samples, scanned, max(r.depth for r in results)
+    return counterexamples, samples, scanned, depth, descending
 
 
 def verify_additive(
@@ -234,43 +287,14 @@ def verify_additive(
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
     _check_scan(hi, table, jobs, max_counterexamples, sample_size)
-    ldom = resolve_domain(left, table)
-    rdom = resolve_domain(right, table)
-
-    # Iterate over whichever domain is clearly sparser: ascending x, or
-    # descending y, whose first hit gives the same minimal x.
-    descending = rdom.values.size * 4 < ldom.values.size
-    cands = (rdom if descending else ldom).values.tolist()
-    mem = (ldom if descending else rdom).membership
     step = 2 if even_only else 1
-
-    def worker(span):
-        n0 = span[0] + span[0] % 2 if even_only else span[0]
-        count = (span[1] - n0) // step + 1
-        order = cands
-        if descending:
-            # start at the largest y below the chunk's last target
-            order = cands[: bisect_left(cands, n0 + step * (count - 1))][::-1]
-        wit, depth = _settle(n0, step, count, order, 1, 1, mem, not descending)
-        res = _ChunkResult(scanned=count, depth=depth)
-        res.counterexamples = (n0 + step * np.flatnonzero(wit < 0)).tolist()
-        for t in range(min(sample_size, count) if span[0] == lo else 0):
-            c, n = int(wit[t]), n0 + step * t
-            if c >= 0:
-                res.samples.append((n, n - c, c) if descending else (n, c, n - c))
-        return res
-
-    counterexamples, samples, scanned, depth = _scan(
-        worker, lo, hi, CHUNK, jobs, sample_size, left, right, table
+    counterexamples, samples, scanned, depth, descending = _verify(
+        1, 1, lo, hi, left, right, table, jobs, step, sample_size, lo + step * sample_size
     )
     total = len(counterexamples)
     return VerificationReport(
         task=task,
-        params={
-            "left": ldom.label,
-            "right": rdom.label,
-            "even_only": even_only,
-        },
+        params={"left": left.label, "right": right.label, "even_only": even_only},
         lo=lo,
         hi=hi,
         verified=total == 0,
@@ -310,43 +334,16 @@ def verify_linear(
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
     _check_scan(hi, table, jobs, max_counterexamples, sample_size)
-    dom = resolve_domain(domain, table)
-    by_residue: list[list[int]] = [[] for _ in range(b)]
-    for x in dom.values.tolist():
-        by_residue[x % b].append(x)
-    below = max(0, min(hi + 1, a + b) - lo)
-
-    def worker(span):
-        res = _ChunkResult()
-        start = max(span[0], a + b)
-        # x = r (mod b) reaches exactly the targets n = a*r (mod b)
-        for r, group in enumerate(by_residue):
-            n0 = start + (a * r - start) % b
-            count = max(0, (span[1] - n0) // b + 1)
-            wit, depth = _settle(n0, b, count, group, a, b, dom.membership, True)
-            res.scanned += count
-            res.depth = max(res.depth, depth)
-            res.counterexamples.extend((n0 + b * np.flatnonzero(wit < 0)).tolist())
-            if span[0] == lo:
-                # the sample comes from the first CHUNK targets, as in
-                # verify_additive
-                first = wit[: max(0, (lo + CHUNK - 1 - n0) // b + 1)]
-                for t in np.flatnonzero(first >= 0)[:sample_size].tolist():
-                    n, x = n0 + b * t, int(wit[t])
-                    res.samples.append((n, x, (n - a * x) // b))
-        res.counterexamples.sort()
-        res.samples.sort()
-        return res
-
-    counterexamples, samples, scanned, depth = _scan(
-        worker, lo, hi, CHUNK * b, jobs, sample_size, domain, domain, table
+    counterexamples, samples, scanned, depth, _ = _verify(
+        a, b, lo, hi, domain, domain, table, jobs, 1, sample_size, hi + 1
     )
+    below = max(0, min(hi + 1, a + b) - lo)
     total = len(counterexamples)
     threshold = (a - 1) * (b - 1)
-    largest = max(counterexamples) if counterexamples else None
+    largest = counterexamples[-1] if counterexamples else None
     return VerificationReport(
         task="linear-combination",
-        params={"a": a, "b": b, "domain": dom.label},
+        params={"a": a, "b": b, "domain": domain.label},
         lo=lo,
         hi=hi,
         verified=total == 0,

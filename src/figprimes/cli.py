@@ -58,8 +58,10 @@ JOBS_ENV = "FIGPRIMES_JOBS"
 
 
 def _default_jobs() -> int:
+    """The setting unclamped, so that ``_execute`` checks it as it checks
+    ``--jobs``; 1 if it is unset or not an integer."""
     try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
+        return int(os.environ.get(JOBS_ENV, "1"))
     except ValueError:
         return 1
 

@@ -6,6 +6,7 @@ straggler fallback) must all collapse to the same answers.
 """
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from figprimes import DomainSpec, UsageError, verify_additive, verify_linear
@@ -137,6 +138,22 @@ class TestEngineMechanics:
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
 
+    def test_chunk_width_does_not_change_reports(self, fig2e4, monkeypatch):
+        spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
+        runs = [
+            lambda: verify_additive(2, 9000, spec, spec, fig2e4),
+            lambda: verify_additive(4, 9000, primes, primes, fig2e4, even_only=True),
+            lambda: verify_linear(2, 3, 1, 9000, spec, fig2e4),
+            # descending, with a sample that spans every chunk
+            lambda: verify_linear(2, 151, 1, 2000, spec, fig2e4, sample_size=10**4),
+        ]
+        wide = [run() for run in runs]
+        monkeypatch.setattr(additive, "CHUNK", 1 << 8)
+        narrow = [run() for run in runs]
+        for w, n in zip(wide[:3], narrow[:3]):  # ascending: every field
+            assert vars(w) == vars(n)
+        assert wide[3].witness_sample == narrow[3].witness_sample
+
     def test_jobs_do_not_change_report(self, fig1e6):
         spec = DomainSpec("figurate", True)
         reps = [
@@ -259,6 +276,61 @@ class TestLinear:
         assert rep.stats["largest_exception"] == (max(cex) if cex else None)
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
+
+    @pytest.mark.parametrize("a,b", [(1, 150), (2, 151)])
+    def test_descending_matches_oracle(self, fig2e4, monkeypatch, a, b):
+        # b*b exceeds the 2000 targets, so y runs descending in its classes
+        # mod a; the sample holds every represented target
+        orders = []
+        settle = additive._settle
+        monkeypatch.setattr(
+            additive, "_settle", lambda *args: orders.append(args[-1]) or settle(*args)
+        )
+        spec = DomainSpec("figurate", True)
+        rep = verify_linear(a, b, 1, 2000, spec, fig2e4,
+                            max_counterexamples=10**6, sample_size=10**4)
+        assert orders and not any(orders)
+        cex, witness, below, _ = oracle_linear(a, b, 1, 2000, spec, fig2e4)
+        assert rep.counterexamples == cex
+        assert rep.stats["below_floor"] == below
+        assert rep.stats["largest_exception"] == (max(cex) if cex else None)
+        assert {w["n"]: (w["x"], w["y"]) for w in rep.witness_sample} == witness
+
+    def test_large_b_sample_and_counterexamples(self, fig1e6):
+        # every y is a member <= 10; the first represented target is 99993
+        spec = DomainSpec("figurate", True)
+        rep = verify_linear(2, 99991, 1, 10**6, spec, fig1e6)
+        sample = [(w["n"], w["x"], w["y"]) for w in rep.witness_sample]
+        assert len(sample) == 10
+        assert sample[0] == (99993, 1, 1)
+        represented = np.zeros(10**6 + 1, dtype=bool)
+        for y in range(1, 11):
+            if fig1e6.membership[y]:
+                xs = fig1e6.values[fig1e6.values <= (10**6 - 99991 * y) // 2]
+                represented[2 * xs + 99991 * y] = True
+        first = np.flatnonzero(represented)[:10].tolist()
+        assert [n for n, _, _ in sample] == first
+        for n, x, _ in sample:
+            assert x == min(
+                (n - 99991 * y) // 2 for y in range(1, 11)
+                if (n - 99991 * y) % 2 == 0 and n - 99991 * y >= 2
+                and fig1e6.membership[y] and fig1e6.membership[(n - 99991 * y) // 2]
+            )
+        assert rep.stats["below_floor"] == 99992
+        assert rep.counterexample_total == 10**6 - 99992 - int(represented.sum()) == 708802
+
+    def test_large_coefficients_visit_no_class(self, fig2e4, monkeypatch):
+        # every target lies below the floor a + b, and no candidate leaves
+        # room below hi, so the kernel never runs
+        calls = []
+        settle = additive._settle
+        monkeypatch.setattr(additive, "_settle", lambda *args: calls.append(args) or settle(*args))
+        spec = DomainSpec("figurate", True)
+        for a, b in ((2, 10**6 + 3), (1000003, 1000033), (10**30, 10**30 + 1)):
+            rep = verify_linear(a, b, 1, 100, spec, fig2e4)
+            assert rep.stats["below_floor"] == 100
+            assert rep.verified and rep.witness_sample == []
+        assert calls == []
 
     def test_matches_oracle_primes(self, fig2e4):
         spec = DomainSpec("primes")

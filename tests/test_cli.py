@@ -369,6 +369,13 @@ class TestDeterminism:
         assert code == 0
         assert env["verified"] is True
 
+    def test_negative_jobs_env_rejected(self, tmp_path, monkeypatch, capsys):
+        # the setting meets the same check as --jobs
+        monkeypatch.setenv("FIGPRIMES_JOBS", "-5")
+        code, _ = run_cli(["sum2", "--from", "2", "--to", "100"], tmp_path)
+        assert code == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
     def test_repeat_runs_identical(self, tmp_path):
         args = ["conj42", "--limit", "50000"]
         _, a = run_cli(args, tmp_path, "a.json")
