@@ -31,9 +31,9 @@ from math import gcd
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import ArithmeticGuardError, UsageError
 from .figurate import FigurateTable
-from .intkernel import prime_power_decompose, prime_powers_upto
+from .intkernel import U63_MAX, prime_power_decompose, prime_powers_upto
 
 CHUNK = 1 << 16
 
@@ -327,10 +327,13 @@ def verify_linear(
     Witnesses take the minimal x.  Targets below a + b cannot possibly be
     represented with x, y >= 1 and are counted separately, not as
     counterexamples.  The stats compare the largest failure against the
-    (a-1)(b-1) threshold classically tied to coprime coefficient pairs.
+    (a-1)(b-1) threshold classically tied to coprime coefficient pairs; a, b
+    and that threshold must fit in 63 bits.
     """
     if a < 1 or b < 1 or gcd(a, b) != 1:
         raise UsageError("need a, b >= 1 with gcd(a, b) = 1")
+    if max(a, b, (a - 1) * (b - 1)) > U63_MAX:
+        raise ArithmeticGuardError("a, b and (a-1)(b-1) must not exceed 2^63 - 1")
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
     _check_scan(hi, table, jobs, max_counterexamples, sample_size)

@@ -66,6 +66,11 @@ def _default_jobs() -> int:
         return 1
 
 
+def _int(flag: str, **kw) -> tuple[str, dict]:
+    """An integer option, required unless it has a default."""
+    return flag, dict(type=int, required="default" not in kw, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
@@ -87,112 +92,80 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="figprimes", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("figurate", parents=[common, ones], help="generate, query or dump the set")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--member", type=int, default=None, metavar="N")
-    p.add_argument("--stats", action="store_true")
-    p.add_argument("--dump", metavar="PATH", default=None)
-    p.set_defaults(handler=_figurate)
+    def command(name, summary, handler, *options, groups=(), **fixed):
+        """Declare one subcommand: its own options are (flag, ``add_argument``
+        keywords) pairs, and ``fixed`` holds argument values it does not take."""
+        p = sub.add_parser(name, parents=[common, *groups], help=summary)
+        own = [p.add_argument(flag, **kw).dest for flag, kw in options]
+        p.set_defaults(handler=handler, own=own, **fixed)
 
-    p = sub.add_parser("twins", parents=[common], help="pairs (f, f+2) inside the set")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_twins)
-
+    command("figurate", "generate, query or dump the set", _figurate,
+            _int("--limit", default=None), _int("--member", default=None, metavar="N"),
+            ("--stats", dict(action="store_true")), ("--dump", dict(metavar="PATH", default=None)),
+            groups=(ones,))
+    command("twins", "pairs (f, f+2) inside the set", _twins, _int("--limit"))
     # additive scans: (task, left domain, right domain, even targets only);
     # goldbach takes no --include-one, and its primes never hold 1 anyway
-    p = sub.add_parser("sum2", parents=[common, ones, span], help="every n as member + member")
-    p.set_defaults(handler=_scan, scan=("sum-of-two", "figurate", "figurate", False))
-    p = sub.add_parser(
-        "prime-proper", parents=[common, ones, span], help="every n as prime + proper member"
-    )
-    p.set_defaults(handler=_scan, scan=("prime-plus-proper", "primes", "proper", False))
-    p = sub.add_parser("goldbach", parents=[common, span], help="every even n as prime + prime")
-    p.set_defaults(handler=_scan, scan=("goldbach-even", "primes", "primes", True), include_one=True)
-
-    p = sub.add_parser("linear", parents=[common, ones, span], help="every n as a*x + b*y")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--domain", choices=DOMAIN_KINDS, default="figurate")
-    p.set_defaults(handler=_scan)
-
-    p = sub.add_parser("solve", parents=[common], help="all solutions of one instance")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--bound", type=int, default=10**12)
-    p.set_defaults(handler=_solve)
-
-    p = sub.add_parser("triangular", parents=[common], help="primes p with p - 1 = C(q, 2)")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_triangular)
-
-    p = sub.add_parser("families", parents=[common], help="constrained one-parameter families")
-    p.add_argument("--bound", type=int, default=10**9)
-    p.set_defaults(handler=_families)
-
-    p = sub.add_parser("errata", parents=[common], help="recompute the published catalog")
-    p.add_argument("--bound", type=int, default=10**12)
-    p.set_defaults(handler=_errata)
-
-    p = sub.add_parser("curve", parents=[common], help="plane-curve models and point search")
-    p.add_argument("action", choices=("model", "search", "lift", "samples"))
-    p.add_argument("--kind", choices=tuple(_KINDS), required=True)
-    p.add_argument("--sign", type=int, choices=(1, -1), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--xmax", type=int, default=None)
-    p.add_argument("--X", type=int, default=None)
-    p.add_argument("--Y", type=int, default=None)
-    p.add_argument("--xlo", type=int, default=-50)
-    p.add_argument("--xhi", type=int, default=50)
-    p.add_argument("--step", type=int, default=1)
-    p.set_defaults(handler=_curve)
-
-    p = sub.add_parser("powerful-pairs", parents=[common], help="consecutive square-full pairs")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_powerful_pairs)
-
-    p = sub.add_parser("pell", parents=[common], help="the Pell-recurrence pair family")
-    p.add_argument("--count", type=int, required=True)
-    p.set_defaults(handler=_pell)
-
-    p = sub.add_parser("cubefull-diff", parents=[common], help="pairs A - B = d, A*B cube-full")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_cubefull_diff)
-
-    p = sub.add_parser("conj41", parents=[common], help="gaps d = 2^r against the expected pairs")
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(handler=_conj41)
-
-    p = sub.add_parser("conj42", parents=[common], help="per-gap pair counts and least empty gap")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--nmax", type=int, default=28)
-    p.add_argument("--cap", type=int, default=64)
-    p.set_defaults(handler=_conj42)
-
+    command("sum2", "every n as member + member", _scan, groups=(ones, span),
+            scan=("sum-of-two", "figurate", "figurate", False))
+    command("prime-proper", "every n as prime + proper member", _scan, groups=(ones, span),
+            scan=("prime-plus-proper", "primes", "proper", False))
+    command("goldbach", "every even n as prime + prime", _scan, groups=(span,),
+            scan=("goldbach-even", "primes", "primes", True), include_one=True)
+    command("linear", "every n as a*x + b*y", _scan, _int("--a"), _int("--b"),
+            ("--domain", dict(choices=DOMAIN_KINDS, default="figurate")), groups=(ones, span))
+    command("solve", "all solutions of one instance", _solve,
+            _int("--i"), _int("--j"), _int("--k"), _int("--bound", default=10**12))
+    command("triangular", "primes p with p - 1 = C(q, 2)", _triangular, _int("--limit"))
+    command("families", "constrained one-parameter families", _families,
+            _int("--bound", default=10**9))
+    command("errata", "recompute the published catalog", _errata, _int("--bound", default=10**12))
+    command("curve", "plane-curve models and point search", _curve,
+            ("action", dict(choices=("model", "search", "lift", "samples"))),
+            ("--kind", dict(choices=tuple(_KINDS), required=True)),
+            _int("--sign", choices=(1, -1)), _int("--k"),
+            _int("--xmax", default=None), _int("--X", default=None), _int("--Y", default=None),
+            _int("--xlo", default=-50), _int("--xhi", default=50), _int("--step", default=1))
+    command("powerful-pairs", "consecutive square-full pairs", _powerful_pairs, _int("--limit"))
+    command("pell", "the Pell-recurrence pair family", _pell, _int("--count"))
+    command("cubefull-diff", "pairs A - B = d, A*B cube-full", _cubefull_diff,
+            _int("--d"), _int("--limit"))
+    command("conj41", "gaps d = 2^r against the expected pairs", _conj41,
+            _int("--rmax"), _int("--limit"))
+    command("conj42", "per-gap pair counts and least empty gap", _conj42,
+            _int("--limit"), _int("--nmax", default=28), _int("--cap", default=64))
     return parser
 
 
 # A handler takes the parsed arguments, their --jobs checked, and returns its
 # report's envelope fields (the arguments of ``build_envelope`` but
-# ``elapsed_ms``) and its csv table.  A report that flags a counterexample or
-# a discrepancy sets ``verified`` to False, which makes the exit code 1.
+# ``elapsed_ms``) and its csv table.  ``args.params`` holds the options its
+# ``command`` call declares, not those of its parent groups, with their values
+# in declaration order; it is the report's ``params``, except that figurate,
+# curve and the four scans build their own.  A check report takes its verdict
+# fields from ``_verdict``: the failing items are its counterexamples, and it
+# is verified iff there are none.  ``verified`` False makes the exit code 1.
 # Handlers call the library through this module's globals, so wrapping a name
 # here wraps it for every command.
 
 Result = tuple[dict, Table]
 
 
-def _listing(task: str, params: dict, header: list[str], rows: list, sample_size: int) -> dict:
+def _listing(args, task: str, header: list[str], rows: list) -> dict:
     """Fields of a report that lists rows: the first few keyed by the header,
     and their count."""
     return dict(
         task=task,
-        params=params,
-        witness_sample=[dict(zip(header, r)) for r in rows[:sample_size]],
+        params=args.params,
+        witness_sample=[dict(zip(header, r)) for r in rows[: args.sample_size]],
         stats={"count": len(rows)},
     )
+
+
+def _verdict(failing: list) -> dict:
+    """Verdict fields of a check report: the failing items are the
+    counterexamples, and the report is verified iff there are none."""
+    return dict(verified=not failing, counterexamples=failing, counterexample_total=len(failing))
 
 
 def _figurate(args) -> Result:
@@ -218,9 +191,9 @@ def _figurate(args) -> Result:
     params = {"limit": args.limit, "include_one": args.include_one}
     table = generate_figurate(args.limit, include_one=args.include_one)
     if args.stats:
-        rows = figurate_stats(table).as_rows()
-        fields = dict(task="figurate-stats", params=params, stats=dict(rows))
-        return fields, Table(["key", "value"], [list(r) for r in rows])
+        stats = vars(figurate_stats(table))
+        fields = dict(task="figurate-stats", params=params, stats=stats)
+        return fields, Table(["key", "value"], [list(r) for r in stats.items()])
     dumped = write_values(table, args.dump) if args.dump else None
     fields = dict(
         task="figurate-generate",
@@ -233,8 +206,7 @@ def _figurate(args) -> Result:
 
 def _twins(args) -> Result:
     pairs = twin_figurate(args.limit)
-    params = {"limit": args.limit}
-    fields = _listing("twin-members", params, ["f", "g"], pairs, args.sample_size)
+    fields = _listing(args, "twin-members", ["f", "g"], pairs)
     return fields, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2))
 
 
@@ -277,7 +249,7 @@ def _solve(args) -> Result:
     sols = solve_equation(inst, args.bound)
     fields = dict(
         task="solve",
-        params={"i": args.i, "j": args.j, "k": args.k, "bound": args.bound},
+        params=args.params,
         witness_sample=[
             {"p": s.p, "a": s.a, "q": s.q, "b": s.b, "left": s.left, "right": s.right}
             for s in sols
@@ -295,31 +267,25 @@ def _solve(args) -> Result:
 
 def _triangular(args) -> Result:
     rows = [list(p) for p in enumerate_p_minus1_triangular(args.limit)]
-    fields = _listing(
-        "triangular-predecessors", {"limit": args.limit}, ["p", "q"], rows, args.sample_size
-    )
-    return fields, Table(["p", "q"], rows)
+    return _listing(args, "triangular-predecessors", ["p", "q"], rows), Table(["p", "q"], rows)
 
 
 def _families(args) -> Result:
-    rep = special_family_checks(args.bound)
-    bad = [s.name for s in rep.sections if not s.matches]
+    sections = special_family_checks(args.bound)
     fields = dict(
         task="special-families",
-        params={"bound": args.bound},
-        verified=rep.consistent,
-        counterexamples=bad,
-        counterexample_total=len(bad),
+        params=args.params,
+        **_verdict([s.name for s in sections if not s.matches]),
         stats={
             s.name: {
                 "solutions": [list(t) for t in s.solutions],
                 "expected": [list(t) for t in s.expected],
                 "matches": s.matches,
             }
-            for s in rep.sections
+            for s in sections
         },
     )
-    rows = [[s.name, str(tuple(t))] for s in rep.sections for t in s.solutions]
+    rows = [[s.name, str(tuple(t))] for s in sections for t in s.solutions]
     return fields, Table(["family", "solution"], rows)
 
 
@@ -332,17 +298,14 @@ def _curve_corrections() -> list[dict]:
 
 
 def _errata(args) -> Result:
-    rep = theorem_errata(args.bound)
-    entries = [{**_errata_fields(e), "notes": e.notes} for e in rep.entries]
-    bad = [list(e.instance) for e in rep.discrepancies]
+    entries = theorem_errata(args.bound)
+    bad = [list(e.instance) for e in entries if e.status != "MATCH"]
     fields = dict(
         task="catalog-reconciliation",
-        params={"bound": args.bound},
-        verified=not rep.discrepancies,
-        counterexamples=bad,
-        counterexample_total=len(bad),
-        stats={"instances": len(rep.entries), "discrepancies": len(rep.discrepancies)},
-        errata=entries + _curve_corrections(),
+        params=args.params,
+        **_verdict(bad),
+        stats={"instances": len(entries), "discrepancies": len(bad)},
+        errata=[{**_errata_fields(e), "notes": e.notes} for e in entries] + _curve_corrections(),
     )
     rows = [
         [
@@ -351,7 +314,7 @@ def _errata(args) -> Result:
             " ".join(str(tuple(t)) for t in e.published) or "none",
             " ".join(str(tuple(t)) for t in e.computed) or "none",
         ]
-        for e in rep.entries
+        for e in entries
     ]
     return fields, Table(["instance", "status", "published", "computed"], rows)
 
@@ -376,7 +339,7 @@ def _curve(args) -> Result:
     if args.action == "search":
         xmax = args.xmax if args.xmax is not None else _KINDS[model.kind].window
         points = search_integral_points(model, xmax)
-        sols = lift_to_solutions(model, points, model.instance)
+        sols = lift_to_solutions(model, points)
         fields = dict(
             task="curve-search",
             params={**params, "xmax": xmax},
@@ -389,7 +352,7 @@ def _curve(args) -> Result:
             raise UsageError("curve lift needs --X and --Y")
         pt = CurvePoint(args.X, args.Y)
         lifted = lift_point(model, pt)
-        sols = lift_to_solutions(model, [pt], model.instance)
+        sols = lift_to_solutions(model, [pt])
         fields = dict(
             task="curve-lift",
             params={**params, "X": args.X, "Y": args.Y},
@@ -413,70 +376,60 @@ def _curve(args) -> Result:
     )
 
 
-def _gap_pairs(task: str, params: dict, pairs: list, sample_size: int) -> Result:
+def _gap_pairs(args, task: str, pairs: list) -> Result:
     """Report on pairs A - B = d: powerful-pairs and cubefull-diff."""
     header = ["d", "A", "B"]
     rows = [[p.d, p.A, p.B] for p in pairs]
-    return _listing(task, params, header, rows, sample_size), Table(header, rows)
+    return _listing(args, task, header, rows), Table(header, rows)
 
 
 def _powerful_pairs(args) -> Result:
-    pairs = consecutive_powerful_pairs(args.limit)
-    return _gap_pairs("consecutive-powerful", {"limit": args.limit}, pairs, args.sample_size)
+    return _gap_pairs(args, "consecutive-powerful", consecutive_powerful_pairs(args.limit))
 
 
 def _cubefull_diff(args) -> Result:
-    pairs = diff_cubefull_search(args.d, args.limit)
-    params = {"d": args.d, "limit": args.limit}
-    return _gap_pairs("cubefull-gap", params, pairs, args.sample_size)
+    return _gap_pairs(args, "cubefull-gap", diff_cubefull_search(args.d, args.limit))
 
 
 def _pell(args) -> Result:
     fam = pell_family(args.count)
     rows = [[p.u, p.v, p.A, p.B] for p in fam.pairs]
-    fields = _listing("pell-family", {"count": args.count}, ["u", "v", "A", "B"], rows,
-                      args.sample_size)
+    fields = _listing(args, "pell-family", ["u", "v", "A", "B"], rows)
     fields["stats"] = {"returned": len(fam.pairs), "truncated": fam.truncated}
     return fields, Table(["u", "v", "A", "B"], rows)
 
 
 def _conj41(args) -> Result:
-    rep = power_of_two_gap_report(args.rmax, args.limit)
-    bad = [row.r for row in rep.rows if not row.matches]
+    gaps = power_of_two_gap_report(args.rmax, args.limit)
     found = [
-        {"r": row.r, "d": row.d, "pairs": [[p.A, p.B] for p in row.pairs]} for row in rep.rows
+        {"r": row.r, "d": row.d, "pairs": [[p.A, p.B] for p in row.pairs]} for row in gaps
     ]
     fields = dict(
         task="power-of-two-gaps",
-        params={"rmax": args.rmax, "limit": args.limit},
-        verified=rep.consistent,
-        counterexamples=bad,
-        counterexample_total=len(bad),
+        params=args.params,
+        **_verdict([row.r for row in gaps if not row.matches]),
         witness_sample=found[: args.sample_size],
         stats={
             "rows": [
                 {**f, "expected": [list(e) for e in row.expected], "matches": row.matches}
-                for f, row in zip(found, rep.rows)
+                for f, row in zip(found, gaps)
             ]
         },
     )
-    rows = [[p.d, p.A, p.B] for row in rep.rows for p in row.pairs]
+    rows = [[p.d, p.A, p.B] for row in gaps for p in row.pairs]
     return fields, Table(["d", "A", "B"], rows)
 
 
 def _conj42(args) -> Result:
     rep = prime_gap_report(args.limit, nmax=args.nmax, search_cap=args.cap)
-    bad = [row.d for row in rep.rows if row.count == 0]
     found = [
         {"d": row.d, "count": row.count, "first": list(row.first) if row.first else None}
         for row in rep.rows
     ]
     fields = dict(
         task="prime-gaps",
-        params={"limit": args.limit, "nmax": args.nmax, "cap": args.cap},
-        verified=rep.all_nonempty,
-        counterexamples=bad,
-        counterexample_total=len(bad),
+        params=args.params,
+        **_verdict([row.d for row in rep.rows if row.count == 0]),
         witness_sample=found[: args.sample_size],
         stats={
             "rows": found,
@@ -495,6 +448,7 @@ def _execute(args) -> Result:
         raise UsageError("--max-counterexamples and --sample-size must be >= 0")
     if args.jobs < 1:
         raise UsageError("jobs must be >= 1")
+    args.params = {name: getattr(args, name) for name in args.own}
     t0 = time.perf_counter()
     fields, table = args.handler(args)
     env = build_envelope(**fields, elapsed_ms=int((time.perf_counter() - t0) * 1000))

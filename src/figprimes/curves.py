@@ -193,19 +193,13 @@ def search_integral_points(model: CurveModel, xmax: int) -> list[CurvePoint]:
     return out
 
 
-def lift_to_solutions(
-    model: CurveModel, points: list[CurvePoint], inst: EquationInstance
-) -> list[EquationSolution]:
-    """Solutions of ``inst`` arising from curve points.
+def lift_to_solutions(model: CurveModel, points: list[CurvePoint]) -> list[EquationSolution]:
+    """Solutions of the model's instance arising from curve points.
 
     A point contributes iff its lift passes the divisibility filters, both
     affine coordinates are prime powers, and both binomials are positive.
     """
-    expected = model.instance
-    if inst.key != expected.key:
-        raise UsageError(
-            f"instance {inst.key} does not belong to this model (expected {expected.key})"
-        )
+    inst = model.instance
     out: list[EquationSolution] = []
     for pt in points:
         lifted = lift_point(model, pt)

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ArithmeticGuardError, UsageError
 from .intkernel import (
     U63_MAX,
-    PrimeTable,
     binomial_arg,
     build_sieve,
     is_prime_many,
@@ -62,12 +61,6 @@ class EquationSolution:
         return (self.p, self.q, self.a, self.b)
 
 
-def _shared_table(table: PrimeTable | None, needed: int) -> PrimeTable:
-    if table is not None and table.limit >= needed:
-        return table
-    return build_sieve(max(needed, 2))
-
-
 def _binomials(v: np.ndarray, i: int) -> np.ndarray:
     """C(v, i) over an int64 array whose binomials all fit in 63 bits.
 
@@ -81,11 +74,7 @@ def _binomials(v: np.ndarray, i: int) -> np.ndarray:
     return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
 
 
-def solve_equation(
-    inst: EquationInstance,
-    value_bound: int = 10**12,
-    table: PrimeTable | None = None,
-) -> list[EquationSolution]:
+def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[EquationSolution]:
     """All solutions with C(q**b, j) <= value_bound, sorted by (right, left).
 
     One walk covers every instance but one: it runs over the prime powers v
@@ -130,7 +119,7 @@ def solve_equation(
     # walk the side with the larger index; the other side is sides + shift
     walk, other, shift = (i, j, -k) if i > j else (j, i, k)
     limit = binomial_arg(value_bound + k if i > j else value_bound, walk)[0]
-    values, bases, exponents = prime_powers_upto(limit, _shared_table(table, limit))
+    values, bases, exponents = prime_powers_upto(limit, build_sieve(max(limit, 2)))
     sides = _binomials(values, walk)
     keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))
     sides, bases, exponents = sides[keep], bases[keep], exponents[keep]
@@ -175,16 +164,7 @@ class FamilySection:
         return set(self.solutions) == set(self.expected)
 
 
-@dataclass
-class FamilyReport:
-    sections: list[FamilySection]
-
-    @property
-    def consistent(self) -> bool:
-        return all(s.matches for s in self.sections)
-
-
-def special_family_checks(bound: int = 10**9) -> FamilyReport:
+def special_family_checks(bound: int = 10**9) -> list[FamilySection]:
     """Search three constrained one-parameter families up to p**a <= bound.
 
     1. p**a = C(q, 2) + 1 with a even: expected only 2**2 = C(3, 2) + 1.
@@ -200,17 +180,13 @@ def special_family_checks(bound: int = 10**9) -> FamilyReport:
     even_hits = [(s.p, s.a, s.q) for s in triangular if s.a % 2 == 0]
     odd_hits = [(s.p, s.a, s.q) for s in triangular if s.a in (3, 5, 7)]
     tetra_hits = [s.pqab for s in solve_equation(EquationInstance(1, 3, 1), bound - 1)]
-    return FamilyReport(
-        sections=[
-            FamilySection("square-plus-one-triangular", even_hits, [(2, 2, 3)]),
-            FamilySection("odd-exponent-triangular", odd_hits, []),
-            FamilySection(
-                "power-plus-one-tetrahedral",
-                tetra_hits,
-                [(2, 3, 1, 1), (5, 2, 1, 2), (11, 5, 1, 1)],
-            ),
-        ],
-    )
+    return [
+        FamilySection("square-plus-one-triangular", even_hits, [(2, 2, 3)]),
+        FamilySection("odd-exponent-triangular", odd_hits, []),
+        FamilySection(
+            "power-plus-one-tetrahedral", tetra_hits, [(2, 3, 1, 1), (5, 2, 1, 2), (11, 5, 1, 1)]
+        ),
+    ]
 
 
 _CATALOG_LINE = re.compile(r"^(\d+)\s+(\d+)\s+(\d+)\s*:\s*(.+)$")
@@ -248,15 +224,6 @@ class ErrataEntry:
     notes: list[str]
 
 
-@dataclass
-class ErrataReport:
-    entries: list[ErrataEntry]
-
-    @property
-    def discrepancies(self) -> list[ErrataEntry]:
-        return [e for e in self.entries if e.status != "MATCH"]
-
-
 def reconcile(
     inst: EquationInstance,
     published: list[tuple[int, int, int, int]],
@@ -281,11 +248,11 @@ def reconcile(
     return ErrataEntry(inst.key, list(published), list(computed), status, notes)
 
 
-def theorem_errata(value_bound: int = 10**12) -> ErrataReport:
+def theorem_errata(value_bound: int = 10**12) -> list[ErrataEntry]:
     """Solve every cataloged instance and reconcile it with the catalog."""
     entries = []
     for key, published in load_published_catalog().items():
         inst = EquationInstance(*key)
         computed = [s.pqab for s in solve_equation(inst, value_bound)]
         entries.append(reconcile(inst, published, computed))
-    return ErrataReport(entries)
+    return entries

@@ -165,17 +165,6 @@ class StatsRecord:
     includes_one: bool
     density_vs_primes: float
 
-    def as_rows(self) -> list[tuple[str, object]]:
-        return [
-            ("limit", self.limit),
-            ("total", self.total),
-            ("primes", self.primes),
-            ("composite_even", self.composite_even),
-            ("composite_odd", self.composite_odd),
-            ("includes_one", self.includes_one),
-            ("density_vs_primes", self.density_vs_primes),
-        ]
-
 
 def figurate_stats(table: FigurateTable) -> StatsRecord:
     """Count members by class and compare the density against the primes."""

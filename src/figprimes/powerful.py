@@ -191,16 +191,7 @@ class PowerGapRow:
         return [(p.A, p.B) for p in self.pairs] == self.expected
 
 
-@dataclass
-class PowerOfTwoGapReport:
-    rows: list[PowerGapRow]
-
-    @property
-    def consistent(self) -> bool:
-        return all(row.matches for row in self.rows)
-
-
-def power_of_two_gap_report(rmax: int, limit: int) -> PowerOfTwoGapReport:
+def power_of_two_gap_report(rmax: int, limit: int) -> list[PowerGapRow]:
     """Check d = 2^r for r in [0, rmax]: no pair at r = 0, exactly the pair
     (2^(r+1), 2^r) for r >= 1."""
     if rmax < 0:
@@ -214,7 +205,7 @@ def power_of_two_gap_report(rmax: int, limit: int) -> PowerOfTwoGapReport:
         pairs = _gap_pairs(d, limit, cubefull)
         expected = [] if r == 0 else [(2 ** (r + 1), 2**r)]
         rows.append(PowerGapRow(r=r, d=d, pairs=pairs, expected=expected))
-    return PowerOfTwoGapReport(rows=rows)
+    return rows
 
 
 @dataclass
@@ -229,10 +220,6 @@ class PrimeGapReport:
     rows: list[GapCountRow]          # every gap d = n in [2, nmax]
     least_empty: int | None          # least n in [2, search_cap] with no pair
     least_empty_prime: int | None    # least prime in that range with no pair
-
-    @property
-    def all_nonempty(self) -> bool:
-        return all(row.count > 0 for row in self.rows)
 
 
 def prime_gap_report(limit: int, nmax: int = 28, search_cap: int = 64) -> PrimeGapReport:

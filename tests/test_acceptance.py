@@ -41,7 +41,7 @@ LARGEST_EXCEPTIONS = {(1, 2): 97020, (2, 3): 99996, (3, 4): 99996, (4, 7): 99990
 
 
 @pytest.mark.acceptance(1, "solution sets for (2,1,1), (3,1,1), (4,1,1) at 10^12")
-def test_c01_published_solution_sets(table1e6):
+def test_c01_published_solution_sets():
     expected = {
         (2, 1, 1): {(2, 5, 2, 1), (3, 2, 1, 1), (2, 3, 3, 3), (5, 3, 1, 2)},
         (3, 1, 1): {(2, 3, 2, 1), (3, 83, 2, 1), (5, 3, 1, 2)},
@@ -49,7 +49,7 @@ def test_c01_published_solution_sets(table1e6):
     }
     for key, want in expected.items():
         t0 = time.perf_counter()
-        sols = solve_equation(EquationInstance(*key), 10**12, table1e6)
+        sols = solve_equation(EquationInstance(*key), 10**12)
         elapsed = time.perf_counter() - t0
         assert {s.pqab for s in sols} == want, key
         assert elapsed < 5.0, (key, elapsed)
@@ -57,7 +57,7 @@ def test_c01_published_solution_sets(table1e6):
 
 @pytest.mark.acceptance(2, "catalog reconciliation and errata exit code")
 def test_c02_catalog_reconciliation(errata_report, tmp_path):
-    by_key = {e.instance: e for e in errata_report.entries}
+    by_key = {e.instance: e for e in errata_report}
     for key in [(2, 3, 1), (2, 4, 1), (4, 2, 1), (2, 3, 2), (3, 2, 2), (2, 4, 2), (4, 2, 2)]:
         assert by_key[key].status == "MATCH", key
     assert by_key[(4, 2, 1)].computed == []
@@ -175,7 +175,7 @@ def test_c07_curve_fixtures(table1e6):
     for (kind, s, k), want in lifted_sets.items():
         model = cubic_model(s, k) if kind == "cubic" else quartic_model(s, k)
         pts = search_integral_points(model, 10**4)
-        sols = lift_to_solutions(model, pts, model.instance)
+        sols = lift_to_solutions(model, pts)
         assert {sol.pqab for sol in sols} == want, (kind, s, k)
     assert time.perf_counter() - t0 < 10.0
 
@@ -219,7 +219,7 @@ def test_c08_property_suites(table1e6):
             if v >= j and (c := comb(v, j)) <= 10**6:
                 for n in left.get(c + k, []):
                     want.add((n, v))
-        sols = solve_equation(EquationInstance(i, j, k), 10**6, table1e6)
+        sols = solve_equation(EquationInstance(i, j, k), 10**6)
         assert {(s.p**s.a, s.q**s.b) for s in sols} == want, (i, j, k)
 
     # gap search vs direct scan at 10^4
@@ -256,10 +256,10 @@ def test_c09_powerful_suite():
     assert {(p.A, p.B) for p in fam.pairs} <= {(p.A, p.B) for p in pairs}
     assert 676 not in {p.A for p in fam.pairs}
     conj41 = power_of_two_gap_report(18, 10**6)
-    assert conj41.consistent
-    assert [row.r for row in conj41.rows] == list(range(19))
+    assert all(row.matches for row in conj41)
+    assert [row.r for row in conj41] == list(range(19))
     conj42 = prime_gap_report(10**6)
-    assert conj42.all_nonempty
+    assert all(row.count > 0 for row in conj42.rows)
     assert conj42.least_empty_prime == 29
     assert time.perf_counter() - t0 < 120.0
 

@@ -9,7 +9,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from figprimes import DomainSpec, UsageError, verify_additive, verify_linear
+from figprimes import (
+    ArithmeticGuardError,
+    DomainSpec,
+    UsageError,
+    verify_additive,
+    verify_linear,
+)
 from figprimes import additive
 from figprimes.additive import resolve_domain
 
@@ -326,7 +332,7 @@ class TestLinear:
         settle = additive._settle
         monkeypatch.setattr(additive, "_settle", lambda *args: calls.append(args) or settle(*args))
         spec = DomainSpec("figurate", True)
-        for a, b in ((2, 10**6 + 3), (1000003, 1000033), (10**30, 10**30 + 1)):
+        for a, b in ((2, 10**6 + 3), (1000003, 1000033), (2**31, 2**31 + 1)):
             rep = verify_linear(a, b, 1, 100, spec, fig2e4)
             assert rep.stats["below_floor"] == 100
             assert rep.verified and rep.witness_sample == []
@@ -382,3 +388,12 @@ class TestLinear:
     def test_coprimality_enforced(self, fig2e4):
         with pytest.raises(UsageError):
             verify_linear(2, 4, 1, 10, DomainSpec("figurate", True), fig2e4)
+
+    def test_coefficients_stay_in_63_bits(self, fig2e4):
+        spec = DomainSpec("figurate", True)
+        # a or b past 2^63 - 1, or a threshold (a-1)(b-1) past it
+        for a, b in ((10**30, 10**30 + 1), (1, 2**63), (2**32, 2**32 + 1)):
+            with pytest.raises(ArithmeticGuardError):
+                verify_linear(a, b, 1, 100, spec, fig2e4)
+        rep = verify_linear(1, 2**63 - 1, 1, 100, spec, fig2e4)
+        assert rep.stats["threshold"] == 0

@@ -134,7 +134,7 @@ class TestExitCodes:
             code, _ = run_json(argv + ["--limit", str((1 << 28) - 1)], tmp_path)
             assert code == 0, argv
 
-    def test_arithmetic_guard_is_three(self):
+    def test_arithmetic_guard_is_three(self, capsys):
         code = run(
             ["curve", "samples", "--kind", "quartic", "--sign", "1", "--k", "1",
              "--xlo", "0", "--xhi", "65536"]
@@ -144,6 +144,14 @@ class TestExitCodes:
         for i in ("1", "2"):
             assert run(["solve", "--i", i, "--j", "1",
                         "--k", "10000000000000000000000001", "--bound", "100"]) == 3
+        capsys.readouterr()
+        # linear coefficients and their threshold must fit in 63 bits too
+        for a, b in ((10**30, 10**30 + 1), (1, 2**63)):
+            argv = ["linear", "--a", str(a), "--b", str(b), "--from", "1", "--to", "100"]
+            assert run(argv) == 3
+            assert capsys.readouterr().err == (
+                "arithmetic guard: a, b and (a-1)(b-1) must not exceed 2^63 - 1\n"
+            )
 
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
@@ -212,8 +220,7 @@ class TestErrataCommand:
 
     def test_solve_prints_the_errata_entry(self, tmp_path):
         # one reconciliation rule: solve prints the catalog entry less its notes
-        rep = theorem_errata(10**6)
-        for e in rep.entries:
+        for e in theorem_errata(10**6):
             i, j, k = (str(v) for v in e.instance)
             _, env = run_json(["solve", "--i", i, "--j", j, "--k", k, "--bound", "1000000"],
                               tmp_path)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from figprimes import (
     ArithmeticGuardError,
     CurvePoint,
-    EquationInstance,
     ResourceLimitError,
     UsageError,
     cubic_model,
@@ -218,7 +217,7 @@ class TestLifting:
     )
     def test_lifted_solution_sets(self, model, expected):
         pts = search_integral_points(model, 10**4)
-        sols = lift_to_solutions(model, pts, model.instance)
+        sols = lift_to_solutions(model, pts)
         assert {s.pqab for s in sols} == expected
         assert [(s.right, s.left) for s in sols] == sorted(
             (s.right, s.left) for s in sols
@@ -232,13 +231,9 @@ class TestLifting:
         assert model.contains(pt)
         assert lift_point(model, pt) == (12, 32)
         assert comb(32, 2) - comb(12, 4) == 1
-        assert lift_to_solutions(model, [pt], model.instance) == []
+        assert lift_to_solutions(model, [pt]) == []
 
-    def test_instance_mismatch_guard(self):
-        with pytest.raises(UsageError):
-            lift_to_solutions(cubic_model(1, 1), [], EquationInstance(3, 2, 1))
-
-    def test_agrees_with_direct_solver(self, table1e6):
+    def test_agrees_with_direct_solver(self):
         # a window search plus lifting must see exactly the solver's output
         # once both are capped at the same largest high-index argument
         xmax = 10**4
@@ -248,8 +243,8 @@ class TestLifting:
             arg_cap = (xmax + 12) // 12 if model.kind == "cubic" else xmax + 2
             bound = comb(arg_cap, h) if model.s > 0 else comb(arg_cap, h) - model.k
             pts = search_integral_points(model, xmax)
-            lifted = {s.pqab for s in lift_to_solutions(model, pts, inst)}
-            direct = {s.pqab for s in solve_equation(inst, bound, table1e6)}
+            lifted = {s.pqab for s in lift_to_solutions(model, pts)}
+            direct = {s.pqab for s in solve_equation(inst, bound)}
             assert lifted == direct, (model.kind, model.s, model.k)
 
 

@@ -77,27 +77,27 @@ class TestSolveOracle:
     )
     def test_agrees_with_subtraction_table(self, table1e6, key):
         i, j, k, bound = key
-        sols = solve_equation(EquationInstance(i, j, k), bound, table1e6)
+        sols = solve_equation(EquationInstance(i, j, k), bound)
         assert {s.pqab for s in sols} == oracle_solutions(i, j, k, bound, table1e6)
 
-    def test_solutions_revalidate(self, table1e6):
+    def test_solutions_revalidate(self):
         for key in CATALOG_INSTANCES:
             inst = EquationInstance(*key)
-            for s in solve_equation(inst, 10**8, table1e6):
+            for s in solve_equation(inst, 10**8):
                 assert comb(s.p**s.a, inst.i) == s.left
                 assert comb(s.q**s.b, inst.j) == s.right
                 assert s.left - s.right == inst.k
                 assert is_prime(s.p) and is_prime(s.q)
 
-    def test_output_sorted_by_right_then_left(self, table1e6):
+    def test_output_sorted_by_right_then_left(self):
         for key in [(2, 1, 1), (1, 1, 1), (2, 3, 2), (1, 1, 2), (3, 2, 1), (2, 2, 3), (2, 4, 1)]:
-            sols = solve_equation(EquationInstance(*key), 10**6, table1e6)
+            sols = solve_equation(EquationInstance(*key), 10**6)
             keys = [(s.right, s.left) for s in sols]
             assert keys == sorted(keys)
 
-    def test_square_triangular_factorization(self, table1e6):
+    def test_square_triangular_factorization(self):
         # k = 1, i = 2: 2*(C(n,2) - 1) factors as (n+1)(n-2)
-        for s in solve_equation(EquationInstance(2, 1, 1), 10**10, table1e6):
+        for s in solve_equation(EquationInstance(2, 1, 1), 10**10):
             v = s.p**s.a
             assert (v + 1) * (v - 2) == 2 * s.q**s.b
 
@@ -115,11 +115,11 @@ class TestSolveOracle:
         for s in sols:
             assert s.left - s.right == 1 and s.right <= bound
 
-    def test_equal_indices_empty(self, table1e6):
-        assert solve_equation(EquationInstance(2, 2, 1), 10**9, table1e6) == []
+    def test_equal_indices_empty(self):
+        assert solve_equation(EquationInstance(2, 2, 1), 10**9) == []
 
     def test_unit_instance_matches_small_scan(self, table1e6):
-        sols = solve_equation(EquationInstance(1, 1, 2), 10**4, table1e6)
+        sols = solve_equation(EquationInstance(1, 1, 2), 10**4)
         pairs = {s.pqab for s in sols}
         assert (5, 3, 1, 1) in pairs     # twin primes qualify
         assert (3, 2, 1, 1) not in pairs  # 3 - 2 = 1, wrong gap
@@ -214,7 +214,7 @@ class TestEvenUnitInstance:
             if mask[v + k]:
                 (p, a), (q, b) = power[v + k], power[v]
                 expected.add((p, q, a, b))
-        sols = solve_equation(EquationInstance(1, 1, k), bound, table)
+        sols = solve_equation(EquationInstance(1, 1, k), bound)
         assert len(sols) == count
         assert {s.pqab for s in sols} == expected
 
@@ -244,20 +244,20 @@ def family_oracle(bound):
 class TestSpecialFamilies:
     @pytest.mark.parametrize("bound", [10**6, 10**6 + 1, 10**7, 10**8, 10**9])
     def test_matches_scalar_walk(self, bound):
-        rep = special_family_checks(bound)
-        assert [s.solutions for s in rep.sections] == family_oracle(bound)
+        sections = special_family_checks(bound)
+        assert [s.solutions for s in sections] == family_oracle(bound)
 
     def test_triangular_family_takes_prime_q_only(self):
         # 11**2 = C(2**4, 2) + 1 solves (1, 2, 1), but q**b = 16 is no prime
         sols = solve_equation(EquationInstance(1, 2, 1), 10**6 - 1)
         assert (11, 2, 2, 4) in {s.pqab for s in sols}
-        first = special_family_checks(10**6).sections[0]
+        first = special_family_checks(10**6)[0]
         assert (11, 2, 16) not in first.solutions
 
     def test_all_sections_match_expectations(self):
-        rep = special_family_checks(10**9)
-        assert rep.consistent
-        by_name = {s.name: s for s in rep.sections}
+        sections = special_family_checks(10**9)
+        assert all(s.matches for s in sections)
+        by_name = {s.name: s for s in sections}
         assert by_name["square-plus-one-triangular"].solutions == [(2, 2, 3)]
         assert by_name["odd-exponent-triangular"].solutions == []
         assert set(by_name["power-plus-one-tetrahedral"].solutions) == {
@@ -291,26 +291,26 @@ class TestCatalog:
 
 class TestErrata:
     def test_single_discrepancy(self, errata_report):
-        statuses = {e.instance: e.status for e in errata_report.entries}
+        statuses = {e.instance: e.status for e in errata_report}
         assert statuses[(3, 2, 1)] == "DISCREPANCY"
         del statuses[(3, 2, 1)]
         assert set(statuses.values()) == {"MATCH"}
-        assert [e.instance for e in errata_report.discrepancies] == [(3, 2, 1)]
+        assert [e.instance for e in errata_report if e.status != "MATCH"] == [(3, 2, 1)]
 
     def test_discrepancy_carries_both_sets_and_note(self, errata_report):
-        entry = next(e for e in errata_report.entries if e.instance == (3, 2, 1))
+        entry = next(e for e in errata_report if e.instance == (3, 2, 1))
         assert set(entry.published) == {(2, 3, 2, 1), (3, 7, 2, 1)}
         assert set(entry.computed) == {(2, 3, 2, 1), (2, 11, 3, 1)}
         assert len(entry.notes) == 1
         assert "63" in entry.notes[0]  # C(9,3) - C(7,2)
 
     def test_match_entries_carry_no_notes(self, errata_report):
-        for e in errata_report.entries:
+        for e in errata_report:
             if e.status == "MATCH":
                 assert e.notes == []
 
     def test_computed_solutions_satisfy_equations(self, errata_report):
-        for e in errata_report.entries:
+        for e in errata_report:
             i, j, k = e.instance
             for p, q, a, b in e.computed:
                 assert comb(p**a, i) - comb(q**b, j) == k

@@ -156,11 +156,11 @@ class TestDiffCubefull:
 
 class TestPowerOfTwoGaps:
     def test_rows_match_expected_family(self):
-        rep = power_of_two_gap_report(6, 31000)
-        assert rep.consistent
-        assert [(row.r, row.d) for row in rep.rows] == [(r, 2**r) for r in range(7)]
-        assert rep.rows[0].pairs == []
-        for row in rep.rows[1:]:
+        rows = power_of_two_gap_report(6, 31000)
+        assert all(row.matches for row in rows)
+        assert [(row.r, row.d) for row in rows] == [(r, 2**r) for r in range(7)]
+        assert rows[0].pairs == []
+        for row in rows[1:]:
             assert [(p.A, p.B) for p in row.pairs] == [(2 ** (row.r + 1), 2**row.r)]
             assert row.expected == [(2 ** (row.r + 1), 2**row.r)]
 
@@ -174,7 +174,7 @@ class TestPowerOfTwoGaps:
 class TestPrimeGaps:
     def test_report_at_1e5(self):
         rep = prime_gap_report(10**5)
-        assert rep.all_nonempty
+        assert all(row.count > 0 for row in rep.rows)
         assert [row.d for row in rep.rows] == list(range(2, 29))
         assert rep.least_empty == 29
         assert rep.least_empty_prime == 29

@@ -13,6 +13,7 @@ whose reports are trusted): ``python tests/test_reports.py``.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from figprimes.cli import run
+from figprimes.cli import build_parser, run
 
 DATA = Path(__file__).parent / "data" / "cli_reports.json"
 
@@ -124,6 +125,12 @@ def recorded() -> dict:
 
 def test_cases_are_recorded(recorded):
     assert set(recorded) == {tuple(argv) for argv in CASES}
+
+
+def test_every_command_has_a_case():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 16
+    assert set(sub.choices) <= {argv[0] for argv in CASES}
 
 
 @pytest.mark.parametrize("argv", CASES, ids="_".join)
