@@ -16,6 +16,9 @@ the modulus, each chunk fills one witness array over its targets, and chunk
 results are merged in chunk order, so the report is identical no matter how
 many worker threads run.  Witnesses always use the minimal x.
 
+The engine builds its own set table, to max(hi, 2), and resolves both domains
+from it, so a report depends only on the range, the domains and the options.
+
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
 ``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
@@ -32,7 +35,7 @@ from math import gcd
 import numpy as np
 
 from .errors import ArithmeticGuardError, UsageError
-from .figurate import FigurateTable
+from .figurate import FigurateTable, figurate_witness, generate_figurate
 from .intkernel import U63_MAX, prime_power_decompose, prime_powers_upto
 
 CHUNK = 1 << 16
@@ -71,6 +74,7 @@ class _Domain:
 
 
 def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
+    """The members of ``spec`` up to the table's limit; the table holds 1."""
     pt = table.prime_table
     if spec.kind == "primes":
         return _Domain(spec.label, pt.primes, pt.prime_mask)
@@ -79,9 +83,7 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
         membership = np.zeros(table.limit + 1, dtype=bool)
         membership[values] = True
         return _Domain(spec.label, values, membership)
-    if spec.include_one and not table.include_one:
-        raise UsageError("table was generated without the value 1")
-    if spec.kind == "figurate" and (spec.include_one or not table.include_one):
+    if spec.kind == "figurate" and spec.include_one:
         # the table's own arrays, shared: the kernel only reads them
         return _Domain(spec.label, table.values, table.membership)
     membership = table.membership.copy()
@@ -169,33 +171,32 @@ def _settle(
     return depth
 
 
-def _certificate(value: int, spec: DomainSpec, table: FigurateTable) -> dict:
+def _certificate(value: int, spec: DomainSpec) -> dict:
     if spec.kind == "primes":
         return {"kind": "prime"}
     if spec.kind == "prime-powers":
         pp = prime_power_decompose(value)
         return {"kind": "prime-power", "p": pp.p, "a": pp.a}
-    w = table.witness(value)
+    w = figurate_witness(value)
     return {"kind": "binomial", "p": w.p, "a": w.a, "i": w.i}
 
 
-def _check_scan(hi, table, jobs, max_counterexamples, sample_size) -> None:
-    if hi > table.limit:
-        raise UsageError("table limit below scan range")
+def _verify(task, params, a, b, lo, hi, left, right, step, sample_end, *,
+            jobs, max_counterexamples, sample_size):
+    """Settle every target n = a*x + b*y in [lo, hi], x from ``left`` and y
+    from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
+    over a set table built to max(hi, 2).
+
+    Returns the report with its verdict and the stats every scan shares,
+    whether y was iterated descending and the largest counterexample, if any.
+    Every target of the range counts as scanned; those below a + b are
+    neither witnesses nor counterexamples.
+    """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
     if max_counterexamples < 0 or sample_size < 0:
         raise UsageError("max_counterexamples and sample_size must be >= 0")
-
-
-def _verify(a, b, lo, hi, left, right, table, jobs, step, sample_size, sample_end):
-    """Settle every target n = a*x + b*y in [lo, hi], x from ``left`` and y
-    from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1).
-
-    Returns every counterexample in order, the certified witness sample, the
-    number of targets scanned from a + b on, the largest search depth and
-    whether y was iterated descending.
-    """
+    table = generate_figurate(max(hi, 2))
     ldom = resolve_domain(left, table)
     rdom = ldom if right == left else resolve_domain(right, table)
     descending = rdom.values.size * 4 < ldom.values.size or (a < b and b * b > hi - lo + 1)
@@ -263,11 +264,27 @@ def _verify(a, b, lo, hi, left, right, table, jobs, step, sample_size, sample_en
                     "n": n,
                     "x": x,
                     "y": y,
-                    "x_cert": _certificate(x, left, table),
-                    "y_cert": _certificate(y, right, table),
+                    "x_cert": _certificate(x, left),
+                    "y_cert": _certificate(y, right),
                 }
             )
-    return counterexamples, samples, scanned, depth, descending
+    total = len(counterexamples)
+    report = VerificationReport(
+        task=task,
+        params=params,
+        lo=lo,
+        hi=hi,
+        verified=total == 0,
+        counterexamples=counterexamples[:max_counterexamples],
+        counterexample_total=total,
+        witness_sample=samples,
+        stats={
+            "scanned": len(range(lo + -lo % step, hi + 1, step)),
+            "witnesses": scanned - total,
+            "max_search_depth": depth,
+        },
+    )
+    return report, descending, counterexamples[-1] if counterexamples else None
 
 
 def verify_additive(
@@ -275,7 +292,6 @@ def verify_additive(
     hi: int,
     left: DomainSpec,
     right: DomainSpec,
-    table: FigurateTable,
     *,
     jobs: int = 1,
     even_only: bool = False,
@@ -286,28 +302,14 @@ def verify_additive(
     """Check that every n in [lo, hi] is x + y with x, y in the two domains."""
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
-    _check_scan(hi, table, jobs, max_counterexamples, sample_size)
     step = 2 if even_only else 1
-    counterexamples, samples, scanned, depth, descending = _verify(
-        1, 1, lo, hi, left, right, table, jobs, step, sample_size, lo + step * sample_size
+    params = {"left": left.label, "right": right.label, "even_only": even_only}
+    report, descending, _ = _verify(
+        task, params, 1, 1, lo, hi, left, right, step, lo + step * sample_size,
+        jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
-    total = len(counterexamples)
-    return VerificationReport(
-        task=task,
-        params={"left": left.label, "right": right.label, "even_only": even_only},
-        lo=lo,
-        hi=hi,
-        verified=total == 0,
-        counterexamples=counterexamples[:max_counterexamples],
-        counterexample_total=total,
-        witness_sample=samples,
-        stats={
-            "scanned": scanned,
-            "witnesses": scanned - total,
-            "max_search_depth": depth,
-            "mode": "right-descending" if descending else "left-ascending",
-        },
-    )
+    report.stats["mode"] = "right-descending" if descending else "left-ascending"
+    return report
 
 
 def verify_linear(
@@ -316,7 +318,6 @@ def verify_linear(
     lo: int,
     hi: int,
     domain: DomainSpec,
-    table: FigurateTable,
     *,
     jobs: int = 1,
     max_counterexamples: int = 100,
@@ -336,32 +337,16 @@ def verify_linear(
         raise ArithmeticGuardError("a, b and (a-1)(b-1) must not exceed 2^63 - 1")
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
-    _check_scan(hi, table, jobs, max_counterexamples, sample_size)
-    counterexamples, samples, scanned, depth, _ = _verify(
-        a, b, lo, hi, domain, domain, table, jobs, 1, sample_size, hi + 1
+    params = {"a": a, "b": b, "domain": domain.label}
+    report, _, largest = _verify(
+        "linear-combination", params, a, b, lo, hi, domain, domain, 1, hi + 1,
+        jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
-    below = max(0, min(hi + 1, a + b) - lo)
-    total = len(counterexamples)
     threshold = (a - 1) * (b - 1)
-    largest = counterexamples[-1] if counterexamples else None
-    return VerificationReport(
-        task="linear-combination",
-        params={"a": a, "b": b, "domain": domain.label},
-        lo=lo,
-        hi=hi,
-        verified=total == 0,
-        counterexamples=counterexamples[:max_counterexamples],
-        counterexample_total=total,
-        witness_sample=samples,
-        stats={
-            "scanned": scanned + below,
-            "witnesses": scanned - total,
-            "max_search_depth": depth,
-            "below_floor": below,
-            "largest_exception": largest,
-            "threshold": threshold,
-            "largest_exception_within_threshold": (
-                None if largest is None else largest <= threshold
-            ),
-        },
+    report.stats.update(
+        below_floor=max(0, min(hi + 1, a + b) - lo),
+        largest_exception=largest,
+        threshold=threshold,
+        largest_exception_within_threshold=None if largest is None else largest <= threshold,
     )
+    return report

@@ -211,20 +211,19 @@ def _twins(args) -> Result:
 
 
 def _scan(args) -> Result:
-    """sum2, prime-proper, goldbach and linear.  The set is generated inside
-    the timed region, so ``elapsed_ms`` counts it."""
-    table = generate_figurate(args.hi, include_one=True)
+    """sum2, prime-proper, goldbach and linear.  The scan generates its set
+    inside the timed region, so ``elapsed_ms`` counts it."""
     counts = dict(
         jobs=args.jobs, max_counterexamples=args.max_counterexamples, sample_size=args.sample_size
     )
     if args.cmd == "linear":
         domain = DomainSpec(args.domain, args.include_one)
-        rep = verify_linear(args.a, args.b, args.lo, args.hi, domain, table, **counts)
+        rep = verify_linear(args.a, args.b, args.lo, args.hi, domain, **counts)
     else:
         task, *kinds, even_only = args.scan
         left, right = (DomainSpec(kind, args.include_one) for kind in kinds)
         rep = verify_additive(
-            args.lo, args.hi, left, right, table, even_only=even_only, task=task, **counts
+            args.lo, args.hi, left, right, even_only=even_only, task=task, **counts
         )
     # the report's fields are the envelope's, with the range in two
     fields = dict(vars(rep), range_=(rep.lo, rep.hi))

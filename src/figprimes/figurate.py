@@ -48,12 +48,11 @@ class FigurateWitness:
 class FigurateTable:
     """Membership structures for the set restricted to [1, limit].
 
-    The table stores membership only; ``witness`` derives the canonical
-    witness of a member on demand, through ``figurate_witness``.
+    The table stores membership only; ``figurate_witness`` derives the
+    canonical witness of a member on demand, with no table.
     """
 
     limit: int
-    include_one: bool
     values: np.ndarray          # ascending member values, dtype int64
     membership: np.ndarray      # bool, indexable by value
     prime_table: PrimeTable
@@ -61,15 +60,6 @@ class FigurateTable:
     @property
     def count(self) -> int:
         return int(self.values.size)
-
-    def contains(self, n: int) -> bool:
-        if not 0 <= n <= self.limit:
-            raise UsageError(f"{n} outside table range [0, {self.limit}]")
-        return bool(self.membership[n])
-
-    def witness(self, n: int) -> FigurateWitness | None:
-        """Canonical witness for a member value, None for non-members."""
-        return figurate_witness(n) if self.contains(n) else None
 
 
 def generate_figurate(
@@ -83,7 +73,7 @@ def generate_figurate(
     Strata run over i: i = 1 contributes the prime powers, taken as one array
     from ``prime_powers_upto``; for i >= 2 only arguments m >= 2i matter since
     C(m, i) = C(m, m - i) and C(m, m) = 1 is handled by the include_one flag.
-    Only membership is recorded; ``FigurateTable.witness`` finds witnesses.
+    Only membership is recorded; ``figurate_witness`` finds witnesses.
     """
     if limit < 2:
         raise UsageError("generation limit must be >= 2")
@@ -121,7 +111,6 @@ def generate_figurate(
     values = np.flatnonzero(membership).astype(np.int64)
     return FigurateTable(
         limit=limit,
-        include_one=include_one,
         values=values,
         membership=membership,
         prime_table=table,

@@ -196,7 +196,8 @@ def power_of_two_gap_report(rmax: int, limit: int) -> list[PowerGapRow]:
     (2^(r+1), 2^r) for r >= 1."""
     if rmax < 0:
         raise UsageError("rmax must be >= 0")
-    if 2 ** (rmax + 1) > limit:
+    # 2^(rmax+1) > limit, read from the bit length so no rmax-bit integer is built
+    if limit < 1 or rmax + 1 >= limit.bit_length():
         raise UsageError("limit too small to contain the expected pair at rmax")
     cubefull = _tfull_upto(limit, 3)
     rows = []

@@ -18,7 +18,6 @@ from figprimes import (
     cubic_model,
     diff_cubefull_search,
     enumerate_p_minus1_triangular,
-    generate_figurate,
     lift_coordinates,
     lift_to_solutions,
     map_solution,
@@ -84,10 +83,10 @@ def test_c03_triangular_predecessor_list():
 
 
 @pytest.mark.acceptance(4, "every n in [2, 10^6] is a sum of two members")
-def test_c04_sum_of_two_members(fig1e6):
+def test_c04_sum_of_two_members():
     spec = DomainSpec("figurate", include_one=True)
     t0 = time.perf_counter()
-    rep = verify_additive(2, 10**6, spec, spec, fig1e6, jobs=1)
+    rep = verify_additive(2, 10**6, spec, spec, jobs=1)
     elapsed = time.perf_counter() - t0
     assert rep.verified and rep.counterexample_total == 0
     assert rep.stats["scanned"] == 10**6 - 1
@@ -97,23 +96,20 @@ def test_c04_sum_of_two_members(fig1e6):
 def test_c04_extended_sum_to_1e7():
     if os.environ.get("FIGPRIMES_EXTENDED") != "1":
         pytest.skip("set FIGPRIMES_EXTENDED=1 for the 10^7 run")
-    table = generate_figurate(10**7, include_one=True)
     spec = DomainSpec("figurate", include_one=True)
     t0 = time.perf_counter()
-    rep = verify_additive(2, 10**7, spec, spec, table, jobs=1)
+    rep = verify_additive(2, 10**7, spec, spec, jobs=1)
     elapsed = time.perf_counter() - t0
     assert rep.verified and rep.counterexample_total == 0
     assert elapsed < 900.0, elapsed
 
 
 @pytest.mark.acceptance(5, "every n in [6, 10^6] is a prime plus a proper member")
-def test_c05_prime_plus_proper(fig1e6):
-    rep = verify_additive(
-        6, 10**6, DomainSpec("primes"), DomainSpec("proper", include_one=True), fig1e6
-    )
+def test_c05_prime_plus_proper():
+    rep = verify_additive(6, 10**6, DomainSpec("primes"), DomainSpec("proper", include_one=True))
     assert rep.verified and rep.counterexample_total == 0
     exploratory = verify_additive(
-        6, 10**6, DomainSpec("primes"), DomainSpec("proper", include_one=False), fig1e6
+        6, 10**6, DomainSpec("primes"), DomainSpec("proper", include_one=False)
     )
     # exploratory variant: the report must exist and be well-formed, its
     # verdict is not asserted
@@ -132,15 +128,15 @@ def _reachability_oracle(a: int, b: int, values: np.ndarray, hi: int) -> int:
 
 @pytest.mark.acceptance(6, "linear engine: n = 20 over primes, largest exceptions at 10^5")
 def test_c06_linear_engine(fig1e6):
-    primes = verify_linear(1, 2, 2, 100, DomainSpec("primes"), fig1e6)
+    primes = verify_linear(1, 2, 2, 100, DomainSpec("primes"))
     assert 20 in primes.counterexamples
-    members = verify_linear(1, 2, 20, 20, DomainSpec("figurate", True), fig1e6)
+    members = verify_linear(1, 2, 20, 20, DomainSpec("figurate", True))
     assert members.verified
     w = members.witness_sample[0]
     assert (w["n"], w["x"], w["y"]) == (20, 2, 9)
     vals = fig1e6.values[fig1e6.values <= 10**5]
     for a, b in LINEAR_PAIRS:
-        rep = verify_linear(a, b, 1, 10**5, DomainSpec("figurate", True), fig1e6)
+        rep = verify_linear(a, b, 1, 10**5, DomainSpec("figurate", True))
         oracle = _reachability_oracle(a, b, vals, 10**5)
         assert rep.stats["largest_exception"] == oracle == LARGEST_EXCEPTIONS[(a, b)]
 

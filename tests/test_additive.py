@@ -1,34 +1,61 @@
 """Additive-representation scans against set-based brute force.
 
-The oracle builds the two member sets explicitly and checks every target by
-direct subtraction, so engine shortcuts (direction switching, chunking,
-straggler fallback) must all collapse to the same answers.
+The oracle builds the two member sets explicitly, from sympy's primality test
+and the table-free ``figurate_witness``, and checks every target by direct
+subtraction, so engine shortcuts (direction switching, chunking, straggler
+fallback) must all collapse to the same answers.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from sympy import isprime
 
 from figprimes import (
     ArithmeticGuardError,
     DomainSpec,
     UsageError,
+    figurate_witness,
+    generate_figurate,
     verify_additive,
     verify_linear,
 )
 from figprimes import additive
-from figprimes.additive import resolve_domain
+from figprimes.additive import DOMAIN_KINDS, resolve_domain
+
+#: the oracle's sets end here, above every range the oracles check
+ORACLE_LIMIT = 2 * 10**4
 
 
-def domain_set(spec: DomainSpec, table) -> set[int]:
-    return set(resolve_domain(spec, table).values.tolist())
+@lru_cache
+def _oracle_sets() -> tuple[frozenset[int], frozenset[int]]:
+    """The primes and the members of the set up to ORACLE_LIMIT, no table used."""
+    primes = frozenset(n for n in range(2, ORACLE_LIMIT + 1) if isprime(n))
+    members = frozenset(n for n in range(1, ORACLE_LIMIT + 1) if figurate_witness(n) is not None)
+    return primes, members
 
 
-def oracle_additive(lo, hi, left, right, table, even_only=False):
+def domain_set(spec: DomainSpec) -> frozenset[int]:
+    primes, members = _oracle_sets()
+    if spec.kind == "primes":
+        return primes
+    if spec.kind == "prime-powers":
+        return frozenset(
+            p**k for p in primes for k in range(1, ORACLE_LIMIT.bit_length())
+            if p**k <= ORACLE_LIMIT
+        )
+    if spec.kind == "proper":
+        members -= primes
+    return members if spec.include_one else members - {1}
+
+
+def oracle_additive(lo, hi, left, right, even_only=False):
     """(counterexamples, minimal-x witness per n, its 1-based rank among
     the left values) by direct subtraction."""
-    lset = sorted(domain_set(left, table))
-    rset = domain_set(right, table)
+    lset = sorted(domain_set(left))
+    rset = domain_set(right)
     cex, witness, position = [], {}, {}
     for n in range(lo, hi + 1):
         if even_only and n % 2:
@@ -46,47 +73,47 @@ def oracle_additive(lo, hi, left, right, table, even_only=False):
 
 
 class TestSumOfTwoMembers:
-    def test_matches_oracle_small(self, fig2e4):
+    def test_matches_oracle_small(self):
         spec = DomainSpec("figurate", True)
-        rep = verify_additive(2, 3000, spec, spec, fig2e4)
-        cex, witness, position = oracle_additive(2, 3000, spec, spec, fig2e4)
+        rep = verify_additive(2, 3000, spec, spec)
+        cex, witness, position = oracle_additive(2, 3000, spec, spec)
         assert rep.counterexamples == cex == []
         assert rep.verified
         assert rep.stats["max_search_depth"] == max(position.values())
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
 
-    def test_forced_decomposition_for_two(self, fig2e4):
+    def test_forced_decomposition_for_two(self):
         spec = DomainSpec("figurate", True)
-        rep = verify_additive(2, 2, spec, spec, fig2e4)
+        rep = verify_additive(2, 2, spec, spec)
         assert rep.witness_sample[0]["n"] == 2
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (1, 1)
 
-    def test_minimal_x_witness_for_97(self, fig2e4):
+    def test_minimal_x_witness_for_97(self):
         spec = DomainSpec("figurate", True)
-        rep = verify_additive(97, 97, spec, spec, fig2e4)
+        rep = verify_additive(97, 97, spec, spec)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (8, 89)
 
-    def test_scalar_tail_witness_and_depth(self, fig1e6):
+    def test_scalar_tail_witness_and_depth(self):
         # one target leaves the vectorized passes after 64 candidates, so
         # its witness and depth come from the scalar tail
         spec = DomainSpec("figurate", True)
-        rep = verify_additive(671581, 671581, spec, spec, fig1e6)
+        rep = verify_additive(671581, 671581, spec, spec)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (88410, 583171)
         assert rep.stats["max_search_depth"] == 8834
 
-    def test_exclude_one_fails_below_four(self, fig2e4):
+    def test_exclude_one_fails_below_four(self):
         # at 20000, 2 and 3 are still open when the scalar tail takes over
         spec = DomainSpec("figurate", False)
         for hi in (100, 20000):
-            rep = verify_additive(2, hi, spec, spec, fig2e4)
+            rep = verify_additive(2, hi, spec, spec)
             assert 2 in rep.counterexamples and 3 in rep.counterexamples
             assert not rep.verified
 
-    def test_witnesses_satisfy_equation_and_membership(self, fig2e4):
+    def test_witnesses_satisfy_equation_and_membership(self):
         spec = DomainSpec("figurate", True)
-        rep = verify_additive(2, 500, spec, spec, fig2e4, sample_size=10)
-        members = domain_set(spec, fig2e4)
+        rep = verify_additive(2, 500, spec, spec, sample_size=10)
+        members = domain_set(spec)
         for w in rep.witness_sample:
             assert w["x"] + w["y"] == w["n"]
             assert w["x"] in members and w["y"] in members
@@ -94,64 +121,74 @@ class TestSumOfTwoMembers:
 
 
 class TestPrimePlusProper:
-    def test_matches_oracle_small(self, fig2e4):
+    def test_matches_oracle_small(self):
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
-        rep = verify_additive(6, 2500, left, right, fig2e4)
-        cex, witness, _ = oracle_additive(6, 2500, left, right, fig2e4)
+        rep = verify_additive(6, 2500, left, right)
+        cex, witness, _ = oracle_additive(6, 2500, left, right)
         assert rep.counterexamples == cex
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
 
-    def test_spec_witness_for_eleven(self, fig2e4):
+    def test_spec_witness_for_eleven(self):
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
-        rep = verify_additive(11, 11, left, right, fig2e4)
+        rep = verify_additive(11, 11, left, right)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (2, 9)
 
     def test_proper_domain_excludes_primes(self, fig2e4):
-        proper = domain_set(DomainSpec("proper", True), fig2e4)
+        proper = set(resolve_domain(DomainSpec("proper", True), fig2e4).values.tolist())
         assert {1, 4, 6, 9, 10}.issubset(proper)
         assert not any(p in proper for p in (2, 3, 5, 7, 11, 13))
 
 
 class TestGoldbach:
-    def test_even_range_verified_to_1e4(self, fig2e4):
+    def test_even_range_verified_to_1e4(self):
         spec = DomainSpec("primes")
-        rep = verify_additive(4, 10**4, spec, spec, fig2e4, even_only=True)
+        rep = verify_additive(4, 10**4, spec, spec, even_only=True)
         assert rep.verified
         assert rep.stats["scanned"] == (10**4 - 4) // 2 + 1
-        _, _, position = oracle_additive(4, 10**4, spec, spec, fig2e4, even_only=True)
+        _, _, position = oracle_additive(4, 10**4, spec, spec, even_only=True)
         assert rep.stats["max_search_depth"] == max(position.values())
 
-    def test_odd_targets_skipped(self, fig2e4):
+    def test_odd_targets_skipped(self):
         spec = DomainSpec("primes")
         for lo, scanned in ((4, 48), (5, 47)):
-            rep = verify_additive(lo, 99, spec, spec, fig2e4, even_only=True)
+            rep = verify_additive(lo, 99, spec, spec, even_only=True)
             assert rep.stats["scanned"] == scanned
 
 
 class TestEngineMechanics:
-    def test_direction_switch_same_report(self, fig2e4):
+    def test_direction_switch_same_report(self):
         # prime + proper iterates the sparse proper side descending; force the
         # ascending path with equal domains and compare a mixed case instead
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
-        rep = verify_additive(6, 4000, left, right, fig2e4)
+        rep = verify_additive(6, 4000, left, right)
         assert rep.stats["mode"] == "right-descending"
         # descending depths leave the scalar tail out; the benchmark's
         # recordings pin that figure
         assert rep.stats["max_search_depth"] == 83
-        cex, witness, _ = oracle_additive(6, 4000, left, right, fig2e4)
+        cex, witness, _ = oracle_additive(6, 4000, left, right)
         assert rep.counterexamples == cex
         for w in rep.witness_sample:
             assert witness[w["n"]] == (w["x"], w["y"])
 
-    def test_chunk_width_does_not_change_reports(self, fig2e4, monkeypatch):
+    def test_direction_depends_only_on_range(self):
+        # the domains are sized over [1, hi]: to 1000 the proper side is not
+        # sparse enough to iterate, whatever table a caller holds elsewhere
+        left, right = DomainSpec("primes"), DomainSpec("proper", True)
+        rep = verify_additive(6, 1000, left, right)
+        assert rep.stats["mode"] == "left-ascending"
+        cex, _, position = oracle_additive(6, 1000, left, right)
+        assert rep.counterexamples == cex
+        assert rep.stats["max_search_depth"] == max(position.values()) == 146
+
+    def test_chunk_width_does_not_change_reports(self, monkeypatch):
         spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
         runs = [
-            lambda: verify_additive(2, 9000, spec, spec, fig2e4),
-            lambda: verify_additive(4, 9000, primes, primes, fig2e4, even_only=True),
-            lambda: verify_linear(2, 3, 1, 9000, spec, fig2e4),
+            lambda: verify_additive(2, 9000, spec, spec),
+            lambda: verify_additive(4, 9000, primes, primes, even_only=True),
+            lambda: verify_linear(2, 3, 1, 9000, spec),
             # descending, with a sample that spans every chunk
-            lambda: verify_linear(2, 151, 1, 2000, spec, fig2e4, sample_size=10**4),
+            lambda: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4),
         ]
         wide = [run() for run in runs]
         monkeypatch.setattr(additive, "CHUNK", 1 << 8)
@@ -160,10 +197,10 @@ class TestEngineMechanics:
             assert vars(w) == vars(n)
         assert wide[3].witness_sample == narrow[3].witness_sample
 
-    def test_jobs_do_not_change_report(self, fig1e6):
+    def test_jobs_do_not_change_report(self):
         spec = DomainSpec("figurate", True)
         reps = [
-            verify_additive(2, 2 * 10**5, spec, spec, fig1e6, jobs=j)
+            verify_additive(2, 2 * 10**5, spec, spec, jobs=j)
             for j in (1, 4)
         ]
         a, b = reps
@@ -172,7 +209,7 @@ class TestEngineMechanics:
         assert a.stats == b.stats
         assert a.verified == b.verified
 
-    def test_pool_capped_at_cpu_count(self, fig2e4, monkeypatch):
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a recording stand-in for the pool runs map serially, so no thread
         # starts however many jobs are asked for
         workers = []
@@ -193,61 +230,62 @@ class TestEngineMechanics:
         monkeypatch.setattr(additive, "ThreadPoolExecutor", SerialPool)
         monkeypatch.setattr(additive.os, "cpu_count", lambda: 3)
         spec = DomainSpec("figurate", True)
-        serial = verify_additive(2, 9000, spec, spec, fig2e4)
+        serial = verify_additive(2, 9000, spec, spec)
         for jobs in (2, 3, 10**5):
-            rep = verify_additive(2, 9000, spec, spec, fig2e4, jobs=jobs)
+            rep = verify_additive(2, 9000, spec, spec, jobs=jobs)
             assert (rep.counterexamples, rep.stats) == (serial.counterexamples, serial.stats)
-        verify_linear(2, 3, 1, 9000, spec, fig2e4, jobs=10**5)
+        verify_linear(2, 3, 1, 9000, spec, jobs=10**5)
         assert workers == [2, 3, 3, 3]
 
-    def test_split_ranges_merge_to_full_run(self, fig2e4):
+    def test_split_ranges_merge_to_full_run(self):
         spec = DomainSpec("figurate", True)
-        full = verify_additive(2, 9000, spec, spec, fig2e4, max_counterexamples=10**6)
+        full = verify_additive(2, 9000, spec, spec, max_counterexamples=10**6)
         parts = [
-            verify_additive(lo, hi, spec, spec, fig2e4, max_counterexamples=10**6)
+            verify_additive(lo, hi, spec, spec, max_counterexamples=10**6)
             for lo, hi in ((2, 4500), (4501, 9000))
         ]
         merged = parts[0].counterexamples + parts[1].counterexamples
         assert full.counterexamples == merged
 
-    def test_monotone_include_one(self, fig2e4):
+    def test_monotone_include_one(self):
         incl = verify_additive(
             2, 10**4, DomainSpec("figurate", True), DomainSpec("figurate", True),
-            fig2e4, max_counterexamples=10**6,
+            max_counterexamples=10**6,
         )
         excl = verify_additive(
             2, 10**4, DomainSpec("figurate", False), DomainSpec("figurate", False),
-            fig2e4, max_counterexamples=10**6,
+            max_counterexamples=10**6,
         )
         assert set(incl.counterexamples).issubset(set(excl.counterexamples))
 
-    def test_range_and_table_guards(self, fig2e4):
+    def test_range_and_table_guards(self):
         spec = DomainSpec("figurate", True)
         with pytest.raises(UsageError):
-            verify_additive(1, 10, spec, spec, fig2e4)
-        with pytest.raises(UsageError):
-            verify_additive(2, fig2e4.limit + 1, spec, spec, fig2e4)
+            verify_additive(1, 10, spec, spec)
         for bad in ({"jobs": 0}, {"sample_size": -1}, {"max_counterexamples": -1}):
             with pytest.raises(UsageError):
-                verify_additive(2, 10, spec, spec, fig2e4, **bad)
+                verify_additive(2, 10, spec, spec, **bad)
             with pytest.raises(UsageError):
-                verify_linear(1, 2, 1, 10, spec, fig2e4, **bad)
+                verify_linear(1, 2, 1, 10, spec, **bad)
 
     def test_unknown_domain_kind_rejected(self):
         with pytest.raises(UsageError):
             DomainSpec("integers")
 
-    def test_include_one_needs_matching_table(self):
-        from figprimes import generate_figurate
+    def test_resolve_domain_matches_oracle(self):
+        table = generate_figurate(3000)
+        for kind in DOMAIN_KINDS:
+            for include_one in (True, False):
+                spec = DomainSpec(kind, include_one)
+                dom = resolve_domain(spec, table)
+                expected = sorted(n for n in domain_set(spec) if n <= 3000)
+                assert dom.values.tolist() == expected, spec
+                assert np.flatnonzero(dom.membership).tolist() == expected, spec
 
-        bare = generate_figurate(100, include_one=False)
-        with pytest.raises(UsageError):
-            resolve_domain(DomainSpec("figurate", True), bare)
 
-
-def oracle_linear(a, b, lo, hi, spec, table):
+def oracle_linear(a, b, lo, hi, spec):
     """Also returns each witness x's 1-based rank among the values = x mod b."""
-    vals = sorted(domain_set(spec, table))
+    vals = sorted(domain_set(spec))
     vset = set(vals)
     rank, seen = {}, {}
     for v in vals:
@@ -272,10 +310,10 @@ def oracle_linear(a, b, lo, hi, spec, table):
 
 class TestLinear:
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (3, 4), (4, 7)])
-    def test_matches_oracle_figurate(self, fig2e4, a, b):
+    def test_matches_oracle_figurate(self, a, b):
         spec = DomainSpec("figurate", True)
-        rep = verify_linear(a, b, 1, 1200, spec, fig2e4, max_counterexamples=10**6)
-        cex, witness, below, position = oracle_linear(a, b, 1, 1200, spec, fig2e4)
+        rep = verify_linear(a, b, 1, 1200, spec, max_counterexamples=10**6)
+        cex, witness, below, position = oracle_linear(a, b, 1, 1200, spec)
         assert rep.counterexamples == cex
         assert rep.stats["below_floor"] == below
         assert rep.stats["max_search_depth"] == max(position.values())
@@ -284,7 +322,7 @@ class TestLinear:
             assert witness[w["n"]] == (w["x"], w["y"])
 
     @pytest.mark.parametrize("a,b", [(1, 150), (2, 151)])
-    def test_descending_matches_oracle(self, fig2e4, monkeypatch, a, b):
+    def test_descending_matches_oracle(self, monkeypatch, a, b):
         # b*b exceeds the 2000 targets, so y runs descending in its classes
         # mod a; the sample holds every represented target
         orders = []
@@ -293,10 +331,10 @@ class TestLinear:
             additive, "_settle", lambda *args: orders.append(args[-1]) or settle(*args)
         )
         spec = DomainSpec("figurate", True)
-        rep = verify_linear(a, b, 1, 2000, spec, fig2e4,
+        rep = verify_linear(a, b, 1, 2000, spec,
                             max_counterexamples=10**6, sample_size=10**4)
         assert orders and not any(orders)
-        cex, witness, below, _ = oracle_linear(a, b, 1, 2000, spec, fig2e4)
+        cex, witness, below, _ = oracle_linear(a, b, 1, 2000, spec)
         assert rep.counterexamples == cex
         assert rep.stats["below_floor"] == below
         assert rep.stats["largest_exception"] == (max(cex) if cex else None)
@@ -305,7 +343,7 @@ class TestLinear:
     def test_large_b_sample_and_counterexamples(self, fig1e6):
         # every y is a member <= 10; the first represented target is 99993
         spec = DomainSpec("figurate", True)
-        rep = verify_linear(2, 99991, 1, 10**6, spec, fig1e6)
+        rep = verify_linear(2, 99991, 1, 10**6, spec)
         sample = [(w["n"], w["x"], w["y"]) for w in rep.witness_sample]
         assert len(sample) == 10
         assert sample[0] == (99993, 1, 1)
@@ -325,7 +363,7 @@ class TestLinear:
         assert rep.stats["below_floor"] == 99992
         assert rep.counterexample_total == 10**6 - 99992 - int(represented.sum()) == 708802
 
-    def test_large_coefficients_visit_no_class(self, fig2e4, monkeypatch):
+    def test_large_coefficients_visit_no_class(self, monkeypatch):
         # every target lies below the floor a + b, and no candidate leaves
         # room below hi, so the kernel never runs
         calls = []
@@ -333,51 +371,51 @@ class TestLinear:
         monkeypatch.setattr(additive, "_settle", lambda *args: calls.append(args) or settle(*args))
         spec = DomainSpec("figurate", True)
         for a, b in ((2, 10**6 + 3), (1000003, 1000033), (2**31, 2**31 + 1)):
-            rep = verify_linear(a, b, 1, 100, spec, fig2e4)
+            rep = verify_linear(a, b, 1, 100, spec)
             assert rep.stats["below_floor"] == 100
             assert rep.verified and rep.witness_sample == []
         assert calls == []
 
-    def test_matches_oracle_primes(self, fig2e4):
+    def test_matches_oracle_primes(self):
         spec = DomainSpec("primes")
-        rep = verify_linear(1, 2, 2, 800, spec, fig2e4, max_counterexamples=10**6)
-        cex, _, _, _ = oracle_linear(1, 2, 2, 800, spec, fig2e4)
+        rep = verify_linear(1, 2, 2, 800, spec, max_counterexamples=10**6)
+        cex, _, _, _ = oracle_linear(1, 2, 2, 800, spec)
         assert rep.counterexamples == cex
         assert 20 in rep.counterexamples
 
-    def test_twenty_over_members_has_witness(self, fig2e4):
-        rep = verify_linear(1, 2, 20, 20, DomainSpec("figurate", True), fig2e4)
+    def test_twenty_over_members_has_witness(self):
+        rep = verify_linear(1, 2, 20, 20, DomainSpec("figurate", True))
         assert rep.verified
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (2, 9)
 
-    def test_minimum_of_form_witness(self, fig2e4):
-        rep = verify_linear(2, 3, 5, 5, DomainSpec("figurate", True), fig2e4)
+    def test_minimum_of_form_witness(self):
+        rep = verify_linear(2, 3, 5, 5, DomainSpec("figurate", True))
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (1, 1)
 
-    def test_below_floor_not_counterexamples(self, fig2e4):
-        rep = verify_linear(2, 3, 1, 4, DomainSpec("figurate", True), fig2e4)
+    def test_below_floor_not_counterexamples(self):
+        rep = verify_linear(2, 3, 1, 4, DomainSpec("figurate", True))
         assert rep.counterexamples == []
         assert rep.stats["below_floor"] == 4
         assert rep.verified
 
-    def test_threshold_reported(self, fig2e4):
-        rep = verify_linear(4, 7, 1, 2000, DomainSpec("figurate", True), fig2e4,
+    def test_threshold_reported(self):
+        rep = verify_linear(4, 7, 1, 2000, DomainSpec("figurate", True),
                             max_counterexamples=10**6)
         assert rep.stats["threshold"] == 18
         assert rep.stats["largest_exception_within_threshold"] in (None, False, True)
 
-    def test_witnesses_satisfy_equation(self, fig2e4):
+    def test_witnesses_satisfy_equation(self):
         spec = DomainSpec("figurate", True)
-        rep = verify_linear(2, 3, 5, 400, spec, fig2e4, sample_size=10)
-        members = domain_set(spec, fig2e4)
+        rep = verify_linear(2, 3, 5, 400, spec, sample_size=10)
+        members = domain_set(spec)
         for w in rep.witness_sample:
             assert 2 * w["x"] + 3 * w["y"] == w["n"]
             assert w["x"] in members and w["y"] in members
 
-    def test_jobs_do_not_change_report(self, fig2e4):
+    def test_jobs_do_not_change_report(self):
         spec = DomainSpec("figurate", True)
         reps = [
-            verify_linear(2, 3, 1, 2 * 10**4, spec, fig2e4, jobs=j,
+            verify_linear(2, 3, 1, 2 * 10**4, spec, jobs=j,
                           max_counterexamples=10**6)
             for j in (1, 4)
         ]
@@ -385,15 +423,15 @@ class TestLinear:
         assert reps[0].stats == reps[1].stats
         assert reps[0].witness_sample == reps[1].witness_sample
 
-    def test_coprimality_enforced(self, fig2e4):
+    def test_coprimality_enforced(self):
         with pytest.raises(UsageError):
-            verify_linear(2, 4, 1, 10, DomainSpec("figurate", True), fig2e4)
+            verify_linear(2, 4, 1, 10, DomainSpec("figurate", True))
 
-    def test_coefficients_stay_in_63_bits(self, fig2e4):
+    def test_coefficients_stay_in_63_bits(self):
         spec = DomainSpec("figurate", True)
         # a or b past 2^63 - 1, or a threshold (a-1)(b-1) past it
         for a, b in ((10**30, 10**30 + 1), (1, 2**63), (2**32, 2**32 + 1)):
             with pytest.raises(ArithmeticGuardError):
-                verify_linear(a, b, 1, 100, spec, fig2e4)
-        rep = verify_linear(1, 2**63 - 1, 1, 100, spec, fig2e4)
+                verify_linear(a, b, 1, 100, spec)
+        rep = verify_linear(1, 2**63 - 1, 1, 100, spec)
         assert rep.stats["threshold"] == 0

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from figprimes import generate_figurate, theorem_errata, twin_figurate
+from figprimes import (
+    DomainSpec,
+    generate_figurate,
+    theorem_errata,
+    twin_figurate,
+    verify_additive,
+)
 from figprimes.cli import run
 from figprimes.reporting import ENVELOPE_KEYS, Table, build_envelope, render_report
 
@@ -188,11 +194,23 @@ class TestEnvelope:
             time.sleep(0.05)
             return generate_figurate(*args, **kwargs)
 
-        monkeypatch.setattr("figprimes.cli.generate_figurate", slow_generate)
+        monkeypatch.setattr("figprimes.additive.generate_figurate", slow_generate)
         span = ["--from", "4", "--to", "100"]
         for argv in (["sum2"], ["prime-proper"], ["goldbach"], ["linear", "--a", "1", "--b", "2"]):
             _, env = run_json(argv + span, tmp_path)
             assert env["elapsed_ms"] >= 50, argv
+
+    def test_one_target_linear_range(self, tmp_path):
+        # the one target lies below the floor a + b = 3
+        argv = ["linear", "--a", "1", "--b", "2", "--from", "1", "--to", "1"]
+        code, env = run_json(argv, tmp_path)
+        assert code == 0 and env["verified"] is True
+        assert (env["stats"]["scanned"], env["stats"]["below_floor"]) == (1, 1)
+
+    def test_scan_report_matches_library(self, tmp_path):
+        _, env = run_json(["prime-proper", "--from", "6", "--to", "1000"], tmp_path)
+        rep = verify_additive(6, 1000, DomainSpec("primes"), DomainSpec("proper"))
+        assert env["stats"] == rep.stats
 
     def test_verification_witnesses(self, tmp_path):
         _, env = run_json(["sum2", "--from", "2", "--to", "50"], tmp_path)

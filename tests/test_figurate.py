@@ -62,7 +62,7 @@ class TestMembershipOracle:
         got = set(table.values.tolist())
         assert got == expected
         for n in range(0, limit + 1):
-            assert table.contains(n) == (n in expected), n
+            assert table.membership[n] == (n in expected), n
 
     def test_first_members_include_one(self):
         table = generate_figurate(40)
@@ -72,25 +72,27 @@ class TestMembershipOracle:
     def test_one_excluded_on_flag(self):
         table = generate_figurate(40, include_one=False)
         assert table.values.tolist()[0] == 2
-        assert not table.contains(1)
+        assert not table.membership[1]
 
     def test_fifteen_not_member(self):
         # C(6, 2) = 15 but 6 is not a prime power
         table = generate_figurate(100)
-        assert not table.contains(15)
+        assert not table.membership[15]
         assert figurate_witness(15) is None
 
 
 class TestWitnesses:
     def test_witnesses_valid_and_canonical(self, fig2e4):
         for n in fig2e4.values.tolist()[:4000] + [np.int64(97)]:
-            w = fig2e4.witness(n)
+            w = figurate_witness(n)
             assert w.value == n
             assert comb(w.base, w.i) == n
             assert w.a >= 1 and w.i >= 1
+            # plain ints, so that reports serialize
+            assert all(type(x) is int for x in (w.value, w.p, w.a, w.i))
 
-    def test_one_has_fixed_witness(self, fig2e4):
-        w = fig2e4.witness(1)
+    def test_one_has_fixed_witness(self):
+        w = figurate_witness(1)
         assert (w.value, w.p, w.a, w.i) == ONE_WITNESS_ARGS
         assert comb(w.base, w.i) == 1
 
@@ -98,40 +100,23 @@ class TestWitnesses:
         # no stratum below the witness index may reproduce the value
         pps = [m for m in range(2, 300) if _is_pp(m)]
         for n in fig2e4.values.tolist()[:600]:
-            w = fig2e4.witness(n)
+            w = figurate_witness(n)
             if w.i == 1:
                 continue
             assert not _is_pp(n), n
             for i in range(2, w.i):
                 assert all(comb(m, i) != n for m in pps), (n, i)
 
-    def test_table_free_witness_agrees(self, fig2e4):
-        # every value below 3000, then every member of the table
-        for n in [*range(1, 3000), *fig2e4.values.tolist(), np.int64(97)]:
-            w = figurate_witness(n)
-            member = fig2e4.contains(n)
-            assert (w is not None) == member
-            if member:
-                t = fig2e4.witness(n)
-                assert (w.p, w.a, w.i) == (t.p, t.a, t.i)
-                # plain ints, so that reports serialize
-                assert all(type(x) is int for x in (t.value, t.p, t.a, t.i))
-                assert comb(t.base, t.i) == n
-        # without 1 the table has no witness for it; the rest is unchanged
-        no_one = generate_figurate(2000, include_one=False)
-        assert no_one.witness(1) is None
-        for n in no_one.values.tolist():
-            assert no_one.witness(n) == fig2e4.witness(n)
-
     def test_symmetry_on_stored_witnesses(self, fig2e4):
         for n in fig2e4.values.tolist():
-            w = fig2e4.witness(n)
+            w = figurate_witness(n)
             m = w.base
             if 2 <= w.i <= m // 2:
                 assert comb(m, m - w.i) == comb(m, w.i)
 
     def test_witness_for_nonmember_is_none(self, fig2e4):
-        assert fig2e4.witness(15) is None
+        for n in np.flatnonzero(~fig2e4.membership[1:3000]) + 1:
+            assert figurate_witness(n) is None, n
 
     def test_large_table_free_witness(self):
         w = figurate_witness(2**61 - 1)
@@ -144,10 +129,6 @@ class TestTableShape:
         vals = fig1e6.values
         assert (vals[1:] > vals[:-1]).all()
         assert fig1e6.count == vals.size
-
-    def test_contains_range_checked(self, fig2e4):
-        with pytest.raises(UsageError):
-            fig2e4.contains(fig2e4.limit + 1)
 
     def test_generation_guards(self):
         with pytest.raises(UsageError):

@@ -14,6 +14,7 @@ from figprimes import (
     power_of_two_gap_report,
     prime_gap_report,
 )
+from figprimes import powerful
 from figprimes.powerful import _tfull_upto
 
 ORACLE_LIMIT = 3 * 10**4
@@ -169,6 +170,24 @@ class TestPowerOfTwoGaps:
             power_of_two_gap_report(-1, 100)
         with pytest.raises(UsageError):
             power_of_two_gap_report(10, 100)
+
+    def test_guard_boundary_matches_power_rule(self, monkeypatch):
+        # past the guard the report sieves to limit; stopping it there leaves
+        # only where the guard falls, checked against 2^(rmax+1) > limit
+        class PastGuard(Exception):
+            pass
+
+        def stop(*args):
+            raise PastGuard
+
+        monkeypatch.setattr(powerful, "_tfull_upto", stop)
+        for r in range(63):
+            for limit in (2 ** (r + 1) - 1, 2 ** (r + 1)):
+                with pytest.raises(UsageError if 2 ** (r + 1) > limit else PastGuard):
+                    power_of_two_gap_report(r, limit)
+        for limit in (0, -1):
+            with pytest.raises(UsageError, match="limit too small"):
+                power_of_two_gap_report(0, limit)
 
 
 class TestPrimeGaps:
