@@ -9,12 +9,22 @@ of the left's members, or when a < b and b*b exceeds the number of targets,
 so that ascending would have more classes than targets per class.  Only the
 candidates that leave room for the other summand below hi are kept.  The
 candidates of one class reach exactly one class of targets, a progression of
-stride equal to the modulus, which one kernel settles with one vectorized AND
-per candidate; classes holding no candidate are never visited, and their
-targets stay counterexamples.  The range is cut into chunks of CHUNK times
-the modulus, each chunk fills one witness array over its targets, and chunk
-results are merged in chunk order, so the report is identical no matter how
-many worker threads run.  Witnesses always use the minimal x.
+stride equal to the modulus, which one kernel settles with one vectorized
+pass per candidate; classes holding no candidate are never visited, and their
+targets stay counterexamples.  The range is cut into chunks, each chunk fills
+one witness array over its targets, and chunk results are merged in chunk
+order, so the report is identical no matter how many worker threads run.
+Witnesses always use the minimal x.
+
+A chunk spans a fixed number of targets per class, times the modulus, and
+that number depends on the direction.  Ascending scans take CHUNK_ASCENDING:
+each target's search starts at the smallest candidate whatever chunk holds
+it, so the width changes no report, and wide chunks pay the per-pass cost of
+a candidate once over many targets.  Descending scans keep CHUNK: each chunk
+starts at the largest candidate below its own last target, so a wider chunk
+spends more passes on candidates its low targets cannot use, and
+``max_search_depth``, which those scans count from the chunk's top, would
+change with the width.
 
 The engine builds its own set table, to max(hi, 2), and resolves both domains
 from it, so a report depends only on the range, the domains and the options.
@@ -38,12 +48,17 @@ from .errors import ArithmeticGuardError, UsageError
 from .figurate import FigurateTable, figurate_witness, generate_figurate
 from .intkernel import U63_MAX, prime_power_decompose, prime_powers_upto
 
+# Targets per residue class in one chunk, by direction (see above).
 CHUNK = 1 << 16
+CHUNK_ASCENDING = 1 << 18
 
 # Below this many unresolved targets a chunk drops out of vectorized passes
 # into per-target scalar scans.
 _STRAGGLER_CUTOFF = 32
 _STRAGGLER_MIN_PASSES = 64
+# Below this fraction of open targets a chunk's passes gather the open
+# targets only.
+_COMPACT_BELOW = 1 / 32
 
 DOMAIN_KINDS = ("primes", "figurate", "proper", "prime-powers")
 
@@ -127,10 +142,20 @@ def _settle(
     Writes each target's witness c into ``wit``, which comes filled with -1,
     and returns the search depth, the largest 1-based candidate position
     that settled a target.
+
+    A pass ANDs the open mask with the strided slice of ``mem``, until fewer
+    than ``_COMPACT_BELOW`` of the targets are open.  Then the chunk
+    compacts: the open t are taken once, ascending, and each later pass
+    gathers ``mem`` at the o of the open t >= t0 only, writes the hits'
+    witnesses and keeps the misses, so its work follows the open targets,
+    not the chunk.  Once at most ``_STRAGGLER_CUTOFF`` targets are open
+    after ``_STRAGGLER_MIN_PASSES`` passes, the rest settle one target at a
+    time in a scalar tail.
     """
     count = wit.size
     depth = 0
     open_ = np.ones(count, dtype=bool)
+    idx = None  # the open t, ascending, once the chunk is compacted
     pending = count
     last = n0 + step * (count - 1)
     s = step // b
@@ -143,16 +168,30 @@ def _settle(
             break
         o0 = (n0 - a * c) // b
         t0 = max(0, (s - o0) // s)  # first t with o >= 1
-        hit = open_[t0:] & mem[o0 + s * t0 : o0 + s * count : s]
-        k = int(np.count_nonzero(hit))
+        if idx is None and pending < count * _COMPACT_BELOW:
+            idx = np.flatnonzero(open_)
+        if idx is None:
+            hit = open_[t0:] & mem[o0 + s * t0 : o0 + s * count : s]
+            k = int(np.count_nonzero(hit))
+            if k:
+                wit[t0:][hit] = c
+                open_[t0:] ^= hit
+        else:
+            j = int(idx.searchsorted(t0)) if t0 else 0
+            rest = idx[j:]
+            # mem from o(t0) on, strided, is indexed by t - t0
+            hit = mem[o0 + s * t0 :: s][rest - t0 if t0 else rest]
+            k = int(np.count_nonzero(hit))
+            if k:
+                wit[rest[hit]] = c
+                rest = rest[~hit]
+                idx = np.concatenate((idx[:j], rest)) if j else rest
         if k:
-            wit[t0:][hit] = c
-            open_[t0:] &= ~hit
             pending -= k
             depth = pos + 1
             if pending == 0:
                 break
-    for t in np.flatnonzero(open_).tolist():
+    for t in (np.flatnonzero(open_) if idx is None else idx).tolist():
         n = n0 + step * t
         for pos in range(tail, len(cands)):
             c = cands[pos]
@@ -163,8 +202,9 @@ def _settle(
             if mem[(n - a * c) // b]:
                 wit[t] = c
                 # Descending orders leave tail positions out of the depth, an
-                # undercount that the reports in perfbench/expected/ pin; it
-                # stays until those are recorded again.
+                # undercount that the reports in perfbench/expected/ pin.
+                # Counting the depth per target (ROADMAP item 1) waits for a
+                # benchmark change that may record those reports again.
                 if ascending:
                     depth = max(depth, pos + 1)
                 break
@@ -203,12 +243,14 @@ def _verify(task, params, a, b, lo, hi, left, right, step, sample_end, *,
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
     ci, m, it, other = (b, a, rdom, ldom) if descending else (a, b, ldom, rdom)
     cands = it.values[: np.searchsorted(it.values, (hi - m) // ci, "right")]
-    res = cands % m if cands.size else cands  # m may pass int64 only when none is left
-    order = np.argsort(res, kind="stable")
-    cuts = np.flatnonzero(np.diff(res[order])) + 1
+    if m == 1:  # one class
+        groups = [cands]
+    else:
+        res = cands % m if cands.size else cands  # m may pass int64 only when none is left
+        order = np.argsort(res, kind="stable")
+        groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
     # c = r (mod m) reaches exactly the targets n = ci*r (mod m)
-    groups = (g.tolist() for g in np.split(cands[order], cuts))
-    classes = [(ci * g[0] % m, g) for g in groups if g]
+    classes = [(ci * g[0] % m, g) for g in (g.tolist() for g in groups) if g]
 
     def worker(span):
         n0 = span[0] + -span[0] % step
@@ -242,7 +284,7 @@ def _verify(task, params, a, b, lo, hi, left, right, step, sample_end, *,
         opens += n0
         return opens.tolist(), found, count, depth
 
-    width = CHUNK * m
+    width = (CHUNK if descending else CHUNK_ASCENDING) * m
     # no target below a + b has x, y >= 1
     chunks = [(s, min(s + width - 1, hi)) for s in range(max(lo, a + b), hi + 1, width)]
     if jobs > 1:

@@ -192,12 +192,15 @@ class TestEngineMechanics:
         ]
         wide = [run() for run in runs]
         monkeypatch.setattr(additive, "CHUNK", 1 << 8)
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 8)
         narrow = [run() for run in runs]
         for w, n in zip(wide[:3], narrow[:3]):  # ascending: every field
             assert vars(w) == vars(n)
         assert wide[3].witness_sample == narrow[3].witness_sample
 
-    def test_jobs_do_not_change_report(self):
+    def test_jobs_do_not_change_report(self, monkeypatch):
+        # narrow ascending chunks, so that the pool merges seven of them
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 15)
         spec = DomainSpec("figurate", True)
         reps = [
             verify_additive(2, 2 * 10**5, spec, spec, jobs=j)
@@ -208,6 +211,28 @@ class TestEngineMechanics:
         assert a.witness_sample == b.witness_sample
         assert a.stats == b.stats
         assert a.verified == b.verified
+
+    def test_compaction_does_not_change_reports(self, monkeypatch):
+        # the full-width passes are the oracle for the compacted ones; narrow
+        # ascending chunks give the pool several to merge
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 12)
+        spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
+        no_one = DomainSpec("figurate", False)
+        runs = [
+            lambda j: verify_additive(2, 2 * 10**4, spec, spec, jobs=j),
+            lambda j: verify_additive(2, 2 * 10**4, no_one, no_one, jobs=j),
+            lambda j: verify_additive(4, 2 * 10**4, primes, primes, even_only=True, jobs=j),
+            lambda j: verify_additive(6, 4000, primes, DomainSpec("proper", True), jobs=j),
+            lambda j: verify_linear(2, 3, 1, 2000, spec, jobs=j),
+            lambda j: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4, jobs=j),
+        ]
+        reports = {}
+        for below in (0, 2):  # never compact; compact from the first pass
+            monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
+            reports[below] = [vars(run(j)) for run in runs for j in (1, 2)]
+        assert reports[0] == reports[2]
+        proper = reports[2][6]["stats"]  # prime-proper at jobs 1
+        assert (proper["mode"], proper["max_search_depth"]) == ("right-descending", 83)
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
         # a recording stand-in for the pool runs map serially, so no thread
