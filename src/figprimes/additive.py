@@ -83,7 +83,6 @@ class DomainSpec:
 
 @dataclass(frozen=True)
 class _Domain:
-    label: str
     values: np.ndarray      # ascending members, dtype int64
     membership: np.ndarray  # bool, indexable by value
 
@@ -92,21 +91,21 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
     """The members of ``spec`` up to the table's limit; the table holds 1."""
     pt = table.prime_table
     if spec.kind == "primes":
-        return _Domain(spec.label, pt.primes, pt.prime_mask)
+        return _Domain(pt.primes, pt.prime_mask)
     if spec.kind == "prime-powers":
         values = prime_powers_upto(table.limit, pt)[0]
         membership = np.zeros(table.limit + 1, dtype=bool)
         membership[values] = True
-        return _Domain(spec.label, values, membership)
+        return _Domain(values, membership)
     if spec.kind == "figurate" and spec.include_one:
         # the table's own arrays, shared: the kernel only reads them
-        return _Domain(spec.label, table.values, table.membership)
+        return _Domain(table.values, table.membership)
     membership = table.membership.copy()
     if spec.kind == "proper":
         membership &= ~pt.prime_mask
     if not spec.include_one:
         membership[1] = False
-    return _Domain(spec.label, np.flatnonzero(membership).astype(np.int64), membership)
+    return _Domain(np.flatnonzero(membership).astype(np.int64), membership)
 
 
 @dataclass

@@ -118,15 +118,19 @@ class CurveModel:
 
 
 def _model(kind: str, s: int, k: int) -> CurveModel:
-    """The model of one kind, built from its row of ``_KINDS``."""
+    """The model of one kind, built from its row of ``_KINDS``; its constant
+    term must fit in 63 bits."""
     if s not in (1, -1) or k < 1:
         raise UsageError(f"{kind}_model needs s in {{1, -1}} and k >= 1")
     spec = _KINDS[kind]
     base, step = spec.constant
+    constant = base + step * s * k
+    if abs(constant) > U63_MAX:
+        raise ArithmeticGuardError(f"constant term {constant} is beyond 2^63 - 1")
     keys = ((kind, s, k), (kind, "map"), (kind, "shift", k))
     return CurveModel(
         kind=kind, s=s, k=k,
-        coeffs=spec.fixed + (base + step * s * k,),
+        coeffs=spec.fixed + (constant,),
         published_shift=spec.shifts.get(k, 0),
         notes=tuple(CORRECTION_NOTES[key] for key in keys if key in CORRECTION_NOTES),
     )

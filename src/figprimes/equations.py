@@ -5,8 +5,9 @@ prime-power pair, reported together with both binomial values.  Completeness
 is always relative to a bound on the subtrahend: every solution with
 C(q**b, j) <= value_bound is found.  Apart from the closed form for
 i = j = 1 with odd k, one walk over the prime powers of one side solves every
-instance, and the sieve budget is its only ceiling.  The special families
-are instances too: p**a = C(q, 2) + 1 is (1, 2, 1) with b = 1, and
+instance, and the sieve budget is its only ceiling.  The triangular
+predecessors and the special families are instances too: p = C(q, 2) + 1 is
+(1, 2, 1) with a = b = 1, p**a = C(q, 2) + 1 is (1, 2, 1) with b = 1, and
 p**a = C(q**b, 3) + 1 is (1, 3, 1).  ``reconcile`` compares a solution set
 with the published one, for the catalog report and for a single solve alike.
 """
@@ -15,8 +16,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib.resources import files
-from math import comb, isqrt
+from math import comb
 from operator import index
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +27,6 @@ from .intkernel import (
     U63_MAX,
     binomial_arg,
     build_sieve,
-    is_prime_many,
     prime_power_decompose,
     prime_power_decompose_many,
     prime_powers_upto,
@@ -47,8 +48,7 @@ class EquationInstance:
         return (self.i, self.j, self.k)
 
 
-@dataclass(frozen=True)
-class EquationSolution:
+class EquationSolution(NamedTuple):
     p: int
     a: int
     q: int
@@ -135,22 +135,19 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     walked = (bases[hits].tolist(), exponents[hits].tolist(), sides[hits].tolist())
     inverted = (arg_bases[hits].tolist(), arg_exponents[hits].tolist(), targets[hits].tolist())
     (p, a, left), (q, b, right) = (walked, inverted) if i > j else (inverted, walked)
-    return [EquationSolution(*s) for s in zip(p, a, q, b, left, right)]
+    return list(map(EquationSolution._make, zip(p, a, q, b, left, right)))
 
 
 def enumerate_p_minus1_triangular(limit: int) -> list[tuple[int, int]]:
     """Primes p <= limit with p - 1 = C(q, 2) for prime q, ascending by p.
 
-    q is at most the sieve limit, far below 2^31, so q(q - 1) fits in int64.
+    These are the solutions of instance (1, 2, 1) with a = b = 1 and
+    C(q, 2) <= limit - 1; the solver emits them ascending by C(q, 2), so by p.
     """
     if limit < 2:
         raise UsageError("limit must be >= 2")
-    qs = build_sieve(isqrt(2 * limit) + 2).primes
-    ps = qs * (qs - 1) // 2 + 1
-    keep = ps <= limit
-    qs, ps = qs[keep], ps[keep]
-    hits = is_prime_many(ps)
-    return list(zip(ps[hits].tolist(), qs[hits].tolist()))
+    sols = solve_equation(EquationInstance(1, 2, 1), limit - 1)
+    return [(s.p, s.q) for s in sols if s.a == 1 and s.b == 1]
 
 
 @dataclass

@@ -126,8 +126,8 @@ def figurate_witness(n: int) -> FigurateWitness | None:
     at least 2i because C(2i, i) <= n.
     """
     n = index(n)
-    if n < 1:
-        raise UsageError("figurate_witness needs n >= 1")
+    if not 1 <= n <= U63_MAX:
+        raise UsageError("figurate_witness needs 1 <= n <= 2^63 - 1")
     if n == 1:
         return FigurateWitness(*ONE_WITNESS_ARGS)
     pp = prime_power_decompose(n)

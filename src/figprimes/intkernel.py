@@ -1,14 +1,15 @@
 """Exact integer arithmetic: primality, sieves, prime powers, roots, binomial inverse.
 
 Every routine here is deterministic and exact.  Floating point may be used to
-seed an iteration but never decides a result.  It appears in two places: the
-batch functions ``is_prime_many`` and ``prime_power_decompose_many`` take the
-quotient of a*b mod n from float64, which is off from the true quotient by
-less than 1/4 for n <= 2^50, so one correction by n in wrapping 64-bit
-arithmetic makes the residue exact (see ``_mulmod``); and they seed integer
-roots with a float64 power whose rounded value is then checked in integers.
-Values above 2^50 go to the scalar ``is_prime`` and
-``prime_power_decompose``, which use Python integers throughout.
+seed an iteration but never decides a result.  It appears in two places,
+both in the batch function ``prime_power_decompose_many``: its Miller-Rabin
+takes the quotient of a*b mod n from float64, which is off from the true
+quotient by less than 1/4 for n <= 2^50, so one correction by n in wrapping
+64-bit arithmetic makes the residue exact (see ``_mulmod``); and it seeds
+integer roots with a float64 power whose rounded value is then checked in
+integers.  Values above 2^50 go to the scalar ``prime_power_decompose``,
+which uses Python integers throughout.  Batch primality is exponent 1 of
+that decomposition.
 """
 from __future__ import annotations
 
@@ -40,6 +41,15 @@ _LANE_LIMIT = 2**50
 
 #: lanes per batch Miller-Rabin block, which bounds its temporaries
 _BLOCK = 1 << 14
+
+#: every p**e <= 2^50 for p <= 37 as aligned (values, bases, exponents), ascending
+#: by value; the last row is 2^50 itself, so no lane below 2^50 looks past the end
+_SMALL_POWERS = tuple(
+    np.array(column, dtype=np.int64)
+    for column in zip(*sorted(
+        (p**e, p, e) for p in _SMALL_PRIMES for e in range(1, 51) if p**e <= _LANE_LIMIT
+    ))
+)
 
 
 def _check_exact(n: int) -> None:
@@ -231,21 +241,6 @@ def _power_root(n: int) -> PrimePower | None:
     return None
 
 
-def _int64_lanes(values) -> np.ndarray:
-    lanes = np.asarray(values, dtype=np.int64)
-    if lanes.ndim != 1:
-        raise UsageError("batch arithmetic needs a one-dimensional array")
-    return lanes
-
-
-def _small_factor(v: np.ndarray) -> np.ndarray:
-    """The smallest prime <= 37 dividing each lane of v, or 0 where none does."""
-    factor = np.zeros(v.size, dtype=np.int64)
-    for p in reversed(_SMALL_PRIMES):
-        factor[v % p == 0] = p
-    return factor
-
-
 def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
     """a*b mod n over uint64 lanes with a, b < n <= 2^50; nf is n as float64.
 
@@ -329,37 +324,21 @@ def _miller_rabin_many(n: np.ndarray) -> np.ndarray:
     return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
 
 
-def is_prime_many(values) -> np.ndarray:
-    """``is_prime`` over a one-dimensional int64 array, as a bool array.
-
-    The same three steps as the scalar test: the small-prime screen, then
-    Miller-Rabin with the same seven bases, run in fixed-size blocks of int64
-    lanes.  Values at or above 2^50 go through scalar ``is_prime``.
-    """
-    v = _int64_lanes(values)
-    out = np.zeros(v.size, dtype=bool)
-    big = np.flatnonzero(v >= _LANE_LIMIT)
-    out[big] = [is_prime(x) for x in v[big].tolist()]
-    small = (v >= 2) & (v < _LANE_LIMIT)
-    factor = _small_factor(v)
-    out[small & (factor == v)] = True
-    rest = np.flatnonzero(small & (factor == 0))
-    out[rest] = _miller_rabin_many(v[rest])
-    return out
-
-
 def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
     """``prime_power_decompose`` over a one-dimensional int64 array.
 
     Returns aligned int64 arrays ``(bases, exponents)`` with
     ``values == bases**exponents`` where the value is a prime power, and
-    ``bases == exponents == 0`` where it is not.  Small-prime exponents are
-    stripped in numpy, the lanes with no factor <= 37 run batch Miller-Rabin,
-    and only the composite lanes whose float root screen finds an exact
-    power reach the scalar ``_power_root``.  Values at or above 2^50 go
-    through scalar ``prime_power_decompose``.
+    ``bases == exponents == 0`` where it is not.  A lane with a prime factor
+    p <= 37 is a prime power exactly when it is a power of p, so one lookup in
+    ``_SMALL_POWERS`` decides it; the lanes with no factor <= 37 run batch
+    Miller-Rabin, and only the composite lanes whose float root screen finds
+    an exact power reach the scalar ``_power_root``.  Values at or above 2^50
+    go through scalar ``prime_power_decompose``.
     """
-    v = _int64_lanes(values)
+    v = np.asarray(values, dtype=np.int64)
+    if v.ndim != 1:
+        raise UsageError("batch arithmetic needs a one-dimensional array")
     bases = np.zeros(v.size, dtype=np.int64)
     exponents = np.zeros(v.size, dtype=np.int64)
     for lane in np.flatnonzero(v >= _LANE_LIMIT).tolist():
@@ -367,19 +346,16 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
         if d is not None:
             bases[lane], exponents[lane] = d.p, d.a
     small = (v >= 2) & (v < _LANE_LIMIT)
-    factor = _small_factor(v)
-    # divide out the smallest prime factor; a power of it leaves 1
-    lanes = np.flatnonzero(small & (factor > 0))
-    p, m = factor[lanes], v[lanes].copy()
-    a = np.zeros(lanes.size, dtype=np.int64)
-    left = np.arange(lanes.size)
-    while left.size:
-        m[left] //= p[left]
-        a[left] += 1
-        left = left[m[left] % p[left] == 0]
-    pure = m == 1
-    bases[lanes[pure]], exponents[lanes[pure]] = p[pure], a[pure]
-    rest = np.flatnonzero(small & (factor == 0))
+    divisible = np.zeros(v.size, dtype=bool)
+    for p in _SMALL_PRIMES:
+        divisible |= v % p == 0
+    lanes = np.flatnonzero(small & divisible)
+    powers, power_bases, power_exponents = _SMALL_POWERS
+    row = np.searchsorted(powers, v[lanes])
+    found = powers[row] == v[lanes]
+    lanes, row = lanes[found], row[found]
+    bases[lanes], exponents[lanes] = power_bases[row], power_exponents[row]
+    rest = np.flatnonzero(small & ~divisible)
     prime = _miller_rabin_many(v[rest])
     bases[rest[prime]], exponents[rest[prime]] = v[rest[prime]], 1
     composite = rest[~prime]

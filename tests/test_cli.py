@@ -150,6 +150,9 @@ class TestExitCodes:
         for i in ("1", "2"):
             assert run(["solve", "--i", i, "--j", "1",
                         "--k", "10000000000000000000000001", "--bound", "100"]) == 3
+        # so must the constant term of a curve model
+        assert run(["curve", "model", "--kind", "cubic", "--sign", "1",
+                    "--k", "10000000000000000000000"]) == 3
         capsys.readouterr()
         # linear coefficients and their threshold must fit in 63 bits too
         for a, b in ((10**30, 10**30 + 1), (1, 2**63)):

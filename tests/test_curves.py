@@ -75,6 +75,15 @@ class TestModelShape:
         with pytest.raises(UsageError):
             quartic_model(1, 0)
 
+    def test_constant_term_stays_in_63_bits(self):
+        # cubic constant 1296 + 10368*s*k, quartic 9 + 72*s*k
+        for build, base, step in ((cubic_model, 1296, 10368), (quartic_model, 9, 72)):
+            for s in (1, -1):
+                k = (U63_MAX - s * base) // step  # the largest k that fits
+                assert abs(build(s, k).coeffs[-1]) <= U63_MAX
+                with pytest.raises(ArithmeticGuardError):
+                    build(s, k + 1)
+
     def test_equation_text(self):
         cubic, quartic = "Y^2 = X^3 - 144*X", "Y^2 = 3*X^4 + 6*X^3 - 3*X^2 - 6*X"
         assert [m.equation_text() for m in ALL_MODELS] == [

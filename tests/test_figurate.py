@@ -123,6 +123,12 @@ class TestWitnesses:
         assert (w.p, w.a, w.i) == (2**61 - 1, 1, 1)
         assert figurate_witness(comb(97, 4)) is not None
 
+    def test_witness_stays_in_63_bits(self):
+        assert figurate_witness(2**63 - 1) is None
+        for n in (2**63, 0):
+            with pytest.raises(UsageError):
+                figurate_witness(n)
+
 
 class TestTableShape:
     def test_values_strictly_increasing(self, fig1e6):
