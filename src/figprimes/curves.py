@@ -27,6 +27,8 @@ from functools import cached_property
 from math import comb, isqrt
 from typing import NamedTuple
 
+import numpy as np
+
 from .equations import EquationInstance, EquationSolution
 from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 from .intkernel import U63_MAX, prime_power_decompose
@@ -172,6 +174,15 @@ def map_solution(model: CurveModel, x: int, y: int) -> CurvePoint:
     return CurvePoint(mx * x - tx, my * y - ty)
 
 
+#: values of X per array pass of a point search, which bounds its temporaries
+_CHUNK = 1 << 18
+
+#: (m, squares): squares[r] tells whether r is a square mod m
+_SQUARE_SCREENS = tuple(
+    (m, np.isin(np.arange(m), np.arange(m) ** 2 % m)) for m in (64, 63, 65, 11)
+)
+
+
 def _guard_window(model: CurveModel, span: int) -> None:
     # conservative envelope on |rhs| over |X| <= span
     peak = sum(abs(c) * span**d for d, c in enumerate(reversed(model._poly)))
@@ -180,20 +191,33 @@ def _guard_window(model: CurveModel, span: int) -> None:
 
 
 def search_integral_points(model: CurveModel, xmax: int) -> list[CurvePoint]:
-    """All integral points with |X| <= xmax and Y >= 0, ascending by X."""
+    """All integral points with |X| <= xmax and Y >= 0, ascending by X.
+
+    The right-hand side is evaluated in int64 over chunks of ``_CHUNK``
+    values of X at once.  A square is a square modulo every m, so each
+    residue table of ``_SQUARE_SCREENS`` drops most non-squares; the
+    survivors get an exact ``isqrt``.  ``emit_samples`` walks the same
+    window one X at a time.
+    """
     if xmax < 1:
         raise UsageError("xmax must be >= 1")
     _guard_window(model, xmax)
-    # rhs inline: a call per X costs more than the polynomial
-    c4, c3, c2, c1, c0 = model._poly
     out: list[CurvePoint] = []
-    for X in range(-xmax, xmax + 1):
-        r = (((c4 * X + c3) * X + c2) * X + c1) * X + c0
-        if r < 0:
-            continue
-        y = isqrt(r)
-        if y * y == r:
-            out.append(CurvePoint(X, y))
+    for lo in range(-xmax, xmax + 1, _CHUNK):
+        X = np.arange(lo, min(lo + _CHUNK, xmax + 1), dtype=np.int64)
+        # Horner: after each step the value is a polynomial in X whose every
+        # term c_d * X^e has e <= d, so it stays within the envelope
+        # sum |c_d| * xmax^d that _guard_window bounds by 2^63 - 1
+        r = np.zeros_like(X)
+        for c in model._poly:
+            r = r * X + c
+        lanes = np.flatnonzero(r >= 0)
+        for m, squares in _SQUARE_SCREENS:
+            lanes = lanes[squares[r[lanes] % m]]
+        for x, v in zip(X[lanes].tolist(), r[lanes].tolist()):
+            y = isqrt(v)
+            if y * y == v:
+                out.append(CurvePoint(x, y))
     return out
 
 

@@ -74,6 +74,23 @@ def _binomials(v: np.ndarray, i: int) -> np.ndarray:
     return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
 
 
+def _pair_args(t: np.ndarray) -> np.ndarray:
+    """n with C(n, 2) == t over an int64 array of t >= 1, and 0 where no n has.
+
+    Where C(n, 2) == t <= 2^62, n = (1 + sqrt(8t + 1)) / 2 < 2^31.5 + 1, and
+    the float64 value of that root is within far less than 1/2 of it, so it
+    rounds to n; every rounded root stays below 2^31.5 + 2, so C(root, 2)
+    fits in 63 bits and the comparison with t decides.  Larger t, which only
+    a bound near 2^62 reaches, go through ``binomial_arg``.
+    """
+    n = np.rint((1 + np.sqrt(8 * t.astype(np.float64) + 1)) / 2).astype(np.int64)
+    args = np.where(_binomials(n, 2) == t, n, 0)
+    for lane in np.flatnonzero(t > 2**62).tolist():
+        root, exact = binomial_arg(int(t[lane]), 2)
+        args[lane] = root if exact else 0
+    return args
+
+
 def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[EquationSolution]:
     """All solutions with C(q**b, j) <= value_bound, sorted by (right, left).
 
@@ -124,10 +141,12 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))
     sides, bases, exponents = sides[keep], bases[keep], exponents[keep]
     targets = sides + shift
+    # 0 marks a target with no argument; it is no prime power
     if other == 1:
         args = targets
+    elif other == 2:
+        args = _pair_args(targets)
     else:
-        # 0 marks a target with no argument; it is no prime power
         inverse = (binomial_arg(t, other) for t in targets.tolist())
         args = np.array([n if exact else 0 for n, exact in inverse], dtype=np.int64)
     arg_bases, arg_exponents = prime_power_decompose_many(args)
@@ -143,9 +162,10 @@ def enumerate_p_minus1_triangular(limit: int) -> list[tuple[int, int]]:
 
     These are the solutions of instance (1, 2, 1) with a = b = 1 and
     C(q, 2) <= limit - 1; the solver emits them ascending by C(q, 2), so by p.
+    Its bound C(q, 2) <= 2^62 caps the limit at 2^62 + 1.
     """
-    if limit < 2:
-        raise UsageError("limit must be >= 2")
+    if not 2 <= limit <= 2**62 + 1:
+        raise UsageError("limit must be in [2, 2^62 + 1]")
     sols = solve_equation(EquationInstance(1, 2, 1), limit - 1)
     return [(s.p, s.q) for s in sols if s.a == 1 and s.b == 1]
 

@@ -3,18 +3,21 @@
 Every routine here is deterministic and exact.  Floating point may be used to
 seed an iteration but never decides a result.  It appears in two places,
 both in the batch function ``prime_power_decompose_many``: its Miller-Rabin
-takes the quotient of a*b mod n from float64, which is off from the true
-quotient by less than 1/4 for n <= 2^50, so one correction by n in wrapping
-64-bit arithmetic makes the residue exact (see ``_mulmod``); and it seeds
-integer roots with a float64 power whose rounded value is then checked in
-integers.  Values above 2^50 go to the scalar ``prime_power_decompose``,
-which uses Python integers throughout.  Batch primality is exponent 1 of
-that decomposition.
+takes the quotient of a*b mod n from float64 for n <= 2^50 and from long
+double with a 64-bit significand for n < 2^62, which is off from the true
+quotient by less than 1/2, so wrapping 64-bit arithmetic and two unsigned
+minimums make the residue exact (see ``_mulmod``); and it seeds integer
+roots with a float64 power whose rounded value is then checked in integers.
+Each batch block runs the smallest deterministic witness set its largest
+lane allows.  Values from 2^62 up, and from 2^50 up where long double is
+plain double, go to the scalar ``prime_power_decompose``, which uses Python
+integers and the seven bases valid below 2^64 throughout.  Batch primality
+is exponent 1 of that decomposition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 from operator import index
 
 import numpy as np
@@ -36,18 +39,50 @@ _MR_LIMIT = 2**64
 #: prime exponents of the perfect-power step; 41**13 > 2^64
 _ROOT_EXPONENTS = (2, 3, 5, 7, 11)
 
-#: batch Miller-Rabin runs in 64-bit lanes below this bound (see ``_mulmod``)
-_LANE_LIMIT = 2**50
+#: batch Miller-Rabin takes its quotients in float64 below this bound (see ``_mulmod``)
+_FLOAT_LIMIT = 2**50
+
+#: long double holds a 64-bit significand (x86 extended precision), so batch
+#: lanes from 2^50 up can take their quotients in it
+_WIDE = np.finfo(np.longdouble).nmant >= 63
+
+#: batch lanes run below this bound; values at or above it go to the scalar functions
+_LANE_LIMIT = 2**62 if _WIDE else _FLOAT_LIMIT
+
+#: (bound, bases): Miller-Rabin over the bases decides every n < bound (Jaeschke
+#: 1993; Forisek and Jancina 2015).  Each bound is itself a strong pseudoprime to
+#: its own bases, so the comparison is strict.
+_WITNESS_SETS = (
+    (4_759_123_141, (2, 7, 61)),
+    (105_936_894_253, (2, 1_005_905_886, 1_340_600_841)),
+    (31_858_317_218_647, (2, 642_735, 553_174_392, 3_046_413_974)),
+    (3_071_837_692_357_849, (2, 75_088, 642_735, 203_659_041, 3_613_982_119)),
+    (_MR_LIMIT, _MR_BASES),
+)
 
 #: lanes per batch Miller-Rabin block, which bounds its temporaries
 _BLOCK = 1 << 14
 
-#: every p**e <= 2^50 for p <= 37 as aligned (values, bases, exponents), ascending
-#: by value; the last row is 2^50 itself, so no lane below 2^50 looks past the end
+
+def _factor_screen(primes: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """(m, shares) for m the product of ``primes``: shares[r] tells whether r
+    has one of them as a factor, so shares[v % m] tells it of v."""
+    m = prod(primes)
+    shares = np.zeros(m, dtype=bool)
+    for p in primes:
+        shares[::p] = True
+    return m, shares
+
+
+#: the primes <= 37 in three groups whose products index small tables
+_FACTOR_SCREENS = tuple(map(_factor_screen, ((2, 3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37))))
+
+#: every p**e <= 2^62 for p <= 37 as aligned (values, bases, exponents), ascending
+#: by value; the last row is 2^62 itself, so no lane below 2^62 looks past the end
 _SMALL_POWERS = tuple(
     np.array(column, dtype=np.int64)
     for column in zip(*sorted(
-        (p**e, p, e) for p in _SMALL_PRIMES for e in range(1, 51) if p**e <= _LANE_LIMIT
+        (p**e, p, e) for p in _SMALL_PRIMES for e in range(1, 63) if p**e <= 2**62
     ))
 )
 
@@ -242,73 +277,115 @@ def _power_root(n: int) -> PrimePower | None:
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, n: np.ndarray, nf: np.ndarray) -> np.ndarray:
-    """a*b mod n over uint64 lanes with a, b < n <= 2^50; nf is n as float64.
+    """a*b mod n over uint64 lanes with a, b < n; nf is n in the quotient
+    dtype: float64 for n <= 2^50, long double with a 64-bit significand for
+    n < 2^62.  A squaring passes b = a and converts a once.
 
-    Proof of exactness: a, b and n are below 2^53, so their float64 values
-    are exact.  The product and the quotient each round once, with relative
-    error below u = 2^-53 / (1 + 2^-53), and (1 + u)^2 - 1 < 2^-52, so the
-    float quotient is within (ab/n) * 2^-52 < 2^50 * 2^-52 = 1/4 of ab/n.
-    Its floor q is therefore the true quotient Q = floor(ab/n) or off from
-    it by one, and ab - q*n = (ab mod n) + (Q - q)*n lies in [-n, 2n),
-    inside (-2^63, 2^63).  Computed in wrapping uint64 and read as int64 it
-    is exact, and one correction by n brings it into [0, n).
+    Proof of exactness: a, b and n convert exactly, being below 2^53 for
+    float64 and below 2^64 for the 64-bit significand.  With p = 53 or 64
+    significand bits, the product and the quotient each round once, with
+    relative error below u = 2^-p / (1 + 2^-p), and (1 + u)^2 - 1 < 2^(1-p),
+    so the float quotient is within (ab/n) * 2^(1-p) of ab/n, and ab/n < n:
+    within 2^50 * 2^-52 = 1/4 in float64 and 2^62 * 2^-63 = 1/2 in long
+    double.  Its truncation q is therefore the true quotient Q = floor(ab/n)
+    or off from it by one, and ab - q*n = (ab mod n) + (Q - q)*n lies in
+    [-n, 2n), inside (-2^63, 2^63).  Computed in wrapping 64-bit arithmetic
+    it is exact; read as uint64, min(r, r + n) lifts [-n, 0) into [0, n) and
+    min(r, r - n) brings [n, 2n) down, each leaving the other lanes alone.
     """
-    q = (a.astype(np.float64) * b.astype(np.float64) / nf).astype(np.uint64)
-    r = (a * b - q * n).view(np.int64)
-    ni = n.view(np.int64)
-    r = np.where(r < 0, r + ni, np.where(r >= ni, r - ni, r))
-    return r.view(np.uint64)
+    af = a.astype(nf.dtype)
+    bf = af if b is a else b.astype(nf.dtype)
+    r = a * b - (af * bf / nf).astype(np.int64).view(np.uint64) * n
+    r = np.minimum(r, r + n)
+    return np.minimum(r, r - n)
 
 
-def _miller_rabin_block(n: np.ndarray) -> np.ndarray:
-    """``is_prime``'s witness loop over int64 lanes: odd n in (37, 2^50] with
-    no factor <= 37.  Each base runs only on the lanes no earlier base has
-    proved composite.
+def _strong_test(
+    n: np.ndarray, nf: np.ndarray, d: np.ndarray, s: np.ndarray, a: np.ndarray | None
+) -> np.ndarray:
+    """Lanes of odd n = d * 2^s + 1 that pass the strong test to base a, or
+    to base 2 where ``a`` is None; nf is n in the quotient dtype of ``_mulmod``.
+
+    Base 2 multiplies by doubling: 2x < 2n < 2^63, and min(2x, 2x - n) over
+    uint64 reduces it.  Another base takes two bits of d per step: two
+    squarings, then one product with a^0, a^1, a^2 or a^3, gathered per lane.
+    A base that is 0 mod n passes, as in ``is_prime``.
     """
-    n = n.astype(np.uint64)
-    nf = n.astype(np.float64)
+    # x = a^d mod n, left to right over the bits of d
+    top = int(d.max()).bit_length()
+    if a is None:
+        x = np.ones(n.size, dtype=np.uint64)
+        for bit in range(top - 1, -1, -1):
+            x = _mulmod(x, x, n, nf)
+            x <<= (d >> np.uint64(bit)) & np.uint64(1)
+            x = np.minimum(x, x - n)
+    else:
+        # a^0, ..., a^3 side by side; each pair of bits of d picks one
+        square = _mulmod(a, a, n, nf)
+        powers = np.concatenate([np.ones_like(a), a, square, _mulmod(square, a, n, nf)])
+        col = np.arange(n.size)
+        bit = (top - 1) & ~1
+        x = powers[(d >> np.uint64(bit)).astype(np.int64) * n.size + col]
+        for bit in range(bit - 2, -1, -2):
+            x = _mulmod(x, x, n, nf)
+            x = _mulmod(x, x, n, nf)
+            pair = ((d >> np.uint64(bit)) & np.uint64(3)).astype(np.int64)
+            x = _mulmod(x, powers[pair * n.size + col], n, nf)
     n1 = n - np.uint64(1)
-    # n - 1 = d * 2^s; the lowest set bit of n - 1 is a power of two below
-    # 2^50, so its float64 log2 is exact.
-    s = np.log2((n1 & (~n1 + np.uint64(1))).astype(np.float64)).astype(np.uint64)
-    d = n1 >> s
-    s = s.astype(np.int64)
-    prime = np.ones(n.size, dtype=bool)
-    for base in _MR_BASES:
-        lanes = np.flatnonzero(prime)
-        if not lanes.size:
+    passed = (x == 1) | (x == n1)
+    if a is not None:
+        passed |= a == 0
+    # up to s - 1 squarings, looking for n - 1
+    wait = np.flatnonzero(~passed & (s > 1))
+    y = x[wait]
+    for r in range(1, int(s.max())):
+        if not wait.size:
             break
-        m, mf, e, sl = n[lanes], nf[lanes], d[lanes], s[lanes]
-        a = np.uint64(base) % m
-        # x = a^d mod m, left to right over the bits of d
-        x = np.ones(m.size, dtype=np.uint64)
-        for bit in range(int(e.max()).bit_length() - 1, -1, -1):
-            x = _mulmod(x, x, m, mf)
-            odd = ((e >> np.uint64(bit)) & np.uint64(1)).astype(bool)
-            x = np.where(odd, _mulmod(x, a, m, mf), x)
-        m1 = m - np.uint64(1)
-        passed = (a == 0) | (x == 1) | (x == m1)
-        # up to s - 1 squarings, looking for m - 1
-        wait = np.flatnonzero(~passed & (sl > 1))
-        y = x[wait]
-        for r in range(1, int(sl.max())):
-            if not wait.size:
-                break
-            y = _mulmod(y, y, m[wait], mf[wait])
-            hit = y == m1[wait]
-            passed[wait[hit]] = True
-            go = ~hit & (sl[wait] > r + 1)
-            wait, y = wait[go], y[go]
-        prime[lanes[~passed]] = False
+        y = _mulmod(y, y, n[wait], nf[wait])
+        hit = y == n1[wait]
+        passed[wait[hit]] = True
+        go = ~hit & (s[wait] > r + 1)
+        wait, y = wait[go], y[go]
+    return passed
+
+
+def _miller_rabin_block(n: np.ndarray, quotient: type) -> np.ndarray:
+    """``is_prime``'s witness loop over int64 lanes: odd n in (37, 2^62) with
+    no factor <= 37, all below 2^50 when ``quotient`` is float64.
+
+    The block runs the first witness set of ``_WITNESS_SETS`` whose bound
+    exceeds its largest lane.  Every set opens with base 2, which runs on
+    every lane.  Few composites pass it, so the other bases of the set run
+    together on the lanes that do, one stacked copy of those lanes per base.
+    """
+    top = int(n.max())
+    _, *bases = next(bases for bound, bases in _WITNESS_SETS if top < bound)
+    n = n.astype(np.uint64)
+    nf = n.astype(quotient)
+    n1 = n - np.uint64(1)
+    # n - 1 = d * 2^s; the lowest set bit of n - 1 is a power of two, exact in
+    # float64, and frexp reads its exponent off exactly
+    s = np.frexp((n1 & (~n1 + np.uint64(1))).astype(np.float64))[1] - 1
+    d = n1 >> s.astype(np.uint64)
+    prime = _strong_test(n, nf, d, s, None)
+    lanes = np.flatnonzero(prime)
+    if lanes.size:
+        stack = np.tile(lanes, len(bases))
+        m = n[stack]
+        a = np.repeat(np.array(bases, dtype=np.uint64), lanes.size) % m
+        passed = _strong_test(m, nf[stack], d[stack], s[stack], a)
+        prime[lanes] = passed.reshape(len(bases), lanes.size).all(axis=0)
     return prime
 
 
 def _power_screen(n: np.ndarray) -> np.ndarray:
-    """Lanes of n < 2^50 that are a perfect e-th power for an e in _ROOT_EXPONENTS.
+    """Lanes of n < 2^62 that are a perfect e-th power for an e in _ROOT_EXPONENTS.
 
     The float64 e-th root is within a few ulps of the true root, which is
-    below 2^25, so it is off by far less than 1/2 and rounds to the exact
-    root whenever there is one; the integer check r**e == n decides.
+    below 2^31, so it is off by far less than 1/2 and rounds to the exact
+    root whenever there is one.  The rounded root r is at most n^(1/e) + 1/2,
+    so r**e stays below 2^63 for every e (for e = 2, (2^31 + 1/2)^2 <
+    2^62 + 2^32), and the int64 check r**e == n decides.
     """
     hit = np.zeros(n.size, dtype=bool)
     nf = n.astype(np.float64)
@@ -319,9 +396,22 @@ def _power_screen(n: np.ndarray) -> np.ndarray:
 
 
 def _miller_rabin_many(n: np.ndarray) -> np.ndarray:
-    """Primality of int64 lanes n > 37 with no factor <= 37, n < 2^50."""
-    blocks = [_miller_rabin_block(n[s : s + _BLOCK]) for s in range(0, n.size, _BLOCK)]
-    return np.concatenate(blocks) if blocks else np.zeros(0, dtype=bool)
+    """Primality of int64 lanes n in (37, _LANE_LIMIT) with no factor <= 37.
+
+    The lanes are sorted first, so each block spans a narrow range of values
+    and runs the witness set its largest lane needs; blocks below 2^50 take
+    float64 quotients and the rest long double, so no float64 block holds a
+    lane at or above 2^50.
+    """
+    order = np.argsort(n)
+    v = n[order]
+    wide = int(np.searchsorted(v, _FLOAT_LIMIT))
+    prime = np.zeros(n.size, dtype=bool)
+    for lo, hi, quotient in ((0, wide, np.float64), (wide, v.size, np.longdouble)):
+        for s in range(lo, hi, _BLOCK):
+            t = min(s + _BLOCK, hi)
+            prime[order[s:t]] = _miller_rabin_block(v[s:t], quotient)
+    return prime
 
 
 def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +423,9 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
     p <= 37 is a prime power exactly when it is a power of p, so one lookup in
     ``_SMALL_POWERS`` decides it; the lanes with no factor <= 37 run batch
     Miller-Rabin, and only the composite lanes whose float root screen finds
-    an exact power reach the scalar ``_power_root``.  Values at or above 2^50
-    go through scalar ``prime_power_decompose``.
+    an exact power reach the scalar ``_power_root``.  Values at or above
+    ``_LANE_LIMIT`` (2^62, or 2^50 where long double is plain double) go
+    through scalar ``prime_power_decompose``.
     """
     v = np.asarray(values, dtype=np.int64)
     if v.ndim != 1:
@@ -347,8 +438,8 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
             bases[lane], exponents[lane] = d.p, d.a
     small = (v >= 2) & (v < _LANE_LIMIT)
     divisible = np.zeros(v.size, dtype=bool)
-    for p in _SMALL_PRIMES:
-        divisible |= v % p == 0
+    for m, shares in _FACTOR_SCREENS:
+        divisible |= shares[v % m]
     lanes = np.flatnonzero(small & divisible)
     powers, power_bases, power_exponents = _SMALL_POWERS
     row = np.searchsorted(powers, v[lanes])

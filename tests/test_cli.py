@@ -105,6 +105,10 @@ class TestExitCodes:
         # families and errata past the solver's value_bound <= 2^62 check
         for cmd in ("errata", "families"):
             assert run([cmd, "--bound", "5000000000000000000"]) == 2, cmd
+        # triangular names its own limit, the solver's bound plus one
+        capsys.readouterr()
+        assert run(["triangular", "--limit", "4611686018427387906"]) == 2
+        assert capsys.readouterr().err == "error: limit must be in [2, 2^62 + 1]\n"
         # negative counts would slice from the end of a list
         assert run(["curve", "samples", "--kind", "cubic", "--sign", "1", "--k", "1",
                     "--xlo", "-2", "--xhi", "1", "--sample-size", "-1"]) == 2

@@ -3,7 +3,7 @@ and agreement between lifted curve solutions and the direct solver."""
 from __future__ import annotations
 
 import re
-from math import comb
+from math import comb, isqrt
 
 import pytest
 import sympy
@@ -26,8 +26,8 @@ from figprimes import (
     solve_equation,
 )
 from figprimes import curves
-from figprimes.curves import PUBLISHED_CUBIC_NEG_K1
-from figprimes.intkernel import U63_MAX
+from figprimes.curves import PUBLISHED_CUBIC_NEG_K1, CurveModel
+from figprimes.intkernel import U63_MAX, integer_root
 
 ALL_MODELS = [
     cubic_model(1, 1), cubic_model(-1, 1), cubic_model(1, 2), cubic_model(-1, 2),
@@ -208,6 +208,58 @@ class TestPointSearch:
             emit_samples(model, lo, lo)
             with pytest.raises(ArithmeticGuardError):
                 emit_samples(model, hi, hi)
+
+    @pytest.mark.parametrize("make", [cubic_model, quartic_model])
+    def test_search_matches_scalar_samples(self, make, monkeypatch):
+        # the array search against emit_samples' one-X-at-a-time loop, in one
+        # chunk and cut into chunks of an odd size
+        for s in (1, -1):
+            for k in (1, 5, 12):
+                model = make(s, k)
+                rows = emit_samples(model, -10**4, 10**4)
+                expected = [CurvePoint(X, Y) for X, _, ok, Y in rows if ok]
+                assert search_integral_points(model, 10**4) == expected, (s, k)
+                with monkeypatch.context() as m:
+                    m.setattr(curves, "_CHUNK", 997)
+                    assert search_integral_points(model, 10**4) == expected, (s, k)
+
+    def test_chunks_cover_every_x(self, monkeypatch):
+        # Y^2 = X^2 has a point at every X
+        model = CurveModel("quartic", 1, 1, (0, 0, 1, 0, 0))
+        monkeypatch.setattr(curves, "_CHUNK", 997)
+        expected = [CurvePoint(X, abs(X)) for X in range(-10**4, 10**4 + 1)]
+        assert search_integral_points(model, 10**4) == expected
+
+    def test_search_at_the_guard_edge(self):
+        # a cubic with a point at the edge of its window, where rhs(E) = Y^2
+        # is within 2^44 of 2^63 and rhs(-E) as near -2^63
+        E = integer_root(U63_MAX, 3)[0]
+        Y = isqrt(E**3 - 144 * E)
+        model = CurveModel("cubic", 1, 1, (-144, Y * Y - E**3 + 144 * E))
+        with pytest.raises(ArithmeticGuardError):
+            search_integral_points(model, E + 1)
+        pts = search_integral_points(model, E)
+        assert pts[-1] == CurvePoint(E, Y)
+        for lo, hi in ((-E, -E + 3000), (E - 3000, E)):
+            expected = [CurvePoint(X, y) for X, _, ok, y in emit_samples(model, lo, hi) if ok]
+            assert [p for p in pts if lo <= p.X <= hi] == expected
+        # a cubic through (-12, 0), (0, 0) and (12, 0)
+        model = CurveModel("cubic", 1, 1, (-144, 0))
+        expected = [CurvePoint(X, y) for X, _, ok, y in emit_samples(model, -100, 100) if ok]
+        assert CurvePoint(0, 0) in expected
+        assert search_integral_points(model, 100) == expected
+        # the quartic at the largest window its guard allows, in full
+        model = quartic_model(1, 1)
+        lo, hi = 1, 2**16
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                curves._guard_window(model, mid)
+                lo = mid
+            except ArithmeticGuardError:
+                hi = mid
+        expected = [CurvePoint(X, y) for X, _, ok, y in emit_samples(model, -lo, lo) if ok]
+        assert search_integral_points(model, lo) == expected
 
 
 class TestLifting:

@@ -26,7 +26,8 @@ from figprimes import (
     special_family_checks,
     theorem_errata,
 )
-from figprimes.equations import load_published_catalog
+from figprimes.equations import _pair_args, load_published_catalog
+from figprimes.intkernel import U63_MAX, binomial_arg
 
 CATALOG_INSTANCES = [
     (2, 1, 1), (3, 1, 1), (4, 1, 1),
@@ -181,6 +182,9 @@ class TestTriangularPredecessors:
     def test_guard(self):
         with pytest.raises(UsageError):
             enumerate_p_minus1_triangular(1)
+        # the solver's bound C(q, 2) <= 2^62 is the limit 2^62 + 1
+        with pytest.raises(UsageError, match="limit"):
+            enumerate_p_minus1_triangular(2**62 + 2)
 
     def test_batch_matches_scalar_walk_at_1e12(self):
         # the batch test against one scalar is_prime call per candidate
@@ -314,3 +318,18 @@ class TestErrata:
             i, j, k = e.instance
             for p, q, a, b in e.computed:
                 assert comb(p**a, i) - comb(q**b, j) == k
+
+
+class TestPairInverse:
+    def test_matches_binomial_arg(self):
+        # the array inverse of C(n, 2) against the scalar binomial_arg, on
+        # both sides of its 2^62 switch and up to 2^63 - 1
+        rng = np.random.default_rng(2)
+        ns = rng.integers(2, 2**32, size=3000).tolist()
+        ns += [2, 3, 4, 2**31, 3_037_000_499, 3_037_000_500, 3_037_000_501, 2**32 - 1, 2**32]
+        t = [comb(n, 2) + d for n in ns for d in (-1, 0, 1)]
+        t += rng.integers(1, 2**62, size=20_000).tolist() + [1, 2**62, 2**62 + 1, U63_MAX]
+        t = [v for v in t if 1 <= v <= U63_MAX]
+        assert comb(2**32, 2) + 1 in t and U63_MAX in t
+        expected = [n if exact else 0 for n, exact in (binomial_arg(v, 2) for v in t)]
+        assert _pair_args(np.array(t, dtype=np.int64)).tolist() == expected

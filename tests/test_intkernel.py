@@ -6,6 +6,7 @@ with them on every checked input.
 """
 from __future__ import annotations
 
+import os
 from math import comb, gcd, isqrt
 
 import numpy as np
@@ -338,8 +339,8 @@ class TestBatchAgainstScalar:
         assert_batch_agrees(STRONG_PSEUDOPRIMES + CARMICHAEL + tuple(chernick))
 
     def test_prime_powers_and_neighbours(self):
-        # holds every row of the batch lookup table (each p**e <= 2^50 for
-        # p <= 37) with its neighbours, and the first power of each p past 2^50
+        # holds every row of the batch lookup table (each p**e <= 2^62 for
+        # p <= 37) with its neighbours, and the first power of each p past 2^62
         powers = [p**a for p in SMALL_PRIMES for a in range(1, max_exponent(p, U63_MAX) + 1)]
         for p in (41, 43, 101, 1009, 65537, 2**31 - 1):
             powers += [p**a for a in range(1, max_exponent(p, U63_MAX) + 1)]
@@ -404,3 +405,113 @@ class TestSympyOracle:
         bases, exps = prime_power_decompose_many(arr)
         expected = [sympy_decompose(v) if v >= 2 else None for v in values]
         assert list(zip(bases.tolist(), exps.tolist())) == [e or (0, 0) for e in expected]
+
+
+def strong_probable_prime(n: int, a: int) -> bool:
+    """One Miller-Rabin round to base a, on Python integers."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+WITNESS_BOUNDS = [bound for bound, _ in intkernel._WITNESS_SETS[:-1]]
+
+#: the lane range of each witness set, and the long-double lanes
+LANE_RANGES = list(zip([38] + WITNESS_BOUNDS, WITNESS_BOUNDS + [2**62])) + [(2**50, 2**62)]
+
+
+def odd_lanes_without_small_factor(rng, lo: int, hi: int, size: int) -> list[int]:
+    """Seeded odd values in [lo, hi) with no prime factor <= 37: the lanes
+    that reach batch Miller-Rabin."""
+    values = rng.integers(lo, hi, size=4 * size) | 1
+    values = [v for v in values.tolist() if lo <= v < hi and all(v % p for p in SMALL_PRIMES)]
+    return values[:size]
+
+
+class TestWitnessSets:
+    @pytest.mark.parametrize("bound", WITNESS_BOUNDS)
+    def test_bounds_and_neighbours(self, bound):
+        # each bound is a composite that passes its own set, so a block whose
+        # largest lane is the bound must take the next set
+        bases = dict(intkernel._WITNESS_SETS)[bound]
+        assert not is_prime(bound)
+        assert all(strong_probable_prime(bound, a) for a in bases)
+        assert_batch_agrees(range(bound - 64, bound))       # this set
+        assert_batch_agrees(range(bound - 64, bound + 1))   # the largest lane is the bound
+        assert_batch_agrees(range(bound - 64, bound + 65))
+
+    def test_every_base_2_strong_pseudoprime_below_1e6(self):
+        primes, _ = eager_spf_sieve(10**6)
+        prime = set(primes.tolist())
+        pseudo = [n for n in range(3, 10**6, 2)
+                  if n not in prime and strong_probable_prime(n, 2)]
+        assert len(pseudo) == 46 and pseudo[:3] == [2047, 3277, 4033]
+        assert_batch_agrees(pseudo)
+
+    @pytest.mark.parametrize("lo, hi", LANE_RANGES)
+    def test_seeded_random_lanes_per_set(self, lo, hi):
+        rng = np.random.default_rng(lo % 1009)
+        values = odd_lanes_without_small_factor(rng, lo, hi, 1500)
+        assert_batch_agrees(values)
+        _, exps = prime_power_decompose_many(np.array(values, dtype=np.int64))
+        assert [e == 1 for e in exps.tolist()] == [isprime(v) for v in values]
+
+    def test_float64_blocks_stay_below_2_50(self, monkeypatch):
+        seen = []
+        block = intkernel._miller_rabin_block
+
+        def spy(n, quotient):
+            seen.append((int(n.max()), quotient))
+            return block(n, quotient)
+
+        monkeypatch.setattr(intkernel, "_miller_rabin_block", spy)
+        monkeypatch.setattr(intkernel, "_BLOCK", 64)
+        rng = np.random.default_rng(50)
+        values = odd_lanes_without_small_factor(rng, 2**50 - 2**12, 2**50 + 2**12, 500)
+        assert_batch_agrees(values)
+        assert all(top < 2**50 for top, quotient in seen if quotient is np.float64)
+        if intkernel._WIDE:
+            assert {quotient for _, quotient in seen} == {np.float64, np.longdouble}
+
+    def test_lanes_past_a_2_50_ceiling_go_scalar(self, monkeypatch):
+        # a long double without a 64-bit significand leaves the ceiling at 2^50
+        seen = []
+        many = intkernel._miller_rabin_many
+
+        def spy(n):
+            seen.extend(n.tolist())
+            return many(n)
+
+        monkeypatch.setattr(intkernel, "_LANE_LIMIT", 2**50)
+        monkeypatch.setattr(intkernel, "_miller_rabin_many", spy)
+        rng = np.random.default_rng(62)
+        values = (odd_lanes_without_small_factor(rng, 2**49, 2**50, 200)
+                  + odd_lanes_without_small_factor(rng, 2**50, 2**62, 200))
+        assert_batch_agrees(values + [2**50 - 1, 2**50 + 1, 3**39, 2**62 - 1])
+        assert seen and max(seen) < 2**50
+
+
+def test_extended_batch_against_sieve_and_scalar():
+    if os.environ.get("FIGPRIMES_EXTENDED") != "1":
+        pytest.skip("set FIGPRIMES_EXTENDED=1 for the batch run to 10^8")
+    limit = 10**8
+    values, bases, exps = prime_powers_upto(limit - 1, build_sieve(limit - 1))
+    for lo in range(0, limit, 10**6):
+        n = np.arange(lo, lo + 10**6, dtype=np.int64)
+        got_bases, got_exps = prime_power_decompose_many(n)
+        rows = slice(*np.searchsorted(values, [lo, lo + 10**6]))
+        want_bases, want_exps = np.zeros_like(n), np.zeros_like(n)
+        want_bases[values[rows] - lo], want_exps[values[rows] - lo] = bases[rows], exps[rows]
+        assert np.array_equal(got_bases, want_bases), lo
+        assert np.array_equal(got_exps, want_exps), lo
+    rng = np.random.default_rng(10**5)
+    for lo, hi in LANE_RANGES:
+        assert_batch_agrees(odd_lanes_without_small_factor(rng, lo, hi, 10**5))
