@@ -5,11 +5,12 @@ prime-power pair, reported together with both binomial values.  Completeness
 is always relative to a bound on the subtrahend: every solution with
 C(q**b, j) <= value_bound is found.  Apart from the closed form for
 i = j = 1 with odd k, one walk over the prime powers of one side solves every
-instance, and the sieve budget is its only ceiling.  The triangular
-predecessors and the special families are instances too: p = C(q, 2) + 1 is
-(1, 2, 1) with a = b = 1, p**a = C(q, 2) + 1 is (1, 2, 1) with b = 1, and
-p**a = C(q**b, 3) + 1 is (1, 3, 1).  ``reconcile`` compares a solution set
-with the published one, for the catalog report and for a single solve alike.
+instance; the sieve budget is its ceiling, and an i = j >= 2 walk stops at
+k.  The triangular predecessors and the special families are instances too:
+p = C(q, 2) + 1 is (1, 2, 1) with a = b = 1, p**a = C(q, 2) + 1 is (1, 2, 1)
+with b = 1, and p**a = C(q**b, 3) + 1 is (1, 3, 1).  ``reconcile`` compares
+a solution set with the published one, for the catalog report and for a
+single solve alike.
 """
 from __future__ import annotations
 
@@ -101,8 +102,9 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     minuend up to C(n, i) <= value_bound + k covers exactly the subtrahends
     up to value_bound.  Prime powers ascend and C(v, index) strictly
     increases for v >= index, so the walk emits its solutions in order.  Its
-    only ceiling is the sieve budget, which a (1, 1, k) walk reaches near
-    2.7e8.
+    ceiling is the sieve budget, which a (1, 1, k) walk reaches near 2.7e8.
+    For i = j >= 2 the walk covers q**b <= k only: a solution has x = p**a >
+    y = q**b >= i, so k = C(x, i) - C(y, i) >= C(x - 1, i - 1) >= x - 1 >= y.
 
     For i = j = 1 and odd k, exactly one of p**a and q**b is even, so it is a
     power of two 2**e: each e up to the bound costs one decomposition and no
@@ -136,6 +138,8 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     # walk the side with the larger index; the other side is sides + shift
     walk, other, shift = (i, j, -k) if i > j else (j, i, k)
     limit = binomial_arg(value_bound + k if i > j else value_bound, walk)[0]
+    if i == j >= 2:
+        limit = min(limit, k)
     values, bases, exponents = prime_powers_upto(limit, build_sieve(max(limit, 2)))
     sides = _binomials(values, walk)
     keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))

@@ -226,11 +226,14 @@ def binomial_arg(target: int, i: int) -> tuple[int, bool]:
     gives n - i + 1 <= r, and C(n + 1, i) > target gives n + 1 > r, so
     r <= n <= r + i - 1.  C(m, i) increases with m >= i, so the walk starts
     at max(r, i) and steps up at most i - 1 times.
+
+    For i >= 64 the root is skipped and the walk starts at n = i.  Below 2i
+    each step at least doubles C(n, i), and C(2i, i) >= 2^i, so a target
+    below 2^64 takes at most 63 steps; larger targets stay exact, only slower.
     """
     if i == 1:
         return target, True
-    r, _ = integer_root(factorial(i) * target, i)
-    n = max(r, i)
+    n = max(integer_root(factorial(i) * target, i)[0], i) if i < 64 else i
     while comb(n + 1, i) <= target:
         n += 1
     return n, comb(n, i) == target

@@ -6,11 +6,13 @@ vacuously.  "Square-full" is t = 2, "cube-full" is t = 3.  Every search
 takes its t-full numbers from one enumerator, ``_tfull_upto``: there are
 only about c * N^(1/t) of them up to N, so nothing is indexed by value.
 
-A gap pair A - B = d has A*B cube-full iff, with A' and B' the parts of A
-and B prime to d, (1) for each prime p | d, v_p(A) + v_p(B) is 0 or >= 3,
-and (2) A' and B' are cube-full.  A prime q outside d divides at most one
-of A and B (else it divides d), so its whole exponent in A*B lies in one
-cofactor, and (2) says exactly that this exponent is 0 or >= 3.
+A gap pair A - B = d has A*B cube-full iff (1) A and B both lie in the
+reach set R_d, the numbers whose part prime to d is cube-full, and (2) for
+each prime p | d, A*B % p != 0 or A*B % p^3 == 0.  A prime q outside d
+divides at most one of A and B (else it divides d), so its whole exponent
+in A*B lies in one of them, and (1) says exactly that this exponent is 0 or
+>= 3.  R_d is every d-smooth number times a cube-full number, since taking
+primes out of a cube-full number leaves it cube-full.
 """
 from __future__ import annotations
 
@@ -133,44 +135,24 @@ def _gap_pairs(d: int, limit: int, cubefull: list[int]) -> list[DifferencePair]:
     """``diff_cubefull_search`` with ``cubefull`` every cube-full number up
     to limit, ascending."""
     d_primes = _prime_factors(d)
-    top = limit - d
-    candidates = sorted({
+    reach = {
         m * c
-        for m in _products_with_min_exp(d_primes, top, 1)
-        for c in cubefull[: bisect_right(cubefull, top // m)]
-    })
-    members = set(cubefull)
-    out: list[DifferencePair] = []
-    for B in candidates:
-        A = B + d
-        # B's part prime to d is its cube-full factor with d's primes taken
-        # out, so it is cube-full already; only A's part needs the list
-        a, b = A, B
-        for p in d_primes:
-            e = 0
-            while a % p == 0:
-                a //= p
-                e += 1
-            while b % p == 0:
-                b //= p
-                e += 1
-            if e in (1, 2):
-                break
-        else:
-            if a in members:
-                out.append(DifferencePair(A, B, d, 3))
-    return out
+        for m in _products_with_min_exp(d_primes, limit, 1)
+        for c in cubefull[: bisect_right(cubefull, limit // m)]
+    }
+    return [
+        DifferencePair(B + d, B, d, 3)
+        for B in sorted(B for B in reach if B + d in reach)
+        if all((B + d) * B % p or (B + d) * B % p**3 == 0 for p in d_primes)
+    ]
 
 
 def diff_cubefull_search(d: int, limit: int) -> list[DifferencePair]:
     """All B with A = B + d <= limit and A*B cube-full, ascending by B.
 
-    A prime q outside d cannot divide both A and B (it would divide d), so
-    its whole exponent in A*B lies in one of them.  Hence every admissible
-    B is a d-smooth part times a cube-full part, and these products are the
-    candidates.  A candidate passes iff v_p(A) + v_p(B) is 0 or >= 3 for
-    each prime p | d and the parts of A and B prime to d are cube-full, the
-    latter holding each q with its whole exponent.  Only d is factored.
+    The pairs are the B with B and B + d in the reach set R_d that pass the
+    exponent rule for d's primes (the criterion in the module docstring).
+    Only d is factored.
     """
     if d < 1:
         raise UsageError("d must be >= 1")

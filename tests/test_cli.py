@@ -134,6 +134,23 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    def test_large_binomial_index_finishes(self, tmp_path):
+        # binomial_arg walks up from n = i instead of rooting i! * target
+        for i in ("100000", "10000000"):
+            code, env = run_json(["solve", "--i", i, "--j", "1", "--k", "1",
+                                  "--bound", "100"], tmp_path)
+            assert code == 0 and env["stats"] == {"solutions": 0}, i
+        # the walk to C(n, 10^9) <= 101 still needs a sieve of 10^9 + 1 entries
+        assert run(["solve", "--i", "1000000000", "--j", "1", "--k", "1",
+                    "--bound", "100"]) == 2
+
+    def test_equal_indices_need_no_sieve_past_k(self, tmp_path):
+        # i = j >= 2 walks only the subtrahends up to k, so a bound of 2^62
+        # needs no sieve of 3,037,000,501 entries
+        code, env = run_json(["solve", "--i", "2", "--j", "2", "--k", "1",
+                              "--bound", str(2**62)], tmp_path)
+        assert code == 0 and env["stats"] == {"solutions": 0}
+
     def test_powerful_searches_keep_the_sieve_ceiling(self, tmp_path):
         # no powerful search sieves up to its limit, yet each stops where the
         # 2^28-entry sieve budget does

@@ -119,6 +119,21 @@ class TestSolveOracle:
     def test_equal_indices_empty(self):
         assert solve_equation(EquationInstance(2, 2, 1), 10**9) == []
 
+    @pytest.mark.parametrize("i", [2, 3, 4, 5])
+    def test_equal_indices_against_small_brute_force(self, table1e6, i):
+        # x > y >= i gives k >= C(x - 1, i - 1) >= x - 1, so both prime
+        # powers of a solution lie at or below k + 1
+        for k in range(1, 81):
+            pps = prime_power_values(k + 1, table1e6)
+            want = {
+                (p, q, a, b)
+                for x, p, a in pps
+                for y, q, b in pps
+                if y >= i and comb(x, i) - comb(y, i) == k
+            }
+            sols = solve_equation(EquationInstance(i, i, k), 10**9)
+            assert {s.pqab for s in sols} == want, k
+
     def test_unit_instance_matches_small_scan(self, table1e6):
         sols = solve_equation(EquationInstance(1, 1, 2), 10**4)
         pairs = {s.pqab for s in sols}

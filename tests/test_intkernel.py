@@ -229,6 +229,18 @@ class TestBinomialArg:
         assert binomial_arg(comb(m, i), i) == (m, True)
         assert binomial_arg(comb(m, i) - 1, i) == (m - 1, False)
 
+    # from i = 64 on the walk starts at n = i with no root of i! * target
+    @pytest.mark.parametrize("i", [*range(60, 71), 10**5, 10**9])
+    def test_large_index(self, i):
+        rng = np.random.default_rng(i)
+        targets = [1, i, i + 1, U63_MAX, *rng.integers(1, U63_MAX, 20, endpoint=True).tolist()]
+        m = 1
+        while comb(i + m, i) + 1 <= U63_MAX:
+            targets += [comb(i + m, i) - 1, comb(i + m, i), comb(i + m, i) + 1]
+            m += 1
+        for t in targets:
+            assert_binomial_arg(t, i)
+
     @given(st.integers(min_value=1, max_value=U63_MAX), st.integers(min_value=1, max_value=40))
     @settings(max_examples=300, deadline=None)
     def test_bracketing_property(self, t, i):

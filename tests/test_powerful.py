@@ -2,6 +2,7 @@
 checked against a smallest-prime-factor oracle built in the test."""
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import isqrt
 
 import pytest
@@ -15,7 +16,7 @@ from figprimes import (
     prime_gap_report,
 )
 from figprimes import powerful
-from figprimes.powerful import _tfull_upto
+from figprimes.powerful import DifferencePair, _tfull_upto
 
 ORACLE_LIMIT = 3 * 10**4
 
@@ -56,6 +57,40 @@ def oracle_gap_pairs(d: int, limit: int, spf: list[int]) -> list[tuple[int, int]
         for B in range(1, limit - d + 1)
         if merged_cubefull(B + d, B, spf)
     ]
+
+
+def reference_gap_pairs(d: int, limit: int, cubefull: list[int]) -> list[DifferencePair]:
+    """The per-candidate gap search: candidates are d-smooth parts times
+    cube-full parts up to limit - d; each has d's primes stripped from A and
+    B, and A's cofactor is looked up among the cube-full numbers."""
+    d_primes = powerful._prime_factors(d)
+    top = limit - d
+    candidates = sorted({
+        m * c
+        for m in powerful._products_with_min_exp(d_primes, top, 1)
+        for c in cubefull[: bisect_right(cubefull, top // m)]
+    })
+    members = set(cubefull)
+    out: list[DifferencePair] = []
+    for B in candidates:
+        A = B + d
+        # B's part prime to d is its cube-full factor with d's primes taken
+        # out, so it is cube-full already; only A's part needs the list
+        a, b = A, B
+        for p in d_primes:
+            e = 0
+            while a % p == 0:
+                a //= p
+                e += 1
+            while b % p == 0:
+                b //= p
+                e += 1
+            if e in (1, 2):
+                break
+        else:
+            if a in members:
+                out.append(DifferencePair(A, B, d, 3))
+    return out
 
 
 class TestSquarefullMask:
@@ -133,12 +168,22 @@ class TestPellFamily:
 
 class TestDiffCubefull:
     # 9973 and 9998 = 2 * 4999 have a prime factor above sqrt(d)
-    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 9, 25, 26, 27, 9973, 9998])
+    # 12, 30, 36 and 60 have two and three distinct primes
+    @pytest.mark.parametrize(
+        "d", [1, 2, 3, 4, 7, 8, 9, 12, 25, 26, 27, 30, 36, 60, 9973, 9998]
+    )
     def test_matches_scan_oracle(self, spf, d):
         pairs = diff_cubefull_search(d, 10**4)
         assert [(p.A, p.B) for p in pairs] == oracle_gap_pairs(d, 10**4, spf)
         assert all(p.d == d and p.t == 3 for p in pairs)
         assert [p.B for p in pairs] == sorted(p.B for p in pairs)
+
+    @pytest.mark.parametrize("limit", [10**6, 10**8])
+    def test_matches_reference_search(self, limit):
+        cubefull = _tfull_upto(limit, 3)
+        for d in range(1, 65):
+            want = reference_gap_pairs(d, limit, cubefull)
+            assert powerful._gap_pairs(d, limit, cubefull) == want, d
 
     def test_unit_B_is_admissible(self):
         assert (8, 1) in [(p.A, p.B) for p in diff_cubefull_search(7, 100)]
