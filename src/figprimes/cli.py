@@ -38,10 +38,10 @@ from .equations import (
 )
 from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 from .figurate import (
+    _twin_starts,
     figurate_stats,
     figurate_witness,
     generate_figurate,
-    twin_figurate,
     write_values,
 )
 from .intkernel import U63_MAX
@@ -151,13 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
 Result = tuple[dict, Table]
 
 
-def _listing(args, task: str, header: list[str], rows: list) -> dict:
-    """Fields of a report that lists rows: the first few keyed by the header,
-    and their count."""
+def _listing(args, task: str, header: list[str], rows: list | np.ndarray) -> dict:
+    """Fields of a report that lists rows, a list or an integer array: the
+    first few keyed by the header, and their count."""
+    sample = rows[: args.sample_size]
+    if isinstance(sample, np.ndarray):
+        sample = sample.tolist()
     return dict(
         task=task,
         params=args.params,
-        witness_sample=[dict(zip(header, r)) for r in rows[: args.sample_size]],
+        witness_sample=[dict(zip(header, r)) for r in sample],
         stats={"count": len(rows)},
     )
 
@@ -205,9 +208,9 @@ def _figurate(args) -> Result:
 
 
 def _twins(args) -> Result:
-    pairs = twin_figurate(args.limit)
-    fields = _listing(args, "twin-members", ["f", "g"], pairs)
-    return fields, Table(["f", "g"], np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    starts = _twin_starts(args.limit)
+    pairs = np.column_stack((starts, starts + 2))
+    return _listing(args, "twin-members", ["f", "g"], pairs), Table(["f", "g"], pairs)
 
 
 def _scan(args) -> Result:

@@ -101,8 +101,12 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     ``binomial_arg`` and decomposes the arguments in one batch.  Walking the
     minuend up to C(n, i) <= value_bound + k covers exactly the subtrahends
     up to value_bound.  Prime powers ascend and C(v, index) strictly
-    increases for v >= index, so the walk emits its solutions in order.  Its
-    ceiling is the sieve budget, which a (1, 1, k) walk reaches near 2.7e8.
+    increases for v >= index, so the walk emits its solutions in order.  It
+    starts at the first v >= index, since C(v, index) = 0 below it.  Its
+    ceiling is the sieve budget, which a (1, 1, k) walk reaches near 2.7e8;
+    the sieve runs from 2 to the top of the walk, so an index past the
+    budget stops the walk as well (``solve --i 1000000000``) until a
+    windowed prime-power enumerator replaces it.
     For i = j >= 2 the walk covers q**b <= k only: a solution has x = p**a >
     y = q**b >= i, so k = C(x, i) - C(y, i) >= C(x - 1, i - 1) >= x - 1 >= y.
 
@@ -135,14 +139,23 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
         found.sort(key=lambda s: (s.right, s.left))
         return found
 
+    columns = (c.tolist() for c in _walk(i, j, k, value_bound))
+    return list(map(EquationSolution._make, zip(*columns)))
+
+
+def _walk(i: int, j: int, k: int, value_bound: int) -> tuple[np.ndarray, ...]:
+    """The walk of ``solve_equation`` for checked arguments, as aligned int64
+    arrays (p, a, q, b, left, right) in the order of its solutions."""
     # walk the side with the larger index; the other side is sides + shift
     walk, other, shift = (i, j, -k) if i > j else (j, i, k)
     limit = binomial_arg(value_bound + k if i > j else value_bound, walk)[0]
     if i == j >= 2:
         limit = min(limit, k)
     values, bases, exponents = prime_powers_upto(limit, build_sieve(max(limit, 2)))
+    first = int(np.searchsorted(values, walk))
+    values, bases, exponents = values[first:], bases[first:], exponents[first:]
     sides = _binomials(values, walk)
-    keep = np.flatnonzero((sides >= 1) & (sides + shift >= 1))
+    keep = np.flatnonzero(sides + shift >= 1)
     sides, bases, exponents = sides[keep], bases[keep], exponents[keep]
     targets = sides + shift
     # 0 marks a target with no argument; it is no prime power
@@ -155,23 +168,25 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
         args = np.array([n if exact else 0 for n, exact in inverse], dtype=np.int64)
     arg_bases, arg_exponents = prime_power_decompose_many(args)
     hits = np.flatnonzero(arg_exponents)
-    walked = (bases[hits].tolist(), exponents[hits].tolist(), sides[hits].tolist())
-    inverted = (arg_bases[hits].tolist(), arg_exponents[hits].tolist(), targets[hits].tolist())
+    walked = (bases[hits], exponents[hits], sides[hits])
+    inverted = (arg_bases[hits], arg_exponents[hits], targets[hits])
     (p, a, left), (q, b, right) = (walked, inverted) if i > j else (inverted, walked)
-    return list(map(EquationSolution._make, zip(p, a, q, b, left, right)))
+    return p, a, q, b, left, right
 
 
 def enumerate_p_minus1_triangular(limit: int) -> list[tuple[int, int]]:
     """Primes p <= limit with p - 1 = C(q, 2) for prime q, ascending by p.
 
     These are the solutions of instance (1, 2, 1) with a = b = 1 and
-    C(q, 2) <= limit - 1; the solver emits them ascending by C(q, 2), so by p.
-    Its bound C(q, 2) <= 2^62 caps the limit at 2^62 + 1.
+    C(q, 2) <= limit - 1, selected on the walk's arrays; the walk emits them
+    ascending by C(q, 2), so by p.  Its bound C(q, 2) <= 2^62 caps the limit
+    at 2^62 + 1.
     """
     if not 2 <= limit <= 2**62 + 1:
         raise UsageError("limit must be in [2, 2^62 + 1]")
-    sols = solve_equation(EquationInstance(1, 2, 1), limit - 1)
-    return [(s.p, s.q) for s in sols if s.a == 1 and s.b == 1]
+    p, a, q, b, _, _ = _walk(1, 2, 1, limit - 1)
+    simple = (a == 1) & (b == 1)
+    return list(zip(p[simple].tolist(), q[simple].tolist()))
 
 
 @dataclass

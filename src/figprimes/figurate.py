@@ -96,19 +96,23 @@ def generate_figurate(
     # C(m, i) >= C(m, 2) > limit once m > isqrt(2 * limit) + 1, for every i >= 2
     cut = int(np.searchsorted(prime_powers, isqrt(2 * limit) + 2, side="right"))
     powers = prime_powers[:cut].tolist()
+    found = [1] if include_one else []
     i = 2
     while comb(2 * i, i) <= limit:
         for m in powers[bisect_left(powers, 2 * i) :]:
             v = comb(m, i)
             if v > limit:
                 break
-            membership[v] = True
+            found.append(v)
         i += 1
 
-    if include_one:
-        membership[1] = True
-
-    values = np.flatnonzero(membership).astype(np.int64)
+    # The other strata hold a few hundred values, so they are merged into the
+    # prime powers rather than read back from the bitmap.  Neither they nor 1
+    # is a prime power: every prime power dividing C(m, i) is at most m
+    # (Kummer), and C(m, i) >= C(m, 2) > m for 2 <= i <= m - 2.
+    found = np.unique(np.array(found, dtype=np.int64))
+    membership[found] = True
+    values = np.insert(prime_powers, np.searchsorted(prime_powers, found), found)
     return FigurateTable(
         limit=limit,
         values=values,
@@ -175,12 +179,16 @@ def figurate_stats(table: FigurateTable) -> StatsRecord:
     )
 
 
-def twin_figurate(limit: int) -> list[tuple[int, int]]:
-    """All pairs (f, f + 2) of members with f + 2 <= limit, ascending."""
+def _twin_starts(limit: int) -> np.ndarray:
+    """The f of every pair (f, f + 2) of members with f + 2 <= limit, ascending."""
     table = generate_figurate(limit)
     vals = table.values[table.values + 2 <= limit]
-    hits = vals[table.membership[vals + 2]]
-    return [(f, f + 2) for f in hits.tolist()]
+    return vals[table.membership[vals + 2]]
+
+
+def twin_figurate(limit: int) -> list[tuple[int, int]]:
+    """All pairs (f, f + 2) of members with f + 2 <= limit, ascending."""
+    return [(f, f + 2) for f in _twin_starts(limit).tolist()]
 
 
 def write_values(table: FigurateTable, path: str) -> int:

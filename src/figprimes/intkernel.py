@@ -63,6 +63,10 @@ _WITNESS_SETS = (
 #: lanes per batch Miller-Rabin block, which bounds its temporaries
 _BLOCK = 1 << 14
 
+#: odd entries per ``build_sieve`` segment; they span 1 MiB of the mask, which
+#: stays inside a 2 MiB L2 cache
+_SEGMENT = 1 << 19
+
 
 def _factor_screen(primes: tuple[int, ...]) -> tuple[int, np.ndarray]:
     """(m, shares) for m the product of ``primes``: shares[r] tells whether r
@@ -76,6 +80,11 @@ def _factor_screen(primes: tuple[int, ...]) -> tuple[int, np.ndarray]:
 
 #: the primes <= 37 in three groups whose products index small tables
 _FACTOR_SCREENS = tuple(map(_factor_screen, ((2, 3, 5, 7, 11, 13), (17, 19, 23), (29, 31, 37))))
+
+#: the wheel of ``build_sieve``: its primes, and over one period 2*3*5*7*11*13
+#: = 30,030 whether a number is prime to all of them
+_WHEEL_PRIMES = _SMALL_PRIMES[:6]
+_WHEEL = ~_factor_screen(_WHEEL_PRIMES)[1]
 
 #: every p**e <= 2^62 for p <= 37 as aligned (values, bases, exponents), ascending
 #: by value; the last row is 2^62 itself, so no lane below 2^62 looks past the end
@@ -145,10 +154,17 @@ class PrimeTable:
 
 
 def build_sieve(limit: int) -> PrimeTable:
-    """Sieve of Eratosthenes over [2, limit] into a boolean prime mask.
+    """Segmented wheel sieve of Eratosthenes over [2, limit] into a boolean prime mask.
 
-    Each prime p up to sqrt(limit) clears its multiples from p*p on with one
-    slice assignment.  The budget is checked before anything is allocated.
+    The mask starts as copies of the 30,030-entry pattern of the numbers
+    prime to 2*3*5*7*11*13, with those six primes set.  What is left to
+    clear are 1 and the odd composites whose least prime factor p is 17 or
+    more, so only the odd entries, the view ``mask[1::2]``, are sieved: each
+    p up to sqrt(limit), taken from a sieve to sqrt(limit), clears every
+    p-th odd entry from p*p on, one segment of ``_SEGMENT`` odd entries at a
+    time, so that the entries a segment's slices write stay in cache (Bays
+    and Hudson, BIT 17 (1977)).  ``primes`` is read off the odd view, with
+    no full-size copy.  The budget is checked before anything is allocated.
     """
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
@@ -156,12 +172,30 @@ def build_sieve(limit: int) -> PrimeTable:
         raise ResourceLimitError(
             f"sieve of {limit + 1} entries exceeds the budget of {DEFAULT_SIEVE_ENTRIES}"
         )
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    primes = np.flatnonzero(mask).astype(np.int64)
+    mask = np.resize(_WHEEL, limit + 1)
+    mask[[p for p in _WHEEL_PRIMES if p <= limit]] = True
+    odd = mask[1::2]  # odd[t] is the entry of 2t + 1
+    root = isqrt(limit)
+    if root >= 17:
+        steps = build_sieve(root).primes[len(_WHEEL_PRIMES):].tolist()
+        starts = [p * p // 2 for p in steps]  # odd index of p*p, ascending
+        active = 0
+        for lo in range(0, odd.size, _SEGMENT):
+            hi = min(lo + _SEGMENT, odd.size)
+            while active < len(steps) and starts[active] < hi:
+                active += 1
+            for k in range(active):
+                p, t = steps[k], starts[k]
+                odd[t:hi:p] = False
+                starts[k] = t + (hi - t + p - 1) // p * p
+    # odd index 0 is the entry of 1, which the wheel left set: set it for the
+    # read, where its index becomes the prime 2, then clear it for good
+    odd[0] = True
+    primes = odd.nonzero()[0].astype(np.int64, copy=False)
+    odd[0] = False
+    primes *= 2
+    primes += 1
+    primes[0] = 2
     return PrimeTable(limit=limit, primes=primes, prime_mask=mask)
 
 
@@ -173,26 +207,35 @@ def prime_powers_upto(
     Returns ``(values, bases, exponents)`` with ``values == bases**exponents``.
     Row a of the construction holds p**a for a prefix of the primes: p**a * p
     grows with p, so the primes that still fit one more factor are a prefix of
-    the previous row.  Prime powers are distinct, so one stable argsort orders
-    the rows.
+    the previous row, and the rows a >= 2 take only the primes p with
+    p * p <= limit.  Those rows are few (about 500 values at 10^7): they alone
+    are sorted, then inserted into the primes where ``searchsorted`` places
+    them.  Prime powers are distinct, so the order is exact.
     """
     if limit > table.limit:
         raise UsageError("prime table too small for requested limit")
     primes = table.primes[: int(np.searchsorted(table.primes, limit, side="right"))]
-    rows = [primes]
+    small = primes[: int(np.searchsorted(primes, isqrt(limit), side="right"))]
+    rows = [small]
     while True:
         row = rows[-1]
-        cut = int(np.count_nonzero(row <= limit // primes[: row.size]))
+        cut = int(np.count_nonzero(row <= limit // small[: row.size]))
         if not cut:
             break
-        rows.append(row[:cut] * primes[:cut])
-    values = np.concatenate(rows)
-    bases = np.concatenate([primes[: row.size] for row in rows])
-    exponents = np.repeat(
-        np.arange(1, len(rows) + 1, dtype=np.int64), [row.size for row in rows]
-    )
-    order = np.argsort(values, kind="stable")
-    return values[order], bases[order], exponents[order]
+        rows.append(row[:cut] * small[:cut])
+    higher = rows[1:] or [small[:0]]
+    powers = np.concatenate(higher)
+    order = np.argsort(powers)
+    powers = powers[order]
+    bases = np.concatenate([small[: row.size] for row in higher])[order]
+    at = np.searchsorted(primes, powers)
+    exponents = np.ones(primes.size + powers.size, dtype=np.int64)
+    # each inserted value lands at its place among the primes plus the
+    # number of inserted values before it
+    exponents[at + np.arange(at.size)] = np.repeat(
+        np.arange(2, len(higher) + 2, dtype=np.int64), [row.size for row in higher]
+    )[order]
+    return np.insert(primes, at, powers), np.insert(primes, at, bases), exponents
 
 
 def integer_root(n: int, e: int) -> tuple[int, bool]:

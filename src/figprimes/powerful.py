@@ -131,15 +131,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _gap_pairs(d: int, limit: int, cubefull: list[int]) -> list[DifferencePair]:
+def _gap_pairs(
+    d: int, limit: int, cubefull: list[int], reaches: dict | None = None
+) -> list[DifferencePair]:
     """``diff_cubefull_search`` with ``cubefull`` every cube-full number up
-    to limit, ascending."""
+    to limit, ascending.  R_d depends only on the distinct primes of d, so
+    calls with one limit can share ``reaches``, which keeps each R_d by
+    that prime set."""
     d_primes = _prime_factors(d)
-    reach = {
-        m * c
-        for m in _products_with_min_exp(d_primes, limit, 1)
-        for c in cubefull[: bisect_right(cubefull, limit // m)]
-    }
+    reaches = {} if reaches is None else reaches
+    key = tuple(d_primes)
+    if key not in reaches:
+        reaches[key] = {
+            m * c
+            for m in _products_with_min_exp(d_primes, limit, 1)
+            for c in cubefull[: bisect_right(cubefull, limit // m)]
+        }
+    reach = reaches[key]
     return [
         DifferencePair(B + d, B, d, 3)
         for B in sorted(B for B in reach if B + d in reach)
@@ -182,10 +190,11 @@ def power_of_two_gap_report(rmax: int, limit: int) -> list[PowerGapRow]:
     if limit < 1 or rmax + 1 >= limit.bit_length():
         raise UsageError("limit too small to contain the expected pair at rmax")
     cubefull = _tfull_upto(limit, 3)
+    reaches: dict = {}
     rows = []
     for r in range(rmax + 1):
         d = 2**r
-        pairs = _gap_pairs(d, limit, cubefull)
+        pairs = _gap_pairs(d, limit, cubefull, reaches)
         expected = [] if r == 0 else [(2 ** (r + 1), 2**r)]
         rows.append(PowerGapRow(r=r, d=d, pairs=pairs, expected=expected))
     return rows
@@ -213,11 +222,12 @@ def prime_gap_report(limit: int, nmax: int = 28, search_cap: int = 64) -> PrimeG
     if limit <= search_cap:
         raise UsageError("limit must exceed search_cap")
     cubefull = _tfull_upto(limit, 3)
+    reaches: dict = {}
     rows: list[GapCountRow] = []
     least_empty = None
     least_empty_prime = None
     for n in range(2, search_cap + 1):
-        pairs = _gap_pairs(n, limit, cubefull)
+        pairs = _gap_pairs(n, limit, cubefull, reaches)
         if n <= nmax:
             first = (pairs[0].A, pairs[0].B) if pairs else None
             rows.append(GapCountRow(d=n, count=len(pairs), first=first))

@@ -39,16 +39,47 @@ class Table:
     rows: list[list[object]] | np.ndarray
 
 
+#: 10^1 .. 10^19: a magnitude below 2^64 has one digit more than the number of these it reaches
+_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
 def int_lines(rows: np.ndarray) -> str:
-    """An integer array as csv lines: the text ``csv.writer`` gives for its rows.
+    """An int64 array as csv lines: the text ``csv.writer`` gives for its rows.
 
     Integers never need quoting, so each line is the row's values joined by
-    commas; every line ends in a newline.
+    commas; every line ends in a newline.  The text is filled in one byte
+    buffer.  Each value takes its sign, its digits and one separator, so its
+    digit count (from ``searchsorted`` on the powers of ten) and a cumulative
+    sum place every field.  The digits are then written from the last one
+    back, by repeated division by 10 over the values that still have digits
+    left: sorted by digit count, those are a suffix.  Magnitudes are uint64,
+    so -2^63 needs no special case.
     """
     if not len(rows):
         return ""
-    columns = rows.reshape(len(rows), -1).T.tolist()
-    return "\n".join(map(",".join, zip(*(map(str, c) for c in columns)))) + "\n"
+    columns = rows[0].size
+    values = rows.ravel()
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)
+    extra = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")  # digits beyond the first
+    widths = extra + negative + 2
+    ends = np.cumsum(widths)  # one past each value's separator
+    text = np.empty(ends[-1], dtype=np.uint8)
+    text[ends - 1] = np.tile(np.frombuffer(b"," * (columns - 1) + b"\n", np.uint8), len(rows))
+    text[(ends - widths)[negative]] = ord("-")
+    order = np.argsort(extra.astype(np.uint8), kind="stable")
+    magnitude, last = magnitude[order], (ends - 2)[order]  # last: each last digit's offset
+    # step k writes the 10^k digit of the values with more than k digits, those
+    # from position start on; uint8 arithmetic is mod 256, which holds the digit
+    counts = np.bincount(extra)
+    for k, start in enumerate((np.cumsum(counts) - counts).tolist()):
+        rest = magnitude[start:]
+        quotient = rest // np.uint64(10)
+        digit = rest.astype(np.uint8) - quotient.astype(np.uint8) * np.uint8(10)
+        text[last[start:] - k] = digit + np.uint8(ord("0"))
+        rest[:] = quotient
+    return text.tobytes().decode("ascii")
 
 
 def build_envelope(

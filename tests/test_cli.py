@@ -379,6 +379,19 @@ class TestDumpAndStdout:
         assert [int(v) for v in lines[:5]] == [1, 2, 3, 4, 5]
         assert len(lines) == env["stats"]["count"] == 26
 
+    def test_dump_round_trip(self, tmp_path):
+        # the dump is the csv body, and reads back as the member values
+        for limit, flag in ((2, "--include-one"), (40, "--exclude-one"), (10**5, "--include-one")):
+            dump = tmp_path / f"dump-{limit}.txt"
+            argv = ["figurate", "--limit", str(limit), flag]
+            code, env = run_json(argv + ["--dump", str(dump)], tmp_path)
+            assert code == 0
+            values = generate_figurate(limit, include_one=flag == "--include-one").values
+            assert [int(v) for v in dump.read_text("ascii").split()] == values.tolist()
+            assert env["stats"]["dumped"] == env["stats"]["count"] == values.size
+            _, path = run_cli(argv + ["--format", "csv"], tmp_path, "body.csv")
+            assert b"value\n" + dump.read_bytes() == path.read_bytes()
+
     def test_stdout_fallback(self, capfdbinary):
         assert run(["twins", "--limit", "10", "--format", "csv"]) == 0
         out = capfdbinary.readouterr().out

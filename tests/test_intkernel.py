@@ -75,6 +75,54 @@ def eager_spf_sieve(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return primes, mask
 
 
+def slice_sieve(limit: int) -> np.ndarray:
+    """The unsegmented sieve over one mask, each prime up to sqrt(limit)
+    clearing its multiples with one slice: the oracle for the segments and
+    the wheel of ``build_sieve``.  Returns the prime mask."""
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:2] = False
+    for p in range(2, isqrt(limit) + 1):
+        if mask[p]:
+            mask[p * p :: p] = False
+    return mask
+
+
+def argsort_prime_powers(limit: int, primes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every row p**a concatenated and ordered by one stable argsort over all
+    of them: the oracle for the merge in ``prime_powers_upto``."""
+    primes = primes[: int(np.searchsorted(primes, limit, side="right"))]
+    rows = [primes]
+    while True:
+        row = rows[-1]
+        cut = int(np.count_nonzero(row <= limit // primes[: row.size]))
+        if not cut:
+            break
+        rows.append(row[:cut] * primes[:cut])
+    values = np.concatenate(rows)
+    bases = np.concatenate([primes[: row.size] for row in rows])
+    exponents = np.repeat(
+        np.arange(1, len(rows) + 1, dtype=np.int64), [row.size for row in rows]
+    )
+    order = np.argsort(values, kind="stable")
+    return values[order], bases[order], exponents[order]
+
+
+def assert_sieve_agrees(limit: int, primes: np.ndarray, mask: np.ndarray) -> None:
+    """build_sieve(limit) against the oracle's primes and mask up to 3e6,
+    cut to the limit (primality does not depend on the limit)."""
+    table = build_sieve(limit)
+    count = int(np.searchsorted(primes, limit, side="right"))
+    assert table.limit == limit
+    assert table.primes.dtype == np.int64 and table.prime_mask.dtype == bool
+    assert np.array_equal(table.primes, primes[:count]), limit
+    assert np.array_equal(table.prime_mask, mask[: limit + 1]), limit
+
+
+@pytest.fixture(scope="module")
+def spf3e6():
+    return eager_spf_sieve(3 * 10**6)
+
+
 class TestIsPrime:
     def test_agrees_with_trial_division_on_initial_range(self):
         for n in range(0, 20000):
@@ -140,6 +188,45 @@ class TestSieve:
             build_sieve(1 << 28)
 
 
+class TestSegmentedSieve:
+    def test_small_limits_and_wheel_periods(self, spf3e6):
+        # every limit to 400, and the ends of the first four wheel periods
+        limits = list(range(2, 401))
+        limits += [30030 * k + d for k in range(1, 5) for d in (-1, 0, 1)]
+        for limit in limits:
+            assert_sieve_agrees(limit, *spf3e6)
+
+    def test_first_sieving_primes_and_segment_edges(self, spf3e6):
+        # 17^2 and 19^2 are the first composites the wheel leaves; a segment
+        # starts at odd index k * _SEGMENT, the value 2 * k * _SEGMENT + 1
+        limits = [17**2 - 1, 17**2, 17**2 + 1, 19**2 - 1, 19**2, 19**2 + 1]
+        for k in (1, 2):
+            edge = 2 * k * intkernel._SEGMENT + 1
+            limits += [edge - 2, edge - 1, edge, edge + 1, edge + 2]
+        for limit in limits:
+            assert_sieve_agrees(limit, *spf3e6)
+
+    def test_largest_square_below_1e7(self):
+        # 3162^2 = 9,998,244: the last sieving prime is 3137
+        limit = 3162**2
+        primes, mask = eager_spf_sieve(limit)
+        assert_sieve_agrees(limit, primes, mask)
+
+    def test_seeded_random_limits(self, spf3e6):
+        rng = np.random.default_rng(2026)
+        for limit in rng.integers(2, 3 * 10**6, size=30).tolist():
+            assert_sieve_agrees(limit, *spf3e6)
+
+    @pytest.mark.parametrize("segment", [1, 2, 7, 64, 1000])
+    def test_narrow_segments(self, monkeypatch, spf3e6, segment):
+        # many segments per sieve, so a prime's stride crosses many edges
+        monkeypatch.setattr(intkernel, "_SEGMENT", segment)
+        limits = [2, 3, 288, 289, 290, 30029, 30031]
+        limits += [2 * k * segment + 1 + d for k in (1, 3, 17) for d in (-1, 0, 1)]
+        for limit in limits:
+            assert_sieve_agrees(max(limit, 2), *spf3e6)
+
+
 class TestPrimePowers:
     def test_matches_factorization_oracle(self):
         table = build_sieve(5000)
@@ -162,6 +249,27 @@ class TestPrimePowers:
     def test_table_too_small_rejected(self):
         with pytest.raises(UsageError):
             prime_powers_upto(1000, build_sieve(100))
+
+    def test_matches_argsort_construction(self, spf3e6):
+        primes = spf3e6[0]
+        table = build_sieve(3 * 10**6)
+        limits = list(range(1, 1200)) + [10**5, 10**6, 3 * 10**6]
+        # each side of every prime power p**a >= p**2 up to 10^6
+        limits += [
+            p**a + d
+            for p in primes[primes <= 1000].tolist()
+            for a in range(2, 20)
+            if p**a <= 10**6
+            for d in (-1, 0, 1)
+        ]
+        rng = np.random.default_rng(17)
+        limits += rng.integers(2, 3 * 10**6, size=20).tolist()
+        for limit in limits:
+            got = prime_powers_upto(limit, table)
+            want = argsort_prime_powers(limit, primes)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert np.array_equal(g, w), limit
 
 
 class TestIntegerRoot:
@@ -527,3 +635,16 @@ def test_extended_batch_against_sieve_and_scalar():
     rng = np.random.default_rng(10**5)
     for lo, hi in LANE_RANGES:
         assert_batch_agrees(odd_lanes_without_small_factor(rng, lo, hi, 10**5))
+
+
+def test_extended_sieve_at_the_budget():
+    if os.environ.get("FIGPRIMES_EXTENDED") != "1":
+        pytest.skip("set FIGPRIMES_EXTENDED=1 for the sieve at 2^28 - 1")
+    limit = 2**28 - 1
+    table = build_sieve(limit)
+    assert table.primes.size == 14_630_843
+    assert np.array_equal(table.primes, np.flatnonzero(table.prime_mask))
+    mask = slice_sieve(limit)
+    # compared in blocks, so that no third mask-sized array is made
+    for lo in range(0, limit + 1, 1 << 24):
+        assert np.array_equal(table.prime_mask[lo : lo + (1 << 24)], mask[lo : lo + (1 << 24)]), lo

@@ -6,6 +6,7 @@ from bisect import bisect_right
 from math import isqrt
 
 import pytest
+from sympy import primefactors
 
 from figprimes import (
     UsageError,
@@ -184,6 +185,17 @@ class TestDiffCubefull:
         for d in range(1, 65):
             want = reference_gap_pairs(d, limit, cubefull)
             assert powerful._gap_pairs(d, limit, cubefull) == want, d
+
+    def test_shared_reach_sets(self):
+        # the reports share R_d between gaps with one prime set: 2, 4, ..., 64
+        # share R_2, 6, 12, 18, ... share R_6, and so on
+        limit = 10**6
+        cubefull = _tfull_upto(limit, 3)
+        reaches: dict = {}
+        for d in list(range(1, 65)) + [2**r for r in range(1, 20)]:
+            want = reference_gap_pairs(d, limit, cubefull)
+            assert powerful._gap_pairs(d, limit, cubefull, reaches) == want, d
+        assert set(reaches) == {tuple(primefactors(d)) for d in range(1, 65)}
 
     def test_unit_B_is_admissible(self):
         assert (8, 1) in [(p.A, p.B) for p in diff_cubefull_search(7, 100)]
