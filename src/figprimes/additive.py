@@ -32,7 +32,8 @@ from it, so a report depends only on the range, the domains and the options.
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
 ``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
-the first ``sample_size`` represented targets of [lo, hi].
+the first ``sample_size`` represented targets of [lo, hi].  A report names no
+task and carries no parameters; the command line adds both.
 """
 from __future__ import annotations
 
@@ -74,12 +75,6 @@ class DomainSpec:
         if self.kind not in DOMAIN_KINDS:
             raise UsageError(f"unknown domain kind {self.kind!r}")
 
-    @property
-    def label(self) -> str:
-        if self.kind in ("primes", "prime-powers"):
-            return self.kind
-        return self.kind if self.include_one else f"{self.kind}-no-one"
-
 
 @dataclass(frozen=True)
 class _Domain:
@@ -110,8 +105,6 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
 
 @dataclass
 class VerificationReport:
-    task: str
-    params: dict
     lo: int
     hi: int
     verified: bool
@@ -220,7 +213,7 @@ def _certificate(value: int, spec: DomainSpec) -> dict:
     return {"kind": "binomial", "p": w.p, "a": w.a, "i": w.i}
 
 
-def _verify(task, params, a, b, lo, hi, left, right, step, sample_end, *,
+def _verify(a, b, lo, hi, left, right, step, sample_end, *,
             jobs, max_counterexamples, sample_size):
     """Settle every target n = a*x + b*y in [lo, hi], x from ``left`` and y
     from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
@@ -311,8 +304,6 @@ def _verify(task, params, a, b, lo, hi, left, right, step, sample_end, *,
             )
     total = len(counterexamples)
     report = VerificationReport(
-        task=task,
-        params=params,
         lo=lo,
         hi=hi,
         verified=total == 0,
@@ -338,15 +329,13 @@ def verify_additive(
     even_only: bool = False,
     max_counterexamples: int = 100,
     sample_size: int = 10,
-    task: str = "sum-of-two",
 ) -> VerificationReport:
     """Check that every n in [lo, hi] is x + y with x, y in the two domains."""
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
     step = 2 if even_only else 1
-    params = {"left": left.label, "right": right.label, "even_only": even_only}
     report, descending, _ = _verify(
-        task, params, 1, 1, lo, hi, left, right, step, lo + step * sample_size,
+        1, 1, lo, hi, left, right, step, lo + step * sample_size,
         jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
     report.stats["mode"] = "right-descending" if descending else "left-ascending"
@@ -378,9 +367,8 @@ def verify_linear(
         raise ArithmeticGuardError("a, b and (a-1)(b-1) must not exceed 2^63 - 1")
     if not 1 <= lo <= hi:
         raise UsageError("need 1 <= lo <= hi")
-    params = {"a": a, "b": b, "domain": domain.label}
     report, _, largest = _verify(
-        "linear-combination", params, a, b, lo, hi, domain, domain, 1, hi + 1,
+        a, b, lo, hi, domain, domain, 1, hi + 1,
         jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
     threshold = (a - 1) * (b - 1)

@@ -37,13 +37,7 @@ from .equations import (
     theorem_errata,
 )
 from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
-from .figurate import (
-    _twin_starts,
-    figurate_stats,
-    figurate_witness,
-    generate_figurate,
-    write_values,
-)
+from .figurate import figurate_stats, figurate_witness, generate_figurate, twin_figurate
 from .intkernel import U63_MAX
 from .powerful import (
     consecutive_powerful_pairs,
@@ -52,7 +46,7 @@ from .powerful import (
     power_of_two_gap_report,
     prime_gap_report,
 )
-from .reporting import Table, build_envelope, render_report
+from .reporting import Table, build_envelope, int_lines, render_report
 
 JOBS_ENV = "FIGPRIMES_JOBS"
 
@@ -104,16 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
             ("--stats", dict(action="store_true")), ("--dump", dict(metavar="PATH", default=None)),
             groups=(ones,))
     command("twins", "pairs (f, f+2) inside the set", _twins, _int("--limit"))
-    # additive scans: (task, left domain, right domain, even targets only);
-    # goldbach takes no --include-one, and its primes never hold 1 anyway
+    # additive scans: the task and, but for linear, (left domain, right domain,
+    # even targets only); goldbach takes no --include-one, its primes never hold 1
     command("sum2", "every n as member + member", _scan, groups=(ones, span),
-            scan=("sum-of-two", "figurate", "figurate", False))
+            task="sum-of-two", scan=("figurate", "figurate", False))
     command("prime-proper", "every n as prime + proper member", _scan, groups=(ones, span),
-            scan=("prime-plus-proper", "primes", "proper", False))
+            task="prime-plus-proper", scan=("primes", "proper", False))
     command("goldbach", "every even n as prime + prime", _scan, groups=(span,),
-            scan=("goldbach-even", "primes", "primes", True), include_one=True)
+            task="goldbach-even", scan=("primes", "primes", True), include_one=True)
     command("linear", "every n as a*x + b*y", _scan, _int("--a"), _int("--b"),
-            ("--domain", dict(choices=DOMAIN_KINDS, default="figurate")), groups=(ones, span))
+            ("--domain", dict(choices=DOMAIN_KINDS, default="figurate")), groups=(ones, span),
+            task="linear-combination")
     command("solve", "all solutions of one instance", _solve,
             _int("--i"), _int("--j"), _int("--k"), _int("--bound", default=10**12))
     command("triangular", "primes p with p - 1 = C(q, 2)", _triangular, _int("--limit"))
@@ -142,27 +137,29 @@ def build_parser() -> argparse.ArgumentParser:
 # ``elapsed_ms``) and its csv table.  ``args.params`` holds the options its
 # ``command`` call declares, not those of its parent groups, with their values
 # in declaration order; it is the report's ``params``, except that figurate,
-# curve and the four scans build their own.  A check report takes its verdict
-# fields from ``_verdict``: the failing items are its counterexamples, and it
-# is verified iff there are none.  ``verified`` False makes the exit code 1.
-# Handlers call the library through this module's globals, so wrapping a name
-# here wraps it for every command.
+# curve and the four scans build their own.  The library returns numbers and
+# arrays; naming a report and rendering it happen here.  A check report takes
+# its verdict fields from ``_verdict``: the failing items are its
+# counterexamples, and it is verified iff there are none.  ``verified`` False
+# makes the exit code 1.  Handlers call the library through this module's
+# globals, so wrapping a name here wraps it for every command.
 
 Result = tuple[dict, Table]
 
 
-def _listing(args, task: str, header: list[str], rows: list | np.ndarray) -> dict:
-    """Fields of a report that lists rows, a list or an integer array: the
-    first few keyed by the header, and their count."""
+def _listing(args, task: str, header: list[str], rows: list | np.ndarray) -> Result:
+    """A report that lists rows, a list or an integer array: its fields key
+    the first few by the header and count them, and its table is the rows."""
     sample = rows[: args.sample_size]
     if isinstance(sample, np.ndarray):
         sample = sample.tolist()
-    return dict(
+    fields = dict(
         task=task,
         params=args.params,
         witness_sample=[dict(zip(header, r)) for r in sample],
         stats={"count": len(rows)},
     )
+    return fields, Table(header, rows)
 
 
 def _verdict(failing: list) -> dict:
@@ -197,7 +194,10 @@ def _figurate(args) -> Result:
         stats = vars(figurate_stats(table))
         fields = dict(task="figurate-stats", params=params, stats=stats)
         return fields, Table(["key", "value"], [list(r) for r in stats.items()])
-    dumped = write_values(table, args.dump) if args.dump else None
+    if args.dump:
+        with open(args.dump, "w", encoding="ascii") as fh:
+            fh.write(int_lines(table.values))
+    dumped = table.count if args.dump else None
     fields = dict(
         task="figurate-generate",
         params=params,
@@ -208,9 +208,13 @@ def _figurate(args) -> Result:
 
 
 def _twins(args) -> Result:
-    starts = _twin_starts(args.limit)
-    pairs = np.column_stack((starts, starts + 2))
-    return _listing(args, "twin-members", ["f", "g"], pairs), Table(["f", "g"], pairs)
+    return _listing(args, "twin-members", ["f", "g"], twin_figurate(args.limit))
+
+
+def _label(spec: DomainSpec) -> str:
+    """A scan domain as its report's params name it; prime powers never hold 1."""
+    bare = spec.include_one or spec.kind in ("primes", "prime-powers")
+    return spec.kind if bare else f"{spec.kind}-no-one"
 
 
 def _scan(args) -> Result:
@@ -221,15 +225,15 @@ def _scan(args) -> Result:
     )
     if args.cmd == "linear":
         domain = DomainSpec(args.domain, args.include_one)
+        params = {**args.params, "domain": _label(domain)}
         rep = verify_linear(args.a, args.b, args.lo, args.hi, domain, **counts)
     else:
-        task, *kinds, even_only = args.scan
+        *kinds, even_only = args.scan
         left, right = (DomainSpec(kind, args.include_one) for kind in kinds)
-        rep = verify_additive(
-            args.lo, args.hi, left, right, even_only=even_only, task=task, **counts
-        )
+        params = {"left": _label(left), "right": _label(right), "even_only": even_only}
+        rep = verify_additive(args.lo, args.hi, left, right, even_only=even_only, **counts)
     # the report's fields are the envelope's, with the range in two
-    fields = dict(vars(rep), range_=(rep.lo, rep.hi))
+    fields = dict(vars(rep), task=args.task, params=params, range_=(rep.lo, rep.hi))
     del fields["lo"], fields["hi"]
     rows: list[list[object]] = [["witness", w["n"], w["x"], w["y"]] for w in rep.witness_sample]
     rows += [["counterexample", n, "", ""] for n in rep.counterexamples]
@@ -268,8 +272,8 @@ def _solve(args) -> Result:
 
 
 def _triangular(args) -> Result:
-    rows = [list(p) for p in enumerate_p_minus1_triangular(args.limit)]
-    return _listing(args, "triangular-predecessors", ["p", "q"], rows), Table(["p", "q"], rows)
+    rows = enumerate_p_minus1_triangular(args.limit)
+    return _listing(args, "triangular-predecessors", ["p", "q"], rows)
 
 
 def _families(args) -> Result:
@@ -378,27 +382,22 @@ def _curve(args) -> Result:
     )
 
 
-def _gap_pairs(args, task: str, pairs: list) -> Result:
-    """Report on pairs A - B = d: powerful-pairs and cubefull-diff."""
-    header = ["d", "A", "B"]
-    rows = [[p.d, p.A, p.B] for p in pairs]
-    return _listing(args, task, header, rows), Table(header, rows)
-
-
 def _powerful_pairs(args) -> Result:
-    return _gap_pairs(args, "consecutive-powerful", consecutive_powerful_pairs(args.limit))
+    rows = [[p.d, p.A, p.B] for p in consecutive_powerful_pairs(args.limit)]
+    return _listing(args, "consecutive-powerful", ["d", "A", "B"], rows)
 
 
 def _cubefull_diff(args) -> Result:
-    return _gap_pairs(args, "cubefull-gap", diff_cubefull_search(args.d, args.limit))
+    rows = [[p.d, p.A, p.B] for p in diff_cubefull_search(args.d, args.limit)]
+    return _listing(args, "cubefull-gap", ["d", "A", "B"], rows)
 
 
 def _pell(args) -> Result:
     fam = pell_family(args.count)
     rows = [[p.u, p.v, p.A, p.B] for p in fam.pairs]
-    fields = _listing(args, "pell-family", ["u", "v", "A", "B"], rows)
+    fields, table = _listing(args, "pell-family", ["u", "v", "A", "B"], rows)
     fields["stats"] = {"returned": len(fam.pairs), "truncated": fam.truncated}
-    return fields, Table(["u", "v", "A", "B"], rows)
+    return fields, table
 
 
 def _conj41(args) -> Result:

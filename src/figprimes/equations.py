@@ -63,7 +63,7 @@ class EquationSolution(NamedTuple):
 
 
 def _binomials(v: np.ndarray, i: int) -> np.ndarray:
-    """C(v, i) over an int64 array whose binomials all fit in 63 bits.
+    """C(v, i) over an int64 array, or a uint64 one for i = 2, whose binomials fit its dtype.
 
     C(v, 1) is v itself.  For i = 2 the even factor of v(v - 1) is halved
     first, so no product exceeds C(v, 2); larger i go through Python integers.
@@ -78,18 +78,14 @@ def _binomials(v: np.ndarray, i: int) -> np.ndarray:
 def _pair_args(t: np.ndarray) -> np.ndarray:
     """n with C(n, 2) == t over an int64 array of t >= 1, and 0 where no n has.
 
-    Where C(n, 2) == t <= 2^62, n = (1 + sqrt(8t + 1)) / 2 < 2^31.5 + 1, and
-    the float64 value of that root is within far less than 1/2 of it, so it
-    rounds to n; every rounded root stays below 2^31.5 + 2, so C(root, 2)
-    fits in 63 bits and the comparison with t decides.  Larger t, which only
-    a bound near 2^62 reaches, go through ``binomial_arg``.
+    Where C(n, 2) == t, n = (1 + sqrt(8t + 1)) / 2 <= 2^32, and the float64
+    value of that root is within far less than 1/2 of it, so it rounds to n.
+    Every rounded root is below 2^32 + 2, so C(root, 2), with the even factor
+    halved first, stays below 2^64: in uint64 the comparison with t decides
+    over the whole 63-bit range.
     """
-    n = np.rint((1 + np.sqrt(8 * t.astype(np.float64) + 1)) / 2).astype(np.int64)
-    args = np.where(_binomials(n, 2) == t, n, 0)
-    for lane in np.flatnonzero(t > 2**62).tolist():
-        root, exact = binomial_arg(int(t[lane]), 2)
-        args[lane] = root if exact else 0
-    return args
+    n = np.rint((1 + np.sqrt(8 * t.astype(np.float64) + 1)) / 2).astype(np.uint64)
+    return np.where(_binomials(n, 2) == t.view(np.uint64), n, 0).astype(np.int64)
 
 
 def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[EquationSolution]:

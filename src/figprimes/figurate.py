@@ -3,7 +3,8 @@
 The working set is every positive value C(p**a, i) with p prime, a >= 1 and
 1 <= i <= p**a.  The i = 1 stratum contributes all prime powers, so in
 particular every prime is in the set.  C(m, m) = 1, so the value 1 belongs to
-the set as well; callers can opt out of it.
+the set as well; callers can opt out of it.  The module answers in numbers
+and arrays; writing them out, as a dump file or a report, is the CLI's part.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from .intkernel import (
     prime_power_decompose,
     prime_powers_upto,
 )
-from .reporting import int_lines
 
 #: canonical witness for the value 1: C(2**1, 2) = 1
 ONE_WITNESS_ARGS = (1, 2, 1, 2)
@@ -179,23 +179,10 @@ def figurate_stats(table: FigurateTable) -> StatsRecord:
     )
 
 
-def _twin_starts(limit: int) -> np.ndarray:
-    """The f of every pair (f, f + 2) of members with f + 2 <= limit, ascending."""
+def twin_figurate(limit: int) -> np.ndarray:
+    """All pairs (f, f + 2) of members with f + 2 <= limit, ascending, as the
+    rows of an (n, 2) int64 array."""
     table = generate_figurate(limit)
-    vals = table.values[table.values + 2 <= limit]
-    return vals[table.membership[vals + 2]]
-
-
-def twin_figurate(limit: int) -> list[tuple[int, int]]:
-    """All pairs (f, f + 2) of members with f + 2 <= limit, ascending."""
-    return [(f, f + 2) for f in _twin_starts(limit).tolist()]
-
-
-def write_values(table: FigurateTable, path: str) -> int:
-    """Dump member values one per line.  Returns the number of lines.
-
-    The text is the body ``render_csv`` writes for the values column.
-    """
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(int_lines(table.values))
-    return table.count
+    f = table.values[table.values + 2 <= limit]
+    f = f[table.membership[f + 2]]
+    return np.column_stack((f, f + 2))

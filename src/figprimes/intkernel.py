@@ -1,8 +1,9 @@
 """Exact integer arithmetic: primality, sieves, prime powers, roots, binomial inverse.
 
 Every routine here is deterministic and exact.  Floating point may be used to
-seed an iteration but never decides a result.  It appears in two places,
-both in the batch function ``prime_power_decompose_many``: its Miller-Rabin
+seed an iteration but never decides a result.  ``binomial_arg`` starts its
+exact walks from an lgamma estimate, and the batch function
+``prime_power_decompose_many`` uses it twice: its Miller-Rabin
 takes the quotient of a*b mod n from float64 for n <= 2^50 and from long
 double with a 64-bit significand for n < 2^62, which is off from the true
 quotient by less than 1/2, so wrapping 64-bit arithmetic and two unsigned
@@ -17,7 +18,7 @@ is exponent 1 of that decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial, isqrt, prod
+from math import comb, exp, isqrt, lgamma, log, prod
 from operator import index
 
 import numpy as np
@@ -262,21 +263,24 @@ def integer_root(n: int, e: int) -> tuple[int, bool]:
 
 
 def binomial_arg(target: int, i: int) -> tuple[int, bool]:
-    """(n, exact?) for the largest n >= i with C(n, i) <= target, target >= 1.
+    """(n, exact?) for the largest n >= i with C(n, i) <= target, 1 <= target < 2^63.
 
-    For n >= i, i! * C(n, i) = n(n-1)...(n-i+1) lies between (n-i+1)^i and
-    n^i.  With r the integer i-th root of i! * target, C(n, i) <= target
-    gives n - i + 1 <= r, and C(n + 1, i) > target gives n + 1 > r, so
-    r <= n <= r + i - 1.  C(m, i) increases with m >= i, so the walk starts
-    at max(r, i) and steps up at most i - 1 times.
-
-    For i >= 64 the root is skipped and the walk starts at n = i.  Below 2i
-    each step at least doubles C(n, i), and C(2i, i) >= 2^i, so a target
-    below 2^64 takes at most 63 steps; larger targets stay exact, only slower.
+    C(m, i) increases with m >= i, so two exact walks decide from any start
+    n >= i: down while C(n, i) > target, then up while C(n + 1, i) <= target.
+    The start only sets their length.  It is n = i when target <= i, which is
+    the answer there, since C(i + 1, i) = i + 1; otherwise it is
+    max(i, floor((i! * target)^(1/i) + (i - 1)/2)) in floating point, as
+    i! * C(n, i) = n(n-1)...(n-i+1) is close to (n - (i - 1)/2)^i.
     """
+    if target > U63_MAX:
+        raise ArithmeticGuardError("binomial_arg needs a target below 2^63")
+    if target < 1:
+        raise UsageError("binomial_arg needs a target >= 1")
     if i == 1:
         return target, True
-    n = max(integer_root(factorial(i) * target, i)[0], i) if i < 64 else i
+    n = i if target <= i else max(i, int(exp((lgamma(i + 1) + log(target)) / i) + (i - 1) / 2))
+    while n > i and comb(n, i) > target:
+        n -= 1
     while comb(n + 1, i) <= target:
         n += 1
     return n, comb(n, i) == target
@@ -461,7 +465,7 @@ def _miller_rabin_many(n: np.ndarray) -> np.ndarray:
 
 
 def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
-    """``prime_power_decompose`` over a one-dimensional int64 array.
+    """``prime_power_decompose`` over a one-dimensional integer array.
 
     Returns aligned int64 arrays ``(bases, exponents)`` with
     ``values == bases**exponents`` where the value is a prime power, and
@@ -471,11 +475,15 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
     Miller-Rabin, and only the composite lanes whose float root screen finds
     an exact power reach the scalar ``_power_root``.  Values at or above
     ``_LANE_LIMIT`` (2^62, or 2^50 where long double is plain double) go
-    through scalar ``prime_power_decompose``.
+    through scalar ``prime_power_decompose``.  Other dtypes than integers (bool
+    too) raise UsageError, and values from 2^63 up ArithmeticGuardError.
     """
-    v = np.asarray(values, dtype=np.int64)
-    if v.ndim != 1:
-        raise UsageError("batch arithmetic needs a one-dimensional array")
+    v = np.asarray(values)
+    if v.ndim != 1 or v.dtype.kind not in "iu":
+        raise UsageError("batch arithmetic needs a one-dimensional integer array")
+    if v.dtype.kind == "u" and v.size and v.max() > U63_MAX:
+        raise ArithmeticGuardError("batch values must not exceed 2^63 - 1")
+    v = v.astype(np.int64, copy=False)
     bases = np.zeros(v.size, dtype=np.int64)
     exponents = np.zeros(v.size, dtype=np.int64)
     for lane in np.flatnonzero(v >= _LANE_LIMIT).tolist():

@@ -135,7 +135,7 @@ class TestExitCodes:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_large_binomial_index_finishes(self, tmp_path):
-        # binomial_arg walks up from n = i instead of rooting i! * target
+        # binomial_arg starts at n = i for a target <= i, with no i! * target
         for i in ("100000", "10000000"):
             code, env = run_json(["solve", "--i", i, "--j", "1", "--k", "1",
                                   "--bound", "100"], tmp_path)
@@ -212,6 +212,18 @@ class TestEnvelope:
         assert "jobs" not in env["params"]
         assert env["range"] == [2, 100]
         assert env["verified"] is True
+
+    def test_domain_labels(self, tmp_path):
+        # primes and prime powers never hold 1, so only the other domains
+        # name its exclusion
+        excluded = {"primes": "primes", "prime-powers": "prime-powers",
+                    "figurate": "figurate-no-one", "proper": "proper-no-one"}
+        for kind, label in excluded.items():
+            argv = ["linear", "--a", "1", "--b", "2", "--from", "1", "--to", "50", "--domain", kind]
+            for flag, name in (("--include-one", kind), ("--exclude-one", label)):
+                _, env = run_json(argv + [flag], tmp_path)
+                assert env["task"] == "linear-combination"
+                assert env["params"] == {"a": 1, "b": 2, "domain": name}, (kind, flag)
 
     def test_scan_elapsed_counts_generation(self, tmp_path, monkeypatch):
         def slow_generate(*args, **kwargs):
@@ -332,10 +344,14 @@ class TestCsvPayloads:
         _, path = run_cli(["figurate", "--limit", "100000", "--format", "csv"], tmp_path)
         assert path.read_bytes() == csv_writer_bytes(["value"], [[v] for v in values])
         # limit 3 has the one pair (1, 3); limit 2 has none, so header only
+        members = set(values)
         for limit in (10**5, 3, 2):
             pairs = twin_figurate(limit)
+            assert pairs.dtype == np.int64 and pairs.shape == (len(pairs), 2)
+            naive = [[f, f + 2] for f in sorted(members) if f + 2 <= limit and f + 2 in members]
+            assert pairs.tolist() == naive
             _, path = run_cli(["twins", "--limit", str(limit), "--format", "csv"], tmp_path)
-            assert path.read_bytes() == csv_writer_bytes(["f", "g"], [list(p) for p in pairs])
+            assert path.read_bytes() == csv_writer_bytes(["f", "g"], naive)
         assert len(pairs) == 0
 
     def test_stats_key_value_table(self, tmp_path):

@@ -337,11 +337,12 @@ class TestErrata:
 
 class TestPairInverse:
     def test_matches_binomial_arg(self):
-        # the array inverse of C(n, 2) against the scalar binomial_arg, on
-        # both sides of its 2^62 switch and up to 2^63 - 1
+        # the array inverse of C(n, 2) against the scalar binomial_arg, below
+        # and above 2^62 and up to 2^63 - 1, with the top 3,000 n of C(n, 2)
+        # below 2^63: their halved products need the 64th bit
         rng = np.random.default_rng(2)
-        ns = rng.integers(2, 2**32, size=3000).tolist()
-        ns += [2, 3, 4, 2**31, 3_037_000_499, 3_037_000_500, 3_037_000_501, 2**32 - 1, 2**32]
+        ns = rng.integers(2, 2**32, size=3000).tolist() + list(range(2**32 - 2999, 2**32 + 2))
+        ns += [2, 3, 4, 2**31, 3_037_000_499, 3_037_000_500, 3_037_000_501]
         t = [comb(n, 2) + d for n in ns for d in (-1, 0, 1)]
         t += rng.integers(1, 2**62, size=20_000).tolist() + [1, 2**62, 2**62 + 1, U63_MAX]
         t = [v for v in t if 1 <= v <= U63_MAX]

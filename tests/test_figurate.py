@@ -6,6 +6,7 @@ but unarguable on small limits.
 """
 from __future__ import annotations
 
+import json
 from math import comb
 
 import numpy as np
@@ -20,7 +21,8 @@ from figprimes import (
     generate_figurate,
     twin_figurate,
 )
-from figprimes.figurate import ONE_WITNESS_ARGS, write_values
+from figprimes.cli import run
+from figprimes.figurate import ONE_WITNESS_ARGS
 
 
 def _is_pp(m: int) -> bool:
@@ -148,7 +150,10 @@ class TestTableShape:
         for limit in (50, 40, 10**5):
             table = generate_figurate(limit)
             path = tmp_path / f"values-{limit}.txt"
-            count = write_values(table, str(path))
+            out = tmp_path / f"report-{limit}.json"
+            argv = ["figurate", "--limit", str(limit), "--dump", str(path), "--out", str(out)]
+            assert run(argv) == 0
+            count = json.loads(out.read_text())["stats"]["dumped"]
             lines = path.read_text("ascii").splitlines()
             assert count == len(lines) == table.count
             assert [int(s) for s in lines] == table.values.tolist()
@@ -183,29 +188,39 @@ class TestStats:
         assert rec.total == rec.primes + rec.composite_even + rec.composite_odd + 1
 
 
+def naive_twins(members: set[int], limit: int) -> list[list[int]]:
+    """Every [f, f + 2] with both in ``members`` and f + 2 <= limit, ascending."""
+    return [[f, f + 2] for f in sorted(members) if f + 2 <= limit and f + 2 in members]
+
+
+def twin_rows(limit: int) -> list[list[int]]:
+    """``twin_figurate`` after checking its array form: int64 rows (f, g)."""
+    pairs = twin_figurate(limit)
+    assert pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2
+    return pairs.tolist()
+
+
 class TestTwins:
     def test_limit_ten_pairs(self):
-        pairs = twin_figurate(10)
+        pairs = twin_rows(10)
         for f, g in [(2, 4), (3, 5), (5, 7), (7, 9)]:
-            assert (f, g) in pairs
+            assert [f, g] in pairs
         assert pairs == sorted(pairs)
         assert all(g == f + 2 for f, g in pairs)
 
     def test_pair_members_in_set(self, fig2e4):
-        pairs = twin_figurate(fig2e4.limit)
+        pairs = twin_rows(fig2e4.limit)
         members = set(fig2e4.values.tolist())
         for f, g in pairs:
             assert f in members and g in members
+        assert pairs == naive_twins(members, fig2e4.limit)
 
     def test_prime_power_pair_present(self):
-        assert (25, 27) in twin_figurate(30)
+        assert [25, 27] in twin_rows(30)
 
     def test_non_member_pair_absent(self):
-        assert (13, 15) not in twin_figurate(30)
+        assert [13, 15] not in twin_rows(30)
 
     def test_matches_membership_oracle(self):
-        limit = 300
-        expected = oracle_members(limit, True)
-        pairs = twin_figurate(limit)
-        naive = [(f, f + 2) for f in sorted(expected) if f + 2 <= limit and f + 2 in expected]
-        assert pairs == naive
+        for limit in (2, 3, 4, 300):
+            assert twin_rows(limit) == naive_twins(oracle_members(limit, True), limit)

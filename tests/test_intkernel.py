@@ -7,7 +7,7 @@ with them on every checked input.
 from __future__ import annotations
 
 import os
-from math import comb, gcd, isqrt
+from math import comb, factorial, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -322,7 +322,41 @@ def assert_binomial_arg(t: int, i: int) -> None:
     assert exact == (comb(n, i) == t), (t, i)
 
 
+def root_rule_binomial_arg(target: int, i: int) -> tuple[int, bool]:
+    """The former start rule of ``binomial_arg``: walk up from max(r, i), r the
+    integer i-th root of i! * target, or from i when i >= 64.  For n >= i,
+    (n-i+1)^i <= i! * C(n, i) <= n^i, so the answer lies in [r, r + i - 1]."""
+    if i == 1:
+        return target, True
+    n = max(integer_root(factorial(i) * target, i)[0], i) if i < 64 else i
+    while comb(n + 1, i) <= target:
+        n += 1
+    return n, comb(n, i) == target
+
+
 class TestBinomialArg:
+    def test_matches_root_rule(self):
+        pairs = [(t, i) for i in range(1, 13) for t in range(1, 3001)]
+        rng = np.random.default_rng(9)
+        for i in (2, 3, 4, 5, 10, 20, 33, 40, 60, 63, 64, 65, 70, 100, 10**5, 10**9):
+            pairs += [(t, i) for t in rng.integers(1, U63_MAX, 200, endpoint=True).tolist()]
+            for m in range(0, 3000, 97 if i <= 3 else 1):
+                c = comb(i + m, i)
+                if c + 1 > U63_MAX:
+                    break
+                pairs += [(t, i) for t in (c - 1, c, c + 1) if t >= 1]
+        for t, i in pairs:
+            assert binomial_arg(t, i) == root_rule_binomial_arg(t, i), (t, i)
+
+    def test_targets_out_of_range(self):
+        for i in (1, 2, 64, 10**9):
+            with pytest.raises(ArithmeticGuardError):
+                binomial_arg(U63_MAX + 1, i)
+            # no n >= i has C(n, i) <= target below 1
+            for t in (0, -5):
+                with pytest.raises(UsageError):
+                    binomial_arg(t, i)
+
     def test_every_small_target(self):
         for i in range(1, 13):
             for t in range(1, 5001):
@@ -337,7 +371,7 @@ class TestBinomialArg:
         assert binomial_arg(comb(m, i), i) == (m, True)
         assert binomial_arg(comb(m, i) - 1, i) == (m - 1, False)
 
-    # from i = 64 on the walk starts at n = i with no root of i! * target
+    # indices around 64, where the former start rule stopped rooting i! * target
     @pytest.mark.parametrize("i", [*range(60, 71), 10**5, 10**9])
     def test_large_index(self, i):
         rng = np.random.default_rng(i)
@@ -488,6 +522,46 @@ class TestBatchAgainstScalar:
             prime_power_decompose_many(np.zeros((2, 2), dtype=np.int64))
         with pytest.raises(UsageError):
             prime_power_decompose_many(np.int64(7))
+
+    def test_rejects_floats(self):
+        # 2.5 used to be truncated to 2, a prime
+        with pytest.raises(UsageError):
+            prime_power_decompose_many([2.5])
+        with pytest.raises(UsageError):
+            prime_power_decompose_many(np.array([7.0]))
+
+    def test_rejects_strings(self):
+        # '7' used to be parsed as the prime 7
+        with pytest.raises(UsageError):
+            prime_power_decompose_many(["7"])
+
+    def test_rejects_bools(self):
+        with pytest.raises(UsageError):
+            prime_power_decompose_many(np.array([True, False]))
+
+    def test_python_int_past_63_bits(self):
+        # a list holding 2^63 becomes a uint64 array; it used to overflow int64
+        with pytest.raises(ArithmeticGuardError):
+            prime_power_decompose_many([2**63])
+
+    def test_uint64_primes_past_63_bits(self):
+        # both are prime, and used to wrap negative into non-prime-powers
+        for p in (2**63 + 29, 2**64 - 59):
+            assert is_prime(p)
+            with pytest.raises(ArithmeticGuardError):
+                prime_power_decompose_many(np.array([3, p], dtype=np.uint64))
+
+    def test_other_integer_dtypes(self):
+        # unsigned and narrow lanes below 2^63 agree with the scalar
+        values = [0, 1, 2, 4, 97, 127, 2**31 - 1, 2**61 - 1, U63_MAX]
+        expected = prime_power_decompose_many(np.array(values, dtype=np.int64))
+        for got in (prime_power_decompose_many(np.array(values, dtype=np.uint64)),
+                    prime_power_decompose_many(values)):
+            assert [a.tolist() for a in got] == [a.tolist() for a in expected]
+        small = np.arange(128, dtype=np.int8)
+        bases, exps = prime_power_decompose_many(small)
+        assert bases.tolist() == prime_power_decompose_many(small.astype(np.int64))[0].tolist()
+        assert exps.dtype == np.int64
 
 
 def prime_power_strategy(cap: int):
