@@ -11,10 +11,17 @@ candidates that leave room for the other summand below hi are kept.  The
 candidates of one class reach exactly one class of targets, a progression of
 stride equal to the modulus, which one kernel settles with one vectorized
 pass per candidate; classes holding no candidate are never visited, and their
-targets stay counterexamples.  The range is cut into chunks, each chunk fills
-one witness array over its targets, and chunk results are merged in chunk
+targets stay counterexamples.  A pass only clears the hits from an open mask:
+no witness is stored per target.  The range is cut into chunks, each chunk
+fills one open mask over its targets, and chunk results are merged in chunk
 order, so the report is identical no matter how many worker threads run.
 Witnesses always use the minimal x.
+
+Targets one stride s apart (s = 2 for even-only scans) look their summands
+up one stride apart too.  Such a scan copies the membership array once into
+the s contiguous residue views ``mem[r::s]``, shared by every chunk, so that
+no pass reads memory with a stride; at s = 1 the array itself is the one
+view.
 
 A chunk spans a fixed number of targets per class, times the modulus, and
 that number depends on the direction.  Ascending scans take CHUNK_ASCENDING:
@@ -32,7 +39,9 @@ from it, so a report depends only on the range, the domains and the options.
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
 ``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
-the first ``sample_size`` represented targets of [lo, hi].  A report names no
+the first ``sample_size`` represented targets of [lo, hi].  After its scan, a
+chunk finds the witnesses of its share of the sample by the kernel's own
+rule, one vectorized first-hit search per residue class.  A report names no
 task and carries no parameters; the command line adds both.
 """
 from __future__ import annotations
@@ -60,6 +69,8 @@ _STRAGGLER_MIN_PASSES = 64
 # Below this fraction of open targets a chunk's passes gather the open
 # targets only.
 _COMPACT_BELOW = 1 / 32
+# Rows times columns of one block of the witness search.
+_SEARCH_CELLS = 1 << 18
 
 DOMAIN_KINDS = ("primes", "figurate", "proper", "prime-powers")
 
@@ -117,34 +128,35 @@ class VerificationReport:
 def _settle(
     n0: int,
     step: int,
-    wit: np.ndarray,
+    count: int,
     cands: list[int],
     a: int,
     b: int,
-    mem: np.ndarray,
+    views: list[np.ndarray],
     ascending: bool,
-) -> int:
-    """Settle the targets n = n0 + step*t, 0 <= t < wit.size, as n = a*c + b*o.
+) -> tuple[np.ndarray, int]:
+    """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
-    Candidates c are tried in the given order, and the first one with o >= 1
-    and ``mem[o]`` is the witness.  Callers keep n0 - a*c divisible by b and
-    step a multiple of b, so for one c the o of all targets are the slice
-    o0, o0 + step//b, ... of ``mem``.  A candidate that leaves no room
-    (a*c + b > n) is skipped, and in ascending order it ends the search.
-    Writes each target's witness c into ``wit``, which comes filled with -1,
-    and returns the search depth, the largest 1-based candidate position
-    that settled a target.
+    Candidates c are tried in the given order, and a target settles at the
+    first one with o >= 1 in the membership array ``mem``.  Callers keep
+    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
+    all targets are o0 + s*t with s = step//b; ``views[r]`` is ``mem[r::s]``,
+    so they are ``views[o0 % s]`` from o0 // s on, read contiguously.  A
+    candidate that leaves no room (a*c + b > n) is skipped, and in ascending
+    order it ends the search.  Returns the open mask, true at the targets
+    that no candidate settles, and the search depth, the largest 1-based
+    candidate position that settled a target.  Which candidate settled a
+    target is not kept: ``_first_hits`` finds it for the targets a report
+    shows.
 
-    A pass ANDs the open mask with the strided slice of ``mem``, until fewer
-    than ``_COMPACT_BELOW`` of the targets are open.  Then the chunk
-    compacts: the open t are taken once, ascending, and each later pass
-    gathers ``mem`` at the o of the open t >= t0 only, writes the hits'
-    witnesses and keeps the misses, so its work follows the open targets,
-    not the chunk.  Once at most ``_STRAGGLER_CUTOFF`` targets are open
-    after ``_STRAGGLER_MIN_PASSES`` passes, the rest settle one target at a
-    time in a scalar tail.
+    A pass ANDs the open mask with the lookups, counts the hits and clears
+    them, until fewer than ``_COMPACT_BELOW`` of the targets are open.  Then
+    the chunk compacts: the open t are taken once, ascending, and each later
+    pass gathers the lookups of the open t >= t0 only and keeps the misses,
+    so its work follows the open targets, not the chunk.  Once at most
+    ``_STRAGGLER_CUTOFF`` targets are open after ``_STRAGGLER_MIN_PASSES``
+    passes, the rest settle one target at a time in a scalar tail.
     """
-    count = wit.size
     depth = 0
     open_ = np.ones(count, dtype=bool)
     idx = None  # the open t, ascending, once the chunk is compacted
@@ -153,29 +165,29 @@ def _settle(
     s = step // b
     tail = len(cands)
     for pos, c in enumerate(cands):
-        if a * c + b > last or (
-            pending <= _STRAGGLER_CUTOFF and pos >= _STRAGGLER_MIN_PASSES
-        ):
+        if a * c + b > last:  # no room below any target
+            if ascending:
+                break  # nor for any later candidate
+            continue
+        if pending <= _STRAGGLER_CUTOFF and pos >= _STRAGGLER_MIN_PASSES:
             tail = pos
             break
         o0 = (n0 - a * c) // b
         t0 = max(0, (s - o0) // s)  # first t with o >= 1
+        view, q = views[o0 % s], o0 // s  # mem[o0 + s*t] is view[q + t]
         if idx is None and pending < count * _COMPACT_BELOW:
             idx = np.flatnonzero(open_)
         if idx is None:
-            hit = open_[t0:] & mem[o0 + s * t0 : o0 + s * count : s]
+            hit = open_[t0:] & view[q + t0 : q + count]
             k = int(np.count_nonzero(hit))
             if k:
-                wit[t0:][hit] = c
                 open_[t0:] ^= hit
         else:
             j = int(idx.searchsorted(t0)) if t0 else 0
             rest = idx[j:]
-            # mem from o(t0) on, strided, is indexed by t - t0
-            hit = mem[o0 + s * t0 :: s][rest - t0 if t0 else rest]
+            hit = view[rest + q]
             k = int(np.count_nonzero(hit))
             if k:
-                wit[rest[hit]] = c
                 rest = rest[~hit]
                 idx = np.concatenate((idx[:j], rest)) if j else rest
         if k:
@@ -183,6 +195,11 @@ def _settle(
             depth = pos + 1
             if pending == 0:
                 break
+    if idx is not None:
+        open_[:] = False
+        open_[idx] = True
+    if tail == len(cands) or not pending:
+        return open_, depth
     for t in (np.flatnonzero(open_) if idx is None else idx).tolist():
         n = n0 + step * t
         for pos in range(tail, len(cands)):
@@ -191,16 +208,54 @@ def _settle(
                 if ascending:
                     break
                 continue
-            if mem[(n - a * c) // b]:
-                wit[t] = c
+            o = (n - a * c) // b
+            if views[o % s][o // s]:
+                open_[t] = False
                 # Descending orders leave tail positions out of the depth, an
                 # undercount that the reports in perfbench/expected/ pin.
-                # Counting the depth per target (ROADMAP item 1) waits for a
+                # Counting the depth per target (ROADMAP item 5) waits for a
                 # benchmark change that may record those reports again.
                 if ascending:
                     depth = max(depth, pos + 1)
                 break
-    return depth
+    return open_, depth
+
+
+def _first_hits(ns, cands, ci, m, mem, ascending):
+    """The witness of each target n in ``ns``, all of them represented: the
+    first c of ``cands`` (ascending, one residue class mod m) in the scan's
+    order with ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle``
+    finds it.  Ascending order starts at the smallest c, descending order at
+    the largest c that leaves room below n.  Each round tests the next
+    columns of candidates for every target still open, a block whose width
+    doubles from 64 but keeps rows times columns near ``_SEARCH_CELLS``.
+
+    With c = r + m*u for the class's residue r, the lookup is
+    o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  An o below 1
+    reads ``mem[0]``, which is false: no domain holds 0.
+    """
+    base = (ns - ci * (int(cands[0]) % m)) // m
+    # index -1 pads every row's search with a candidate that leaves no room
+    shift = np.append(ci * (cands // m), base.max(initial=0))
+    top = None if ascending else np.searchsorted(cands, (ns - m) // ci, "right") - 1
+    found = np.empty(ns.size, dtype=np.int64)
+    rows = np.arange(ns.size)
+    done = 0  # columns tested so far, counted from each target's start
+    while rows.size and done < cands.size:
+        width = max(1, min(max(64, done), _SEARCH_CELLS // rows.size))
+        cols = np.arange(done, done + width)
+        if ascending:
+            k = np.where(cols < cands.size, cols, -1)  # one row serves every target
+        else:
+            k = np.maximum(top[rows, None] - cols, -1)
+        o = base[rows, None] - shift[k]
+        hit = mem[np.maximum(o, 0)]
+        first = hit.argmax(axis=1)
+        got = hit[np.arange(rows.size), first]
+        found[rows[got]] = cands[np.broadcast_to(k, hit.shape)[got, first[got]]]
+        rows = rows[~got]
+        done += width
+    return found
 
 
 def _certificate(value: int, spec: DomainSpec) -> dict:
@@ -242,39 +297,51 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         order = np.argsort(res, kind="stable")
         groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
     # c = r (mod m) reaches exactly the targets n = ci*r (mod m)
-    classes = [(ci * g[0] % m, g) for g in (g.tolist() for g in groups) if g]
+    classes = [(ci * int(g[0]) % m, g.tolist(), g) for g in groups if g.size]
+    mem = other.membership
+    # targets one stride s = step apart look up o one stride apart
+    views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
 
     def worker(span):
         n0 = span[0] + -span[0] % step
         count = max(0, (span[1] - n0) // step + 1)
-        # members stay below the 2^28-entry table budget, so int32 holds them
-        wit = np.full(count, -1, dtype=np.int32)
+        opens = np.ones(count, dtype=bool)
+        by_offset = {}
         depth = 0
-        for q, group in classes:
+        for q, group, arr in classes:
             t0 = (q - n0) % m  # m = 1 whenever step > 1
             k = (count - 1 - t0) // m + 1
             if k <= 0:
                 continue
+            by_offset[t0] = arr
             first = n0 + step * t0
             if descending:
                 # start at the largest c that leaves room below the class's last target
                 last = first + step * m * (k - 1)
                 group = group[: bisect_right(group, (last - m) // ci)][::-1]
-            d = _settle(first, step * m, wit[t0::m], group, ci, m, other.membership, not descending)
+            mask, d = _settle(first, step * m, k, group, ci, m, views, not descending)
+            opens[t0::m] = mask
             depth = max(depth, d)
-        opens = np.flatnonzero(wit < 0)
+        cex = np.flatnonzero(opens)
         # the first sample_size represented targets lie among the first
-        # opens.size + sample_size
-        end = min(opens.size + sample_size, max(0, -((n0 - sample_end) // step)))
+        # cex.size + sample_size
+        end = min(cex.size + sample_size, max(0, -((n0 - sample_end) // step)))
+        shown = np.flatnonzero(~opens[:end])[:sample_size]
+        del opens  # a chunk can span the range; free it before the lists are built
+        wit = np.empty(shown.size, dtype=np.int64)
+        res = shown % m
+        for t0 in np.unique(res).tolist():
+            sel = res == t0
+            wit[sel] = _first_hits(n0 + step * shown[sel], by_offset[t0], ci, m, mem,
+                                   not descending)
         found = []
-        for t in np.flatnonzero(wit[:end] >= 0)[:sample_size].tolist():
-            n, c = n0 + step * t, int(wit[t])
+        for t, c in zip(shown.tolist(), wit.tolist()):
+            n = n0 + step * t
             o = (n - ci * c) // m
             found.append((n, o, c) if descending else (n, c, o))
-        del wit  # a chunk can span the range; free it before the list is built
-        opens *= step
-        opens += n0
-        return opens.tolist(), found, count, depth
+        cex *= step
+        cex += n0
+        return cex.tolist(), found, count, depth
 
     width = (CHUNK if descending else CHUNK_ASCENDING) * m
     # no target below a + b has x, y >= 1

@@ -169,9 +169,9 @@ def _verdict(failing: list) -> dict:
 
 
 def _figurate(args) -> Result:
-    if args.member is not None and (args.limit is not None or args.stats or args.dump):
+    if args.member is not None and (args.limit is not None or args.stats or args.dump is not None):
         raise UsageError("--member takes none of --limit, --stats and --dump")
-    if args.stats and args.dump:
+    if args.stats and args.dump is not None:
         raise UsageError("--stats and --dump cannot be combined")
     if args.member is not None:
         if not 1 <= args.member <= U63_MAX:
@@ -194,10 +194,10 @@ def _figurate(args) -> Result:
         stats = vars(figurate_stats(table))
         fields = dict(task="figurate-stats", params=params, stats=stats)
         return fields, Table(["key", "value"], [list(r) for r in stats.items()])
-    if args.dump:
+    if args.dump is not None:
         with open(args.dump, "w", encoding="ascii") as fh:
             fh.write(int_lines(table.values))
-    dumped = table.count if args.dump else None
+    dumped = table.count if args.dump is not None else None
     fields = dict(
         task="figurate-generate",
         params=params,

@@ -460,3 +460,152 @@ class TestLinear:
                 verify_linear(a, b, 1, 100, spec)
         rep = verify_linear(1, 2**63 - 1, 1, 100, spec)
         assert rep.stats["threshold"] == 0
+
+
+def reference_settle(n0, step, wit, cands, a, b, mem, ascending):
+    """The scan kernel before it settled an open mask only: it writes each
+    target's witness c into ``wit`` (filled with -1) and reads ``mem``
+    strided.  It is the oracle for ``additive._settle`` and
+    ``additive._first_hits``, under the same module constants."""
+    count = wit.size
+    depth = 0
+    open_ = np.ones(count, dtype=bool)
+    idx = None
+    pending = count
+    last = n0 + step * (count - 1)
+    s = step // b
+    tail = len(cands)
+    for pos, c in enumerate(cands):
+        if a * c + b > last or (
+            pending <= additive._STRAGGLER_CUTOFF and pos >= additive._STRAGGLER_MIN_PASSES
+        ):
+            tail = pos
+            break
+        o0 = (n0 - a * c) // b
+        t0 = max(0, (s - o0) // s)
+        if idx is None and pending < count * additive._COMPACT_BELOW:
+            idx = np.flatnonzero(open_)
+        if idx is None:
+            hit = open_[t0:] & mem[o0 + s * t0 : o0 + s * count : s]
+            k = int(np.count_nonzero(hit))
+            if k:
+                wit[t0:][hit] = c
+                open_[t0:] ^= hit
+        else:
+            j = int(idx.searchsorted(t0)) if t0 else 0
+            rest = idx[j:]
+            hit = mem[o0 + s * t0 :: s][rest - t0 if t0 else rest]
+            k = int(np.count_nonzero(hit))
+            if k:
+                wit[rest[hit]] = c
+                rest = rest[~hit]
+                idx = np.concatenate((idx[:j], rest)) if j else rest
+        if k:
+            pending -= k
+            depth = pos + 1
+            if pending == 0:
+                break
+    for t in (np.flatnonzero(open_) if idx is None else idx).tolist():
+        n = n0 + step * t
+        for pos in range(tail, len(cands)):
+            c = cands[pos]
+            if a * c + b > n:
+                if ascending:
+                    break
+                continue
+            if mem[(n - a * c) // b]:
+                wit[t] = c
+                if ascending:
+                    depth = max(depth, pos + 1)
+                break
+    return depth
+
+
+def _random_class(rng, a, b, s, ascending):
+    """A class as the engine builds one: the targets n0 + s*b*t, a sorted
+    candidate group c = r (mod b) with a*r = n0 (mod b), and a membership
+    array whose density varies so that chunks compact and straggle."""
+    count = int(rng.integers(1, 600))
+    n0 = int(rng.integers(a + b, a + b + 400))
+    last = n0 + s * b * (count - 1)
+    mem = rng.random((last - a) // b + 1) < rng.choice([0.02, 0.1, 0.4])
+    mem[0] = False
+    r = next(r for r in range(b) if (a * r - n0) % b == 0)
+    group = np.arange(r or b, (last - b) // a + 1, b, dtype=np.int64)
+    group = np.sort(rng.choice(group, min(group.size, int(rng.integers(1, 300))), replace=False))
+    cands = group.tolist()
+    if not ascending:
+        # the engine starts at the largest c that leaves room below the last target
+        cands = [c for c in cands if a * c + b <= last][::-1]
+    return n0, count, group, cands, mem
+
+
+class TestMaskKernel:
+    """``_settle`` against ``reference_settle`` on random classes: the open
+    mask and the depth, and each represented target's witness as
+    ``_first_hits`` finds it."""
+
+    @pytest.mark.parametrize("below", [0, 2, 1 / 32])
+    @pytest.mark.parametrize("straggle", [False, True])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_matches_reference(self, monkeypatch, below, straggle, ascending):
+        monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
+        if straggle:  # every class reaches the scalar tail early
+            monkeypatch.setattr(additive, "_STRAGGLER_CUTOFF", 200)
+            monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
+        rng = np.random.default_rng(int(below * 64) + 2 * straggle + 4 * ascending)
+        tails = 0
+        for _ in range(60):
+            a, b = [(1, 1), (2, 3), (3, 2), (1, 7), (5, 4)][int(rng.integers(5))]
+            s = int(rng.choice([1, 2]))
+            n0, count, group, cands, mem = _random_class(rng, a, b, s, ascending)
+            wit = np.full(count, -1, dtype=np.int64)
+            depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
+            views = [mem[r::s].copy() for r in range(s)]
+            open_, got_depth = additive._settle(n0, s * b, count, cands, a, b, views, ascending)
+            assert got_depth == depth
+            assert np.array_equal(open_, wit < 0)
+            shown = np.flatnonzero(wit >= 0)
+            ns = n0 + s * b * shown
+            found = additive._first_hits(ns, group, a, b, mem, ascending)
+            assert np.array_equal(found, wit[shown])
+            tails += len(cands) > additive._STRAGGLER_MIN_PASSES
+        assert tails
+
+
+class TestLargeSample:
+    """Witness samples that span many narrow chunks, every one of them
+    checked against the brute-force oracles."""
+
+    @pytest.fixture(autouse=True)
+    def narrow(self, monkeypatch):
+        monkeypatch.setattr(additive, "CHUNK", 1 << 8)
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 8)
+
+    @staticmethod
+    def check(rep, witness):
+        sample = {w["n"]: (w["x"], w["y"]) for w in rep.witness_sample}
+        first = sorted(witness)[: 10**4]
+        assert list(sample) == first
+        assert sample == {n: witness[n] for n in first}
+
+    def test_goldbach(self):
+        spec = DomainSpec("primes")
+        rep = verify_additive(4, 2 * 10**4, spec, spec, even_only=True, sample_size=10**4)
+        _, witness, _ = oracle_additive(4, 2 * 10**4, spec, spec, even_only=True)
+        self.check(rep, witness)
+
+    def test_prime_proper_descending(self):
+        left, right = DomainSpec("primes"), DomainSpec("proper", True)
+        rep = verify_additive(6, 2 * 10**4, left, right, sample_size=10**4)
+        assert rep.stats["mode"] == "right-descending"
+        _, witness, _ = oracle_additive(6, 2 * 10**4, left, right)
+        self.check(rep, witness)
+
+    def test_linear_descending_classes(self):
+        spec = DomainSpec("figurate", True)
+        rep = verify_linear(2, 151, 1, 2 * 10**4, spec, sample_size=10**4,
+                            max_counterexamples=10**6)
+        _, witness, _, _ = oracle_linear(2, 151, 1, 2 * 10**4, spec)
+        self.check(rep, witness)
+        assert {w["n"] % 2 for w in rep.witness_sample} == {0, 1}

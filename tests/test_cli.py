@@ -125,6 +125,11 @@ class TestExitCodes:
                      ["figurate", "--limit", "100", "--stats", "--dump", str(dump)]):
             assert run(argv) == 2, argv
             assert not dump.exists(), argv
+        # an empty --dump path is a path like any other, and no file opens under it
+        for argv in (["figurate", "--limit", "10", "--dump", ""],
+                     ["figurate", "--limit", "10", "--stats", "--dump", ""],
+                     ["figurate", "--member", "17", "--dump", ""]):
+            assert run(argv) == 2, argv
         # an --out or --dump path in a missing directory: one line on stderr
         missing = str(tmp_path / "missing" / "x")
         capsys.readouterr()
