@@ -12,10 +12,12 @@ candidates of one class reach exactly one class of targets, a progression of
 stride equal to the modulus, which one kernel settles with one vectorized
 pass per candidate; classes holding no candidate are never visited, and their
 targets stay counterexamples.  A pass only clears the hits from an open mask:
-no witness is stored per target.  The range is cut into chunks, each chunk
-fills one open mask over its targets, and chunk results are merged in chunk
-order, so the report is identical no matter how many worker threads run.
-Witnesses always use the minimal x.
+no witness is stored per target.  Once few targets are open, a late phase
+hands them and the remaining candidates to one blocked first-hit search,
+``_first_hits``, the same search that finds the witness sample.  The range is
+cut into chunks, each chunk fills one open mask over its targets, and chunk
+results are merged in chunk order, so the report is identical no matter how
+many worker threads run.  Witnesses always use the minimal x.
 
 Targets one stride s apart (s = 2 for even-only scans) look their summands
 up one stride apart too.  Such a scan copies the membership array once into
@@ -41,7 +43,7 @@ The witness sample is the represented targets below a sample end, at most
 ``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
 the first ``sample_size`` represented targets of [lo, hi].  After its scan, a
 chunk finds the witnesses of its share of the sample by the kernel's own
-rule, one vectorized first-hit search per residue class.  A report names no
+rule, one ``_first_hits`` call per residue class.  A report names no
 task and carries no parameters; the command line adds both.
 """
 from __future__ import annotations
@@ -62,15 +64,14 @@ from .intkernel import U63_MAX, prime_power_decompose, prime_powers_upto
 CHUNK = 1 << 16
 CHUNK_ASCENDING = 1 << 18
 
-# Below this many unresolved targets a chunk drops out of vectorized passes
-# into per-target scalar scans.
+# A chunk leaves its full-width passes for the late phase once fewer than
+# _COMPACT_BELOW of its targets are open, or at most _STRAGGLER_CUTOFF after
+# _STRAGGLER_MIN_PASSES passes; the second rule also bounds descending depth.
 _STRAGGLER_CUTOFF = 32
 _STRAGGLER_MIN_PASSES = 64
-# Below this fraction of open targets a chunk's passes gather the open
-# targets only.
 _COMPACT_BELOW = 1 / 32
-# Rows times columns of one block of the witness search.
-_SEARCH_CELLS = 1 << 18
+# Rows times columns of one block of the first-hit search.
+_SEARCH_CELLS = 1 << 16
 
 DOMAIN_KINDS = ("primes", "figurate", "proper", "prime-powers")
 
@@ -130,131 +131,119 @@ def _settle(
     step: int,
     count: int,
     cands: list[int],
+    arr: np.ndarray,
     a: int,
     b: int,
+    mem: np.ndarray,
     views: list[np.ndarray],
     ascending: bool,
 ) -> tuple[np.ndarray, int]:
     """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
-    Candidates c are tried in the given order, and a target settles at the
-    first one with o >= 1 in the membership array ``mem``.  Callers keep
-    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
-    all targets are o0 + s*t with s = step//b; ``views[r]`` is ``mem[r::s]``,
-    so they are ``views[o0 % s]`` from o0 // s on, read contiguously.  A
-    candidate that leaves no room (a*c + b > n) is skipped, and in ascending
-    order it ends the search.  Returns the open mask, true at the targets
-    that no candidate settles, and the search depth, the largest 1-based
-    candidate position that settled a target.  Which candidate settled a
-    target is not kept: ``_first_hits`` finds it for the targets a report
-    shows.
+    Candidates c are tried in the order of ``cands``, and a target settles at
+    the first one with o >= 1 in the membership array ``mem``; ``arr``
+    holds the same candidates ascending, one residue class mod b, and
+    descending orders hold only candidates with room below the last target.
+    Callers keep n0 - a*c divisible by b and step a multiple of b, so for one
+    c the o of all targets are o0 + s*t with s = step//b; ``views[r]`` is
+    ``mem[r::s]``, so they are ``views[o0 % s]`` from o0 // s on, read
+    contiguously.  A candidate with no room below the last target
+    (a*c + b > n for every n) ends the search.  Returns the open mask,
+    true at the targets that no candidate settles, and the search depth, the
+    largest 1-based candidate position that settled a target.  Which
+    candidate settled a target is not kept: ``_first_hits`` finds it for the
+    targets a report shows.
 
-    A pass ANDs the open mask with the lookups, counts the hits and clears
-    them, until fewer than ``_COMPACT_BELOW`` of the targets are open.  Then
-    the chunk compacts: the open t are taken once, ascending, and each later
-    pass gathers the lookups of the open t >= t0 only and keeps the misses,
-    so its work follows the open targets, not the chunk.  Once at most
-    ``_STRAGGLER_CUTOFF`` targets are open after ``_STRAGGLER_MIN_PASSES``
-    passes, the rest settle one target at a time in a scalar tail.
+    A full-width pass ANDs the open mask with the lookups, counts the hits
+    and clears them.  Once fewer than ``_COMPACT_BELOW`` of the targets are
+    open, or at most ``_STRAGGLER_CUTOFF`` after ``_STRAGGLER_MIN_PASSES``
+    passes, the late phase hands the open targets and the remaining
+    candidates to ``_first_hits`` in one call, so its work follows the open
+    targets, not the chunk.
     """
     depth = 0
     open_ = np.ones(count, dtype=bool)
-    idx = None  # the open t, ascending, once the chunk is compacted
     pending = count
     last = n0 + step * (count - 1)
     s = step // b
-    tail = len(cands)
     for pos, c in enumerate(cands):
-        if a * c + b > last:  # no room below any target
-            if ascending:
-                break  # nor for any later candidate
-            continue
-        if pending <= _STRAGGLER_CUTOFF and pos >= _STRAGGLER_MIN_PASSES:
-            tail = pos
+        if a * c + b > last:  # no room below any target, nor for any later c
             break
+        if pending < count * _COMPACT_BELOW or (
+            pending <= _STRAGGLER_CUTOFF and pos >= _STRAGGLER_MIN_PASSES
+        ):
+            rows = np.flatnonzero(open_)
+            hits = _first_hits(n0 + step * rows, arr, a, b, mem, ascending, pos)
+            open_[rows[hits >= 0]] = False
+            hits = hits[hits >= 0]
+            if not ascending:
+                hits = np.sort(arr.size - 1 - hits)  # positions in the scan's order
+                need = rows.size - _STRAGGLER_CUTOFF  # hits that leave at most the cutoff open
+                if need <= hits.size:
+                    # Descending orders leave out the hits from the first
+                    # position p >= _STRAGGLER_MIN_PASSES at which at most
+                    # _STRAGGLER_CUTOFF targets are open, an undercount that
+                    # the reports in perfbench/expected/ pin.  Counting the
+                    # depth per target (ROADMAP item 5) waits for a benchmark
+                    # change that may record those reports again.
+                    p = max(pos, _STRAGGLER_MIN_PASSES, int(hits[need - 1]) + 1 if need > 0 else 0)
+                    hits = hits[: np.searchsorted(hits, p)]
+            return open_, max(depth, int(hits.max(initial=-1)) + 1)
         o0 = (n0 - a * c) // b
         t0 = max(0, (s - o0) // s)  # first t with o >= 1
         view, q = views[o0 % s], o0 // s  # mem[o0 + s*t] is view[q + t]
-        if idx is None and pending < count * _COMPACT_BELOW:
-            idx = np.flatnonzero(open_)
-        if idx is None:
-            hit = open_[t0:] & view[q + t0 : q + count]
-            k = int(np.count_nonzero(hit))
-            if k:
-                open_[t0:] ^= hit
-        else:
-            j = int(idx.searchsorted(t0)) if t0 else 0
-            rest = idx[j:]
-            hit = view[rest + q]
-            k = int(np.count_nonzero(hit))
-            if k:
-                rest = rest[~hit]
-                idx = np.concatenate((idx[:j], rest)) if j else rest
+        hit = open_[t0:] & view[q + t0 : q + count]
+        k = int(np.count_nonzero(hit))
         if k:
+            open_[t0:] ^= hit
             pending -= k
             depth = pos + 1
             if pending == 0:
                 break
-    if idx is not None:
-        open_[:] = False
-        open_[idx] = True
-    if tail == len(cands) or not pending:
-        return open_, depth
-    for t in (np.flatnonzero(open_) if idx is None else idx).tolist():
-        n = n0 + step * t
-        for pos in range(tail, len(cands)):
-            c = cands[pos]
-            if a * c + b > n:
-                if ascending:
-                    break
-                continue
-            o = (n - a * c) // b
-            if views[o % s][o // s]:
-                open_[t] = False
-                # Descending orders leave tail positions out of the depth, an
-                # undercount that the reports in perfbench/expected/ pin.
-                # Counting the depth per target (ROADMAP item 5) waits for a
-                # benchmark change that may record those reports again.
-                if ascending:
-                    depth = max(depth, pos + 1)
-                break
     return open_, depth
 
 
-def _first_hits(ns, cands, ci, m, mem, ascending):
-    """The witness of each target n in ``ns``, all of them represented: the
-    first c of ``cands`` (ascending, one residue class mod m) in the scan's
-    order with ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle``
-    finds it.  Ascending order starts at the smallest c, descending order at
-    the largest c that leaves room below n.  Each round tests the next
-    columns of candidates for every target still open, a block whose width
-    doubles from 64 but keeps rows times columns near ``_SEARCH_CELLS``.
+def _first_hits(ns, cands, ci, m, mem, ascending, start=0):
+    """For each target n in ``ns``, the index into ``cands`` (ascending, one
+    residue class mod m) of its first c in the scan's order with
+    ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle`` finds it, or
+    -1 where none is.  The scan's order skips its first ``start`` positions:
+    ascending order then starts at ``cands[start]``, descending order at
+    ``cands[cands.size - 1 - start]`` or at the largest c that leaves room
+    below n, if that is smaller.  Each round tests the next columns of
+    candidates for every target still open, a block whose width doubles
+    from 64 but keeps rows times columns near ``_SEARCH_CELLS``; a target
+    retires at its first hit or once its candidates with room run out.
 
     With c = r + m*u for the class's residue r, the lookup is
     o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  An o below 1
     reads ``mem[0]``, which is false: no domain holds 0.
     """
     base = (ns - ci * (int(cands[0]) % m)) // m
-    # index -1 pads every row's search with a candidate that leaves no room
-    shift = np.append(ci * (cands // m), base.max(initial=0))
-    top = None if ascending else np.searchsorted(cands, (ns - m) // ci, "right") - 1
-    found = np.empty(ns.size, dtype=np.int64)
-    rows = np.arange(ns.size)
+    room = np.searchsorted(cands, (ns - m) // ci, "right")  # candidates with room
+    if ascending:
+        left = room - start  # candidates left from the start on
+    else:
+        top = np.minimum(room, cands.size - start) - 1
+        left = top + 1
+    found = np.full(ns.size, -1, dtype=np.int64)
+    rows = np.flatnonzero(left > 0)
     done = 0  # columns tested so far, counted from each target's start
-    while rows.size and done < cands.size:
+    while rows.size:
         width = max(1, min(max(64, done), _SEARCH_CELLS // rows.size))
-        cols = np.arange(done, done + width)
-        if ascending:
-            k = np.where(cols < cands.size, cols, -1)  # one row serves every target
+        if ascending:  # one row of columns serves every target
+            k = start + done
+            c = cands[k : k + width]
         else:
-            k = np.maximum(top[rows, None] - cols, -1)
-        o = base[rows, None] - shift[k]
-        hit = mem[np.maximum(o, 0)]
+            # a column past index 0 repeats it, a miss already tested
+            c = cands[np.maximum(top[rows, None] - np.arange(done, done + width), 0)]
+        hit = mem[np.maximum(base[rows, None] - ci * (c // m), 0)]
         first = hit.argmax(axis=1)
         got = hit[np.arange(rows.size), first]
-        found[rows[got]] = cands[np.broadcast_to(k, hit.shape)[got, first[got]]]
-        rows = rows[~got]
+        first += done
+        found[rows[got]] = first[got] + start if ascending else top[rows[got]] - first[got]
         done += width
+        rows = rows[~got & (left[rows] > done)]
     return found
 
 
@@ -318,8 +307,9 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
             if descending:
                 # start at the largest c that leaves room below the class's last target
                 last = first + step * m * (k - 1)
-                group = group[: bisect_right(group, (last - m) // ci)][::-1]
-            mask, d = _settle(first, step * m, k, group, ci, m, views, not descending)
+                top = bisect_right(group, (last - m) // ci)
+                group, arr = group[:top][::-1], arr[:top]
+            mask, d = _settle(first, step * m, k, group, arr, ci, m, mem, views, not descending)
             opens[t0::m] = mask
             depth = max(depth, d)
         cex = np.flatnonzero(opens)
@@ -332,8 +322,8 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         res = shown % m
         for t0 in np.unique(res).tolist():
             sel = res == t0
-            wit[sel] = _first_hits(n0 + step * shown[sel], by_offset[t0], ci, m, mem,
-                                   not descending)
+            arr = by_offset[t0]
+            wit[sel] = arr[_first_hits(n0 + step * shown[sel], arr, ci, m, mem, not descending)]
         found = []
         for t, c in zip(shown.tolist(), wit.tolist()):
             n = n0 + step * t

@@ -109,7 +109,7 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     For i = j = 1 and odd k, exactly one of p**a and q**b is even, so it is a
     power of two 2**e: each e up to the bound costs one decomposition and no
     sieve is built.  The minuend never exceeds value_bound + k, which must
-    fit in 63 bits.
+    fit in 63 bits, and so must the indices i and j.
     """
     value_bound = index(value_bound)
     if value_bound < 1:
@@ -119,6 +119,8 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
     i, j, k = inst.i, inst.j, index(inst.k)
     if value_bound + k > U63_MAX:
         raise ArithmeticGuardError("value_bound + k exceeds 2^63 - 1")
+    if max(i, j) > U63_MAX:
+        raise ArithmeticGuardError("binomial indices i and j must not exceed 2^63 - 1")
 
     if i == 1 and j == 1 and k % 2:
         found: list[EquationSolution] = []

@@ -95,15 +95,16 @@ class TestSumOfTwoMembers:
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (8, 89)
 
     def test_scalar_tail_witness_and_depth(self):
-        # one target leaves the vectorized passes after 64 candidates, so
-        # its witness and depth come from the scalar tail
+        # one target leaves the full-width passes after 64 candidates, so
+        # its witness and depth come from the late phase's first-hit search
         spec = DomainSpec("figurate", True)
         rep = verify_additive(671581, 671581, spec, spec)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (88410, 583171)
         assert rep.stats["max_search_depth"] == 8834
 
     def test_exclude_one_fails_below_four(self):
-        # at 20000, 2 and 3 are still open when the scalar tail takes over
+        # at 20000, 2 and 3 are still open when the late phase takes over,
+        # and it leaves them open
         spec = DomainSpec("figurate", False)
         for hi in (100, 20000):
             rep = verify_additive(2, hi, spec, spec)
@@ -163,8 +164,8 @@ class TestEngineMechanics:
         left, right = DomainSpec("primes"), DomainSpec("proper", True)
         rep = verify_additive(6, 4000, left, right)
         assert rep.stats["mode"] == "right-descending"
-        # descending depths leave the scalar tail out; the benchmark's
-        # recordings pin that figure
+        # descending depths leave out the hits from the late phase's tail
+        # position on; the benchmark's recordings pin that figure
         assert rep.stats["max_search_depth"] == 83
         cex, witness, _ = oracle_additive(6, 4000, left, right)
         assert rep.counterexamples == cex
@@ -213,7 +214,7 @@ class TestEngineMechanics:
         assert a.verified == b.verified
 
     def test_compaction_does_not_change_reports(self, monkeypatch):
-        # the full-width passes are the oracle for the compacted ones; narrow
+        # the full-width passes are the oracle for the late phase; narrow
         # ascending chunks give the pool several to merge
         monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 12)
         spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
@@ -227,7 +228,7 @@ class TestEngineMechanics:
             lambda j: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4, jobs=j),
         ]
         reports = {}
-        for below in (0, 2):  # never compact; compact from the first pass
+        for below in (0, 2):  # late phase by the tail rule only; from the first pass
             monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
             reports[below] = [vars(run(j)) for run in runs for j in (1, 2)]
         assert reports[0] == reports[2]
@@ -463,10 +464,12 @@ class TestLinear:
 
 
 def reference_settle(n0, step, wit, cands, a, b, mem, ascending):
-    """The scan kernel before it settled an open mask only: it writes each
-    target's witness c into ``wit`` (filled with -1) and reads ``mem``
-    strided.  It is the oracle for ``additive._settle`` and
-    ``additive._first_hits``, under the same module constants."""
+    """The scan kernel before it settled an open mask only and before its
+    late phase ran through ``additive._first_hits``: compacted passes, then
+    a per-target scalar tail.  It writes each target's witness c into
+    ``wit`` (filled with -1) and reads ``mem`` strided.  It is the oracle for
+    ``additive._settle`` and ``additive._first_hits``, under the same module
+    constants: its tail rule is the one that bounds descending depth."""
     count = wit.size
     depth = 0
     open_ = np.ones(count, dtype=bool)
@@ -524,7 +527,7 @@ def reference_settle(n0, step, wit, cands, a, b, mem, ascending):
 def _random_class(rng, a, b, s, ascending):
     """A class as the engine builds one: the targets n0 + s*b*t, a sorted
     candidate group c = r (mod b) with a*r = n0 (mod b), and a membership
-    array whose density varies so that chunks compact and straggle."""
+    array whose density varies so that chunks reach the late phase."""
     count = int(rng.integers(1, 600))
     n0 = int(rng.integers(a + b, a + b + 400))
     last = n0 + s * b * (count - 1)
@@ -549,12 +552,27 @@ class TestMaskKernel:
     @pytest.mark.parametrize("straggle", [False, True])
     @pytest.mark.parametrize("ascending", [True, False])
     def test_matches_reference(self, monkeypatch, below, straggle, ascending):
+        self.check(monkeypatch, below, straggle, ascending)
+
+    @pytest.mark.parametrize("below", [0, 2, 1 / 32])
+    @pytest.mark.parametrize("straggle", [False, True])
+    @pytest.mark.parametrize("ascending", [True, False])
+    def test_one_column_blocks(self, monkeypatch, below, straggle, ascending):
+        # 64 cells make the late phase run blocks of one column
+        monkeypatch.setattr(additive, "_SEARCH_CELLS", 64)
+        self.check(monkeypatch, below, straggle, ascending)
+
+    @staticmethod
+    def check(monkeypatch, below, straggle, ascending):
         monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
-        if straggle:  # every class reaches the scalar tail early
+        if straggle:  # every class reaches the late phase early
             monkeypatch.setattr(additive, "_STRAGGLER_CUTOFF", 200)
             monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
+        first_hits, late = additive._first_hits, []
+        monkeypatch.setattr(
+            additive, "_first_hits", lambda *args: late.append(first_hits(*args)) or late[-1]
+        )
         rng = np.random.default_rng(int(below * 64) + 2 * straggle + 4 * ascending)
-        tails = 0
         for _ in range(60):
             a, b = [(1, 1), (2, 3), (3, 2), (1, 7), (5, 4)][int(rng.integers(5))]
             s = int(rng.choice([1, 2]))
@@ -562,15 +580,18 @@ class TestMaskKernel:
             wit = np.full(count, -1, dtype=np.int64)
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
             views = [mem[r::s].copy() for r in range(s)]
-            open_, got_depth = additive._settle(n0, s * b, count, cands, a, b, views, ascending)
+            top = group if ascending else group[: len(cands)]
+            open_, got_depth = additive._settle(
+                n0, s * b, count, cands, top, a, b, mem, views, ascending
+            )
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
             shown = np.flatnonzero(wit >= 0)
             ns = n0 + s * b * shown
-            found = additive._first_hits(ns, group, a, b, mem, ascending)
-            assert np.array_equal(found, wit[shown])
-            tails += len(cands) > additive._STRAGGLER_MIN_PASSES
-        assert tails
+            found = first_hits(ns, group, a, b, mem, ascending)
+            assert np.array_equal(group[found], wit[shown])
+        # some classes reach the late phase, and some of its targets stay open
+        assert late and any((hits < 0).any() for hits in late)
 
 
 class TestLargeSample:

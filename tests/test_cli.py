@@ -176,6 +176,9 @@ class TestExitCodes:
         for i in ("1", "2"):
             assert run(["solve", "--i", i, "--j", "1",
                         "--k", "10000000000000000000000001", "--bound", "100"]) == 3
+        # so must the binomial indices, before any sieve is sized
+        for i, j in (("9223372036854775808", "1"), ("1", "9223372036854775808")):
+            assert run(["solve", "--i", i, "--j", j, "--k", "1", "--bound", "100"]) == 3
         # so must the constant term of a curve model
         assert run(["curve", "model", "--kind", "cubic", "--sign", "1",
                     "--k", "10000000000000000000000"]) == 3

@@ -165,6 +165,10 @@ class TestSolveOracle:
         solve_equation(EquationInstance(1, 1, 2**62 - 1), 2**62)  # sum 2^63 - 1
         with pytest.raises(ArithmeticGuardError):  # int64 addition would wrap
             solve_equation(EquationInstance(1, 1, np.int64(2**62 + 1)), 2**62 - 1)
+        # so must the binomial indices
+        for i, j in ((2**63, 1), (1, 2**63)):
+            with pytest.raises(ArithmeticGuardError):
+                solve_equation(EquationInstance(i, j, 1), 100)
 
 
 class TestTriangularPredecessors:
