@@ -12,12 +12,14 @@ candidates of one class reach exactly one class of targets, a progression of
 stride equal to the modulus, which one kernel settles with one vectorized
 pass per candidate; classes holding no candidate are never visited, and their
 targets stay counterexamples.  A pass only clears the hits from an open mask:
-no witness is stored per target.  Once few targets are open, a late phase
-hands them and the remaining candidates to one blocked first-hit search,
-``_first_hits``, the same search that finds the witness sample.  The range is
-cut into chunks, each chunk fills one open mask over its targets, and chunk
-results are merged in chunk order, so the report is identical no matter how
-many worker threads run.  Witnesses always use the minimal x.
+no witness is stored per target.  Once few targets are open, by share or by
+count, a late phase hands them and the remaining candidates to one blocked
+first-hit search, ``_first_hits``, the same search that finds the witness
+sample.  Each class is held once, as its ascending candidate array, and both
+searches read it by position.  The range is cut into chunks, each chunk
+fills one open mask over its targets, and chunk results are merged in chunk
+order, so the report is identical no matter how many worker threads run.
+Witnesses always use the minimal x.
 
 Targets one stride s apart (s = 2 for even-only scans) look their summands
 up one stride apart too.  Such a scan copies the membership array once into
@@ -49,7 +51,6 @@ task and carries no parameters; the command line adds both.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -65,8 +66,8 @@ CHUNK = 1 << 16
 CHUNK_ASCENDING = 1 << 18
 
 # A chunk leaves its full-width passes for the late phase once fewer than
-# _COMPACT_BELOW of its targets are open, or at most _STRAGGLER_CUTOFF after
-# _STRAGGLER_MIN_PASSES passes; the second rule also bounds descending depth.
+# _COMPACT_BELOW of its targets, or at most _STRAGGLER_CUTOFF of them, are
+# open.  _STRAGGLER_MIN_PASSES only bounds descending depth (see _settle).
 _STRAGGLER_CUTOFF = 32
 _STRAGGLER_MIN_PASSES = 64
 _COMPACT_BELOW = 1 / 32
@@ -130,8 +131,7 @@ def _settle(
     n0: int,
     step: int,
     count: int,
-    cands: list[int],
-    arr: np.ndarray,
+    cands: np.ndarray,
     a: int,
     b: int,
     mem: np.ndarray,
@@ -140,44 +140,42 @@ def _settle(
 ) -> tuple[np.ndarray, int]:
     """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
-    Candidates c are tried in the order of ``cands``, and a target settles at
-    the first one with o >= 1 in the membership array ``mem``; ``arr``
-    holds the same candidates ascending, one residue class mod b, and
-    descending orders hold only candidates with room below the last target.
-    Callers keep n0 - a*c divisible by b and step a multiple of b, so for one
-    c the o of all targets are o0 + s*t with s = step//b; ``views[r]`` is
-    ``mem[r::s]``, so they are ``views[o0 % s]`` from o0 // s on, read
-    contiguously.  A candidate with no room below the last target
-    (a*c + b > n for every n) ends the search.  Returns the open mask,
-    true at the targets that no candidate settles, and the search depth, the
-    largest 1-based candidate position that settled a target.  Which
-    candidate settled a target is not kept: ``_first_hits`` finds it for the
-    targets a report shows.
+    ``cands`` holds the candidates c ascending, one residue class mod b; a
+    descending scan passes only those with room below the last target.  Scan
+    position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
+    descending, as in ``_first_hits``, and a target settles at the first
+    position whose o >= 1 is in the membership array ``mem``.  Callers keep
+    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
+    all targets are o0 + s*t with s = step//b; ``views[r]`` is ``mem[r::s]``,
+    so they are ``views[o0 % s]`` from o0 // s on, read contiguously.  A
+    candidate with no room below the last target (a*c + b > n for every n)
+    ends the search.  Returns the open mask, true at the targets that no
+    candidate settles, and the search depth, the largest 1-based position
+    that settled a target.  Which candidate settled a target is not kept:
+    ``_first_hits`` finds it for the targets a report shows.
 
     A full-width pass ANDs the open mask with the lookups, counts the hits
-    and clears them.  Once fewer than ``_COMPACT_BELOW`` of the targets are
-    open, or at most ``_STRAGGLER_CUTOFF`` after ``_STRAGGLER_MIN_PASSES``
-    passes, the late phase hands the open targets and the remaining
-    candidates to ``_first_hits`` in one call, so its work follows the open
-    targets, not the chunk.
+    and clears them.  Once fewer than ``_COMPACT_BELOW`` of the targets, or
+    at most ``_STRAGGLER_CUTOFF`` of them, are open, the late phase hands the
+    open targets and the remaining positions to ``_first_hits`` in one call,
+    so its work follows the open targets, not the chunk.
     """
     depth = 0
     open_ = np.ones(count, dtype=bool)
     pending = count
     last = n0 + step * (count - 1)
     s = step // b
-    for pos, c in enumerate(cands):
+    # Python ints, so that the room test and o0 stay exact
+    for pos, c in enumerate(map(int, cands if ascending else cands[::-1])):
         if a * c + b > last:  # no room below any target, nor for any later c
             break
-        if pending < count * _COMPACT_BELOW or (
-            pending <= _STRAGGLER_CUTOFF and pos >= _STRAGGLER_MIN_PASSES
-        ):
+        if pending < count * _COMPACT_BELOW or pending <= _STRAGGLER_CUTOFF:
             rows = np.flatnonzero(open_)
-            hits = _first_hits(n0 + step * rows, arr, a, b, mem, ascending, pos)
+            hits = _first_hits(n0 + step * rows, cands, a, b, mem, ascending, pos)
             open_[rows[hits >= 0]] = False
             hits = hits[hits >= 0]
             if not ascending:
-                hits = np.sort(arr.size - 1 - hits)  # positions in the scan's order
+                hits = np.sort(cands.size - 1 - hits)  # positions in the scan's order
                 need = rows.size - _STRAGGLER_CUTOFF  # hits that leave at most the cutoff open
                 if need <= hits.size:
                     # Descending orders leave out the hits from the first
@@ -285,8 +283,8 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         res = cands % m if cands.size else cands  # m may pass int64 only when none is left
         order = np.argsort(res, kind="stable")
         groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
-    # c = r (mod m) reaches exactly the targets n = ci*r (mod m)
-    classes = [(ci * int(g[0]) % m, g.tolist(), g) for g in groups if g.size]
+    # c = r (mod m) reaches exactly the targets n = ci*r (mod m), the class's key
+    classes = {ci * int(g[0]) % m: g for g in groups if g.size}
     mem = other.membership
     # targets one stride s = step apart look up o one stride apart
     views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
@@ -295,38 +293,34 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         n0 = span[0] + -span[0] % step
         count = max(0, (span[1] - n0) // step + 1)
         opens = np.ones(count, dtype=bool)
-        by_offset = {}
         depth = 0
-        for q, group, arr in classes:
+        for q, group in classes.items():
             t0 = (q - n0) % m  # m = 1 whenever step > 1
             k = (count - 1 - t0) // m + 1
             if k <= 0:
                 continue
-            by_offset[t0] = arr
             first = n0 + step * t0
             if descending:
                 # start at the largest c that leaves room below the class's last target
                 last = first + step * m * (k - 1)
-                top = bisect_right(group, (last - m) // ci)
-                group, arr = group[:top][::-1], arr[:top]
-            mask, d = _settle(first, step * m, k, group, arr, ci, m, mem, views, not descending)
+                group = group[: np.searchsorted(group, (last - m) // ci, "right")]
+            mask, d = _settle(first, step * m, k, group, ci, m, mem, views, not descending)
             opens[t0::m] = mask
             depth = max(depth, d)
         cex = np.flatnonzero(opens)
         # the first sample_size represented targets lie among the first
         # cex.size + sample_size
         end = min(cex.size + sample_size, max(0, -((n0 - sample_end) // step)))
-        shown = np.flatnonzero(~opens[:end])[:sample_size]
+        ns = n0 + step * np.flatnonzero(~opens[:end])[:sample_size]
         del opens  # a chunk can span the range; free it before the lists are built
-        wit = np.empty(shown.size, dtype=np.int64)
-        res = shown % m
-        for t0 in np.unique(res).tolist():
-            sel = res == t0
-            arr = by_offset[t0]
-            wit[sel] = arr[_first_hits(n0 + step * shown[sel], arr, ci, m, mem, not descending)]
+        wit = np.empty(ns.size, dtype=np.int64)
+        res = ns % m
+        for q in np.unique(res).tolist():
+            sel = res == q
+            group = classes[q]
+            wit[sel] = group[_first_hits(ns[sel], group, ci, m, mem, not descending)]
         found = []
-        for t, c in zip(shown.tolist(), wit.tolist()):
-            n = n0 + step * t
+        for n, c in zip(ns.tolist(), wit.tolist()):
             o = (n - ci * c) // m
             found.append((n, o, c) if descending else (n, c, o))
         cex *= step

@@ -7,6 +7,7 @@ fallback) must all collapse to the same answers.
 """
 from __future__ import annotations
 
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -95,8 +96,8 @@ class TestSumOfTwoMembers:
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (8, 89)
 
     def test_scalar_tail_witness_and_depth(self):
-        # one target leaves the full-width passes after 64 candidates, so
-        # its witness and depth come from the late phase's first-hit search
+        # one target is below the straggler cutoff from the start, so its
+        # witness and depth come from the late phase's first-hit search
         spec = DomainSpec("figurate", True)
         rep = verify_additive(671581, 671581, spec, spec)
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (88410, 583171)
@@ -228,7 +229,7 @@ class TestEngineMechanics:
             lambda j: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4, jobs=j),
         ]
         reports = {}
-        for below in (0, 2):  # late phase by the tail rule only; from the first pass
+        for below in (0, 2):  # late phase by the straggler cutoff only; from the first pass
             monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
             reports[below] = [vars(run(j)) for run in runs for j in (1, 2)]
         assert reports[0] == reports[2]
@@ -568,10 +569,14 @@ class TestMaskKernel:
         if straggle:  # every class reaches the late phase early
             monkeypatch.setattr(additive, "_STRAGGLER_CUTOFF", 200)
             monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
-        first_hits, late = additive._first_hits, []
-        monkeypatch.setattr(
-            additive, "_first_hits", lambda *args: late.append(first_hits(*args)) or late[-1]
-        )
+        first_hits, late, starts = additive._first_hits, [], []
+
+        def spy(ns, cands, ci, m, mem, ascending, start):
+            starts.append(start)
+            late.append(first_hits(ns, cands, ci, m, mem, ascending, start))
+            return late[-1]
+
+        monkeypatch.setattr(additive, "_first_hits", spy)
         rng = np.random.default_rng(int(below * 64) + 2 * straggle + 4 * ascending)
         for _ in range(60):
             a, b = [(1, 1), (2, 3), (3, 2), (1, 7), (5, 4)][int(rng.integers(5))]
@@ -581,9 +586,7 @@ class TestMaskKernel:
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
             views = [mem[r::s].copy() for r in range(s)]
             top = group if ascending else group[: len(cands)]
-            open_, got_depth = additive._settle(
-                n0, s * b, count, cands, top, a, b, mem, views, ascending
-            )
+            open_, got_depth = additive._settle(n0, s * b, count, top, a, b, mem, views, ascending)
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
             shown = np.flatnonzero(wit >= 0)
@@ -592,6 +595,11 @@ class TestMaskKernel:
             assert np.array_equal(group[found], wit[shown])
         # some classes reach the late phase, and some of its targets stay open
         assert late and any((hits < 0).any() for hits in late)
+        if below == 0:
+            # classes of at most _STRAGGLER_CUTOFF targets reach the late phase
+            # before _STRAGGLER_MIN_PASSES, so the descending depth rule cuts
+            # at a position past the call's start
+            assert min(starts) < additive._STRAGGLER_MIN_PASSES
 
 
 class TestLargeSample:
@@ -630,3 +638,21 @@ class TestLargeSample:
         _, witness, _, _ = oracle_linear(2, 151, 1, 2 * 10**4, spec)
         self.check(rep, witness)
         assert {w["n"] % 2 for w in rep.witness_sample} == {0, 1}
+
+
+def test_scan_peak_memory_near_table():
+    """The scan holds each candidate class once, as an array: its traced
+    peak stays within 1.75 times that of building the set table alone,
+    which a second, Python-list copy of the members would exceed."""
+    spec = DomainSpec("figurate")
+    verify_additive(2, 10**6, spec, spec)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        generate_figurate(10**6)
+        table = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        verify_additive(2, 10**6, spec, spec)
+        scan = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan <= 1.75 * table
