@@ -132,6 +132,7 @@ def _settle(
     step: int,
     count: int,
     cands: np.ndarray,
+    offs: np.ndarray,
     a: int,
     b: int,
     mem: np.ndarray,
@@ -144,10 +145,12 @@ def _settle(
     descending scan passes only those with room below the last target.  Scan
     position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
     descending, as in ``_first_hits``, and a target settles at the first
-    position whose o >= 1 is in the membership array ``mem``.  Callers keep
-    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
-    all targets are o0 + s*t with s = step//b; ``views[r]`` is ``mem[r::s]``,
-    so they are ``views[o0 % s]`` from o0 // s on, read contiguously.  A
+    position whose o >= 1 is in the membership array ``mem``.  ``offs``
+    holds the lookup offsets a*(c // b) of ``cands``, which only
+    ``_first_hits`` reads.  Callers keep n0 - a*c divisible by b and step a
+    multiple of b, so for one c the o of all targets are o0 + s*t with
+    s = step//b; ``views[r]`` is ``mem[r::s]``, so they are
+    ``views[o0 % s]`` from o0 // s on, read contiguously.  A
     candidate with no room below the last target (a*c + b > n for every n)
     ends the search.  Returns the open mask, true at the targets that no
     candidate settles, and the search depth, the largest 1-based position
@@ -171,7 +174,7 @@ def _settle(
             break
         if pending < count * _COMPACT_BELOW or pending <= _STRAGGLER_CUTOFF:
             rows = np.flatnonzero(open_)
-            hits = _first_hits(n0 + step * rows, cands, a, b, mem, ascending, pos)
+            hits = _first_hits(n0 + step * rows, cands, offs, a, b, mem, ascending, pos)
             open_[rows[hits >= 0]] = False
             hits = hits[hits >= 0]
             if not ascending:
@@ -201,7 +204,7 @@ def _settle(
     return open_, depth
 
 
-def _first_hits(ns, cands, ci, m, mem, ascending, start=0):
+def _first_hits(ns, cands, offs, ci, m, mem, ascending, start=0):
     """For each target n in ``ns``, the index into ``cands`` (ascending, one
     residue class mod m) of its first c in the scan's order with
     ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle`` finds it, or
@@ -214,8 +217,10 @@ def _first_hits(ns, cands, ci, m, mem, ascending, start=0):
     retires at its first hit or once its candidates with room run out.
 
     With c = r + m*u for the class's residue r, the lookup is
-    o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  An o below 1
-    reads ``mem[0]``, which is false: no domain holds 0.
+    o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  ``offs`` holds
+    ci*u = ci*(c // m) for every c of ``cands``, computed once per class.
+    The lookups clip their indices: an o below 1 reads ``mem[0]``, which is
+    false, since no domain holds 0, and o never exceeds n.
     """
     base = (ns - ci * (int(cands[0]) % m)) // m
     room = np.searchsorted(cands, (ns - m) // ci, "right")  # candidates with room
@@ -231,11 +236,11 @@ def _first_hits(ns, cands, ci, m, mem, ascending, start=0):
         width = max(1, min(max(64, done), _SEARCH_CELLS // rows.size))
         if ascending:  # one row of columns serves every target
             k = start + done
-            c = cands[k : k + width]
+            u = offs[k : k + width]
         else:
             # a column past index 0 repeats it, a miss already tested
-            c = cands[np.maximum(top[rows, None] - np.arange(done, done + width), 0)]
-        hit = mem[np.maximum(base[rows, None] - ci * (c // m), 0)]
+            u = np.take(offs, top[rows, None] - np.arange(done, done + width), mode="clip")
+        hit = np.take(mem, base[rows, None] - u, mode="clip")
         first = hit.argmax(axis=1)
         got = hit[np.arange(rows.size), first]
         first += done
@@ -283,8 +288,11 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         res = cands % m if cands.size else cands  # m may pass int64 only when none is left
         order = np.argsort(res, kind="stable")
         groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
-    # c = r (mod m) reaches exactly the targets n = ci*r (mod m), the class's key
-    classes = {ci * int(g[0]) % m: g for g in groups if g.size}
+    # c = r (mod m) reaches exactly the targets n = ci*r (mod m), the class's
+    # key; with each class its lookup offsets ci*(c // m), the class itself at m = ci = 1
+    classes = {
+        ci * int(g[0]) % m: (g, g if m == ci == 1 else ci * (g // m)) for g in groups if g.size
+    }
     mem = other.membership
     # targets one stride s = step apart look up o one stride apart
     views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
@@ -294,7 +302,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         count = max(0, (span[1] - n0) // step + 1)
         opens = np.ones(count, dtype=bool)
         depth = 0
-        for q, group in classes.items():
+        for q, (group, offs) in classes.items():
             t0 = (q - n0) % m  # m = 1 whenever step > 1
             k = (count - 1 - t0) // m + 1
             if k <= 0:
@@ -303,8 +311,9 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
             if descending:
                 # start at the largest c that leaves room below the class's last target
                 last = first + step * m * (k - 1)
-                group = group[: np.searchsorted(group, (last - m) // ci, "right")]
-            mask, d = _settle(first, step * m, k, group, ci, m, mem, views, not descending)
+                top = np.searchsorted(group, (last - m) // ci, "right")
+                group, offs = group[:top], offs[:top]
+            mask, d = _settle(first, step * m, k, group, offs, ci, m, mem, views, not descending)
             opens[t0::m] = mask
             depth = max(depth, d)
         cex = np.flatnonzero(opens)
@@ -317,8 +326,8 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         res = ns % m
         for q in np.unique(res).tolist():
             sel = res == q
-            group = classes[q]
-            wit[sel] = group[_first_hits(ns[sel], group, ci, m, mem, not descending)]
+            group, offs = classes[q]
+            wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, not descending)]
         found = []
         for n, c in zip(ns.tolist(), wit.tolist()):
             o = (n - ci * c) // m

@@ -65,7 +65,12 @@ def _int(flag: str, **kw) -> tuple[str, dict]:
     return flag, dict(type=int, required="default" not in kw, **kw)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser.  Every subcommand is declared, but when
+    ``only`` names one, only its subparser is added, with a usage line that
+    still lists them all: ``run`` parses one command, and building all
+    sixteen costs more than some of them take to run.  Any other ``only``
+    adds them all."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "text"), default="json")
     common.add_argument("--out", metavar="PATH", default=None)
@@ -83,15 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
     span.add_argument("--from", dest="lo", type=int, required=True)
     span.add_argument("--to", dest="hi", type=int, required=True)
 
-    parser = argparse.ArgumentParser(prog="figprimes", description=__doc__)
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    commands = {}
 
     def command(name, summary, handler, *options, groups=(), **fixed):
         """Declare one subcommand: its own options are (flag, ``add_argument``
         keywords) pairs, and ``fixed`` holds argument values it does not take."""
-        p = sub.add_parser(name, parents=[common, *groups], help=summary)
-        own = [p.add_argument(flag, **kw).dest for flag, kw in options]
-        p.set_defaults(handler=handler, own=own, **fixed)
+        commands[name] = summary, handler, options, groups, fixed
 
     command("figurate", "generate, query or dump the set", _figurate,
             _int("--limit", default=None), _int("--member", default=None, metavar="N"),
@@ -129,6 +131,17 @@ def build_parser() -> argparse.ArgumentParser:
             _int("--rmax"), _int("--limit"))
     command("conj42", "per-gap pair counts and least empty gap", _conj42,
             _int("--limit"), _int("--nmax", default=28), _int("--cap", default=64))
+
+    parser = argparse.ArgumentParser(prog="figprimes", description=__doc__)
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    if only in commands:
+        # the metavar argparse would derive from all the choices
+        sub.metavar = "{" + ",".join(commands) + "}"
+        commands = {only: commands[only]}
+    for name, (summary, handler, options, groups, fixed) in commands.items():
+        p = sub.add_parser(name, parents=[common, *groups], help=summary)
+        own = [p.add_argument(flag, **kw).dest for flag, kw in options]
+        p.set_defaults(handler=handler, own=own, **fixed)
     return parser
 
 
@@ -194,9 +207,11 @@ def _figurate(args) -> Result:
         stats = vars(figurate_stats(table))
         fields = dict(task="figurate-stats", params=params, stats=stats)
         return fields, Table(["key", "value"], [list(r) for r in stats.items()])
+    rows = table.values
     if args.dump is not None:
+        rows = int_lines(rows)  # the dump is the csv body: render it once for both
         with open(args.dump, "w", encoding="ascii") as fh:
-            fh.write(int_lines(table.values))
+            fh.write(rows)
     dumped = table.count if args.dump is not None else None
     fields = dict(
         task="figurate-generate",
@@ -204,7 +219,7 @@ def _figurate(args) -> Result:
         witness_sample=[{"value": v} for v in table.values[: args.sample_size].tolist()],
         stats={"count": table.count, "dumped": dumped, "dump_path": args.dump},
     )
-    return fields, Table(["value"], table.values)
+    return fields, Table(["value"], rows)
 
 
 def _twins(args) -> Result:
@@ -457,7 +472,7 @@ def _execute(args) -> Result:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

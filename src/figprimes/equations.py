@@ -63,15 +63,25 @@ class EquationSolution(NamedTuple):
 
 
 def _binomials(v: np.ndarray, i: int) -> np.ndarray:
-    """C(v, i) over an int64 array, or a uint64 one for i = 2, whose binomials fit its dtype.
+    """C(v, i) over an int64 array of v >= 0, or a uint64 one for i = 2, when
+    the binomials fit its dtype.
 
     C(v, 1) is v itself.  For i = 2 the even factor of v(v - 1) is halved
-    first, so no product exceeds C(v, 2); larger i go through Python integers.
+    first, so no product exceeds C(v, 2).  For i = 3 and 4,
+    C(v, i) = C(v, i - 1) * (v - i + 1) / i: with g = gcd(C(v, i - 1), i),
+    i/g divides v - i + 1, so both factors are divided before they are
+    multiplied and no product exceeds C(v, i).  C(v, i - 1) itself is at most
+    C(v, i) from v = 2i - 1 on, and at most 20 below it.  Larger i go
+    through Python integers.
     """
     if i == 1:
         return v
     if i == 2:
         return np.where(v % 2 == 0, (v // 2) * (v - 1), v * ((v - 1) // 2))
+    if i <= 4:
+        prev = _binomials(v, i - 1)
+        g = np.gcd(prev, i)
+        return (prev // g) * ((v - (i - 1)) // (i // g))
     return np.array([comb(x, i) for x in v.tolist()], dtype=np.int64)
 
 

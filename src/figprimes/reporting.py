@@ -31,12 +31,13 @@ ENVELOPE_KEYS = (
 class Table:
     """Tabular attachment used by the csv renderer.
 
-    ``rows`` is a list of rows, or an integer array with one row per entry
-    (one column when it is one-dimensional).
+    ``rows`` is a list of rows, an integer array with one row per entry
+    (one column when it is one-dimensional), or such an array's csv lines
+    as ``int_lines`` renders them.
     """
 
     header: list[str]
-    rows: list[list[object]] | np.ndarray
+    rows: list[list[object]] | np.ndarray | str
 
 
 #: 10^1 .. 10^19: a magnitude below 2^64 has one digit more than the number of these it reaches
@@ -118,10 +119,13 @@ def render_csv(table: Table) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(table.header)
-    if isinstance(table.rows, np.ndarray):
-        buf.write(int_lines(table.rows))
+    rows = table.rows
+    if isinstance(rows, np.ndarray):
+        rows = int_lines(rows)
+    if isinstance(rows, str):
+        buf.write(rows)
     else:
-        writer.writerows(table.rows)
+        writer.writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 

@@ -571,9 +571,10 @@ class TestMaskKernel:
             monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
         first_hits, late, starts = additive._first_hits, [], []
 
-        def spy(ns, cands, ci, m, mem, ascending, start):
+        def spy(ns, cands, offs, ci, m, mem, ascending, start):
+            assert np.array_equal(offs, ci * (cands // m))
             starts.append(start)
-            late.append(first_hits(ns, cands, ci, m, mem, ascending, start))
+            late.append(first_hits(ns, cands, offs, ci, m, mem, ascending, start))
             return late[-1]
 
         monkeypatch.setattr(additive, "_first_hits", spy)
@@ -586,12 +587,14 @@ class TestMaskKernel:
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
             views = [mem[r::s].copy() for r in range(s)]
             top = group if ascending else group[: len(cands)]
-            open_, got_depth = additive._settle(n0, s * b, count, top, a, b, mem, views, ascending)
+            offs = a * (group // b)
+            open_, got_depth = additive._settle(n0, s * b, count, top, offs[: top.size], a, b,
+                                                mem, views, ascending)
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
             shown = np.flatnonzero(wit >= 0)
             ns = n0 + s * b * shown
-            found = first_hits(ns, group, a, b, mem, ascending)
+            found = first_hits(ns, group, offs, a, b, mem, ascending)
             assert np.array_equal(group[found], wit[shown])
         # some classes reach the late phase, and some of its targets stay open
         assert late and any((hits < 0).any() for hits in late)

@@ -2,6 +2,7 @@
 and byte-level determinism across worker counts."""
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -21,10 +22,11 @@ from figprimes import (
     twin_figurate,
     verify_additive,
 )
-from figprimes.cli import run
+from figprimes.cli import build_parser, run
 from figprimes.reporting import ENVELOPE_KEYS, Table, build_envelope, render_report
 
 KEYS_NO_ERRATA = [k for k in ENVELOPE_KEYS if k != "errata"]
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -191,9 +193,52 @@ class TestExitCodes:
                 "arithmetic guard: a, b and (a-1)(b-1) must not exceed 2^63 - 1\n"
             )
 
-    def test_help_exits_zero(self, capsys):
+    def test_help_exits_zero(self, capsys, monkeypatch):
+        # argparse wraps help to $COLUMNS - 2
+        monkeypatch.setenv("COLUMNS", "80")
         assert run(["--help"]) == 0
-        assert "figprimes" in capsys.readouterr().out
+        assert capsys.readouterr().out == (DATA / "cli_help.txt").read_text()
+
+
+class TestParser:
+    """``run`` adds only the subparser of the command it runs, and prints
+    every usage and error text as the full parser does."""
+
+    @pytest.fixture
+    def added(self, monkeypatch):
+        names = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            names.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        return names
+
+    def test_run_adds_one_subparser(self, tmp_path, added):
+        code, env = run_json(["pell", "--count", "1"], tmp_path)
+        assert code == 0 and env["task"] == "pell-family"
+        assert added == ["pell"]
+        added.clear()
+        build_parser()
+        assert len(added) == 16
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["bogus"],
+        ["sum2", "--from", "2", "--to", "9", "extra"],
+        ["linear", "--a", "x"],
+        ["curve", "bogus", "--kind", "cubic"],
+    ])
+    def test_errors_match_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        full = capsys.readouterr()
+        assert run(argv) == exc.value.code == 2
+        assert capsys.readouterr() == full
+        assert full.err.startswith("usage: figprimes ")
 
 
 class TestEnvelope:
@@ -421,17 +466,36 @@ class TestDumpAndStdout:
         out = capfdbinary.readouterr().out
         assert out.startswith(b"f,g\n")
 
-    def test_module_entry_point(self):
+    def test_module_entry_point(self, capsys, monkeypatch):
         # ``python -m figprimes.cli`` from a checkout that is not installed
         src = Path(__file__).resolve().parents[1] / "src"
-        done = subprocess.run(
-            [sys.executable, "-m", "figprimes.cli", "pell", "--count", "1"],
-            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
-        )
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def fresh(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "figprimes.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+            )
+
+        done = fresh("pell", "--count", "1")
         assert done.returncode == 0, done.stderr
         env = json.loads(done.stdout)
         assert env["task"] == "pell-family"
         assert env["witness_sample"] == [{"u": 3, "v": 2, "A": 9, "B": 8}]
+        # a top-level option and an unknown command build the full parser,
+        # in a fresh process as in this one
+        names = next(a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)).choices
+        assert len(names) == 16
+        listings = {"--help": "{" + ",".join(names) + "}",
+                    "bogus": "(choose from " + ", ".join(map(repr, names)) + ")"}
+        for arg, listing in listings.items():
+            done = fresh(arg)
+            capsys.readouterr()
+            assert run([arg]) == done.returncode == (0 if arg == "--help" else 2)
+            here = capsys.readouterr()
+            assert (done.stdout.decode(), done.stderr.decode()) == (here.out, here.err)
+            assert listing in here.out + here.err, arg
 
 
 class TestDeterminism:

@@ -26,7 +26,7 @@ from figprimes import (
     special_family_checks,
     theorem_errata,
 )
-from figprimes.equations import _pair_args, load_published_catalog
+from figprimes.equations import _binomials, _pair_args, load_published_catalog
 from figprimes.intkernel import U63_MAX, binomial_arg
 
 CATALOG_INSTANCES = [
@@ -337,6 +337,20 @@ class TestErrata:
             i, j, k = e.instance
             for p, q, a, b in e.computed:
                 assert comb(p**a, i) - comb(q**b, j) == k
+
+
+class TestBinomialArrays:
+    @pytest.mark.parametrize("i", [3, 4])
+    def test_matches_comb(self, i):
+        # small v, random v, and the v whose C(v, i) lie on both sides of
+        # 2^62 up to the largest below 2^63
+        top, near = binomial_arg(U63_MAX, i)[0], binomial_arg(2**62, i)[0]
+        rng = np.random.default_rng(i)
+        vs = list(range(60)) + rng.integers(0, top + 1, size=20_000).tolist()
+        vs += list(range(near - 500, near + 500)) + list(range(top - 500, top + 1))
+        got = _binomials(np.array(vs, dtype=np.int64), i)
+        assert got.dtype == np.int64
+        assert got.tolist() == [comb(v, i) for v in vs]
 
 
 class TestPairInverse:
