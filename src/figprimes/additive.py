@@ -43,10 +43,11 @@ from it, so a report depends only on the range, the domains and the options.
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
 ``sample_size`` targets; ``verify_linear`` ends it at hi + 1, so its sample is
-the first ``sample_size`` represented targets of [lo, hi].  After its scan, a
-chunk finds the witnesses of its share of the sample by the kernel's own
-rule, one ``_first_hits`` call per residue class.  A report names no
-task and carries no parameters; the command line adds both.
+the first ``sample_size`` represented targets of [lo, hi].  A chunk returns
+only its counterexamples and its depth; once every chunk is done, the sample
+is read off the grid and the joined counterexamples, and one ``_first_hits``
+call per residue class finds its witnesses by the kernel's own rule.  A
+report names no task and carries no parameters; the command line adds both.
 """
 from __future__ import annotations
 
@@ -141,18 +142,18 @@ def _settle(
 ) -> tuple[np.ndarray, int]:
     """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
-    ``cands`` holds the candidates c ascending, one residue class mod b; a
-    descending scan passes only those with room below the last target.  Scan
-    position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
-    descending, as in ``_first_hits``, and a target settles at the first
-    position whose o >= 1 is in the membership array ``mem``.  ``offs``
-    holds the lookup offsets a*(c // b) of ``cands``, which only
-    ``_first_hits`` reads.  Callers keep n0 - a*c divisible by b and step a
-    multiple of b, so for one c the o of all targets are o0 + s*t with
-    s = step//b; ``views[r]`` is ``mem[r::s]``, so they are
-    ``views[o0 % s]`` from o0 // s on, read contiguously.  A
-    candidate with no room below the last target (a*c + b > n for every n)
-    ends the search.  Returns the open mask, true at the targets that no
+    ``cands`` holds the candidates c ascending, one residue class mod b, and
+    ``offs`` their lookup offsets a*(c // b), which only ``_first_hits``
+    reads.  Both are first cut to the candidates with room below the last
+    target, a*c + b <= n0 + step*(count - 1): no other c reaches a target.
+    Scan position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
+    descending over what is left, as in ``_first_hits``, so a descending scan
+    starts at the largest candidate with room, and a target settles at the
+    first position whose o >= 1 is in the membership array ``mem``.  Callers keep
+    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
+    all targets are o0 + s*t with s = step//b; ``views[r]`` is
+    ``mem[r::s]``, so they are ``views[o0 % s]`` from o0 // s on, read
+    contiguously.  Returns the open mask, true at the targets that no
     candidate settles, and the search depth, the largest 1-based position
     that settled a target.  Which candidate settled a target is not kept:
     ``_first_hits`` finds it for the targets a report shows.
@@ -163,15 +164,15 @@ def _settle(
     open targets and the remaining positions to ``_first_hits`` in one call,
     so its work follows the open targets, not the chunk.
     """
+    last = n0 + step * (count - 1)
+    top = np.searchsorted(cands, (last - b) // a, "right")
+    cands, offs = cands[:top], offs[:top]
     depth = 0
     open_ = np.ones(count, dtype=bool)
     pending = count
-    last = n0 + step * (count - 1)
     s = step // b
-    # Python ints, so that the room test and o0 stay exact
+    # Python ints, so that o0 stays exact
     for pos, c in enumerate(map(int, cands if ascending else cands[::-1])):
-        if a * c + b > last:  # no room below any target, nor for any later c
-            break
         if pending < count * _COMPACT_BELOW or pending <= _STRAGGLER_CUTOFF:
             rows = np.flatnonzero(open_)
             hits = _first_hits(n0 + step * rows, cands, offs, a, b, mem, ascending, pos)
@@ -266,6 +267,11 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
     over a set table built to max(hi, 2).
 
+    Each chunk settles its targets class by class and returns only its
+    counterexamples and its depth.  The rest runs once per scan: the chunks'
+    counterexamples are joined in chunk order, the sample is the first
+    ``sample_size`` grid targets below ``sample_end`` that are not among
+    them, and one ``_first_hits`` call per residue class finds its witnesses.
     Returns the report with its verdict and the stats every scan shares,
     whether y was iterated descending and the largest counterexample, if any.
     Every target of the range counts as scanned; those below a + b are
@@ -298,6 +304,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
 
     def worker(span):
+        """The counterexamples of one chunk, ascending, and its depth."""
         n0 = span[0] + -span[0] % step
         count = max(0, (span[1] - n0) // step + 1)
         opens = np.ones(count, dtype=bool)
@@ -305,78 +312,59 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         for q, (group, offs) in classes.items():
             t0 = (q - n0) % m  # m = 1 whenever step > 1
             k = (count - 1 - t0) // m + 1
-            if k <= 0:
-                continue
-            first = n0 + step * t0
-            if descending:
-                # start at the largest c that leaves room below the class's last target
-                last = first + step * m * (k - 1)
-                top = np.searchsorted(group, (last - m) // ci, "right")
-                group, offs = group[:top], offs[:top]
-            mask, d = _settle(first, step * m, k, group, offs, ci, m, mem, views, not descending)
-            opens[t0::m] = mask
-            depth = max(depth, d)
-        cex = np.flatnonzero(opens)
-        # the first sample_size represented targets lie among the first
-        # cex.size + sample_size
-        end = min(cex.size + sample_size, max(0, -((n0 - sample_end) // step)))
-        ns = n0 + step * np.flatnonzero(~opens[:end])[:sample_size]
-        del opens  # a chunk can span the range; free it before the lists are built
-        wit = np.empty(ns.size, dtype=np.int64)
-        res = ns % m
-        for q in np.unique(res).tolist():
-            sel = res == q
-            group, offs = classes[q]
-            wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, not descending)]
-        found = []
-        for n, c in zip(ns.tolist(), wit.tolist()):
-            o = (n - ci * c) // m
-            found.append((n, o, c) if descending else (n, c, o))
-        cex *= step
-        cex += n0
-        return cex.tolist(), found, count, depth
+            if k > 0:
+                mask, d = _settle(n0 + step * t0, step * m, k, group, offs, ci, m, mem, views,
+                                  not descending)
+                opens[t0::m] = mask
+                depth = max(depth, d)
+        return n0 + step * np.flatnonzero(opens), depth
 
+    start = max(lo, a + b)  # no target below a + b has x, y >= 1
     width = (CHUNK if descending else CHUNK_ASCENDING) * m
-    # no target below a + b has x, y >= 1
-    chunks = [(s, min(s + width - 1, hi)) for s in range(max(lo, a + b), hi + 1, width)]
+    chunks = [(s, min(s + width - 1, hi)) for s in range(start, hi + 1, width)]
     if jobs > 1:
         # ex.map submits every chunk at once, each starting a thread while none idles
         with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
             results = list(ex.map(worker, chunks))
     else:
         results = [worker(c) for c in chunks]
-    counterexamples: list[int] = []
-    samples: list[dict] = []
-    scanned = depth = 0
-    for cex, found, count, d in results:
-        counterexamples.extend(cex)
-        scanned += count
-        depth = max(depth, d)
-        for n, x, y in found[: sample_size - len(samples)]:
-            samples.append(
-                {
-                    "n": n,
-                    "x": x,
-                    "y": y,
-                    "x_cert": _certificate(x, left),
-                    "y_cert": _certificate(y, right),
-                }
-            )
-    total = len(counterexamples)
+    cex = np.concatenate([c for c, _ in results] or [np.empty(0, dtype=np.int64)])
+    first = start + -start % step  # the grid's first target
+    # The sample is the first sample_size grid targets below sample_end that
+    # are not counterexamples.  With idx_j the grid index of the j-th
+    # counterexample, the k-th of them has index k + #{j : idx_j - j <= k}.
+    below = len(range(first, min(sample_end, hi + 1), step))
+    ns = np.arange(min(sample_size, below))
+    if ns.size:  # else first may lie past int64
+        ns += np.searchsorted((cex - first) // step - np.arange(cex.size), ns, "right")
+        ns = first + step * ns[ns < below]
+    wit = np.empty(ns.size, dtype=np.int64)
+    res = ns % m
+    for q in np.unique(res).tolist():
+        sel = res == q
+        group, offs = classes[q]
+        wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, not descending)]
+    o = (ns - ci * wit) // m
+    xs, ys = (o, wit) if descending else (wit, o)
+    samples = [
+        {"n": n, "x": x, "y": y, "x_cert": _certificate(x, left), "y_cert": _certificate(y, right)}
+        for n, x, y in zip(ns.tolist(), xs.tolist(), ys.tolist())
+    ]
+    total = cex.size
     report = VerificationReport(
         lo=lo,
         hi=hi,
         verified=total == 0,
-        counterexamples=counterexamples[:max_counterexamples],
+        counterexamples=cex[:max_counterexamples].tolist(),
         counterexample_total=total,
         witness_sample=samples,
         stats={
             "scanned": len(range(lo + -lo % step, hi + 1, step)),
-            "witnesses": scanned - total,
-            "max_search_depth": depth,
+            "witnesses": len(range(first, hi + 1, step)) - total,
+            "max_search_depth": max((d for _, d in results), default=0),
         },
     )
-    return report, descending, counterexamples[-1] if counterexamples else None
+    return report, descending, int(cex[-1]) if total else None
 
 
 def verify_additive(

@@ -71,22 +71,23 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     still lists them all: ``run`` parses one command, and building all
     sixteen costs more than some of them take to run.  Any other ``only``
     adds them all."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help=f"default ${JOBS_ENV} or 1")
-    common.add_argument("--max-counterexamples", type=int, default=100)
-    common.add_argument("--sample-size", type=int, default=10)
+    # option groups: each adds its options to a subparser
+    def common(p):
+        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        p.add_argument("--out", metavar="PATH", default=None)
+        p.add_argument("--jobs", type=int, default=_default_jobs(),
+                       help=f"default ${JOBS_ENV} or 1")
+        p.add_argument("--max-counterexamples", type=int, default=100)
+        p.add_argument("--sample-size", type=int, default=10)
 
-    ones = argparse.ArgumentParser(add_help=False)
-    grp = ones.add_mutually_exclusive_group()
-    grp.add_argument("--include-one", dest="include_one", action="store_true", default=True)
-    grp.add_argument("--exclude-one", dest="include_one", action="store_false")
+    def ones(p):
+        grp = p.add_mutually_exclusive_group()
+        grp.add_argument("--include-one", dest="include_one", action="store_true", default=True)
+        grp.add_argument("--exclude-one", dest="include_one", action="store_false")
 
-    span = argparse.ArgumentParser(add_help=False)
-    span.add_argument("--from", dest="lo", type=int, required=True)
-    span.add_argument("--to", dest="hi", type=int, required=True)
+    def span(p):
+        p.add_argument("--from", dest="lo", type=int, required=True)
+        p.add_argument("--to", dest="hi", type=int, required=True)
 
     commands = {}
 
@@ -139,7 +140,9 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
         sub.metavar = "{" + ",".join(commands) + "}"
         commands = {only: commands[only]}
     for name, (summary, handler, options, groups, fixed) in commands.items():
-        p = sub.add_parser(name, parents=[common, *groups], help=summary)
+        p = sub.add_parser(name, help=summary)
+        for add in (common, *groups):
+            add(p)
         own = [p.add_argument(flag, **kw).dest for flag, kw in options]
         p.set_defaults(handler=handler, own=own, **fixed)
     return parser
@@ -148,7 +151,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 # A handler takes the parsed arguments, their --jobs checked, and returns its
 # report's envelope fields (the arguments of ``build_envelope`` but
 # ``elapsed_ms``) and its csv table.  ``args.params`` holds the options its
-# ``command`` call declares, not those of its parent groups, with their values
+# ``command`` call declares, not those of its option groups, with their values
 # in declaration order; it is the report's ``params``, except that figurate,
 # curve and the four scans build their own.  The library returns numbers and
 # arrays; naming a report and rendering it happen here.  A check report takes

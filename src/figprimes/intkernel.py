@@ -215,6 +215,8 @@ def prime_powers_upto(
     """
     if limit > table.limit:
         raise UsageError("prime table too small for requested limit")
+    if limit < 0:
+        raise UsageError("prime_powers_upto needs a limit >= 0")
     primes = table.primes[: int(np.searchsorted(table.primes, limit, side="right"))]
     small = primes[: int(np.searchsorted(primes, isqrt(limit), side="right"))]
     rows = [small]
@@ -276,6 +278,8 @@ def binomial_arg(target: int, i: int) -> tuple[int, bool]:
         raise ArithmeticGuardError("binomial_arg needs a target below 2^63")
     if target < 1:
         raise UsageError("binomial_arg needs a target >= 1")
+    if i < 1:  # C(n, 0) = 1 for every n: no largest n
+        raise UsageError("binomial_arg needs i >= 1")
     if i == 1:
         return target, True
     n = i if target <= i else max(i, int(exp((lgamma(i + 1) + log(target)) / i) + (i - 1) / 2))

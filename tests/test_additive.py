@@ -185,20 +185,29 @@ class TestEngineMechanics:
 
     def test_chunk_width_does_not_change_reports(self, monkeypatch):
         spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
-        runs = [
-            lambda: verify_additive(2, 9000, spec, spec),
-            lambda: verify_additive(4, 9000, primes, primes, even_only=True),
-            lambda: verify_linear(2, 3, 1, 9000, spec),
-            # descending, with a sample that spans every chunk
-            lambda: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4),
-        ]
-        wide = [run() for run in runs]
-        monkeypatch.setattr(additive, "CHUNK", 1 << 8)
-        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 8)
-        narrow = [run() for run in runs]
-        for w, n in zip(wide[:3], narrow[:3]):  # ascending: every field
-            assert vars(w) == vars(n)
-        assert wide[3].witness_sample == narrow[3].witness_sample
+        proper = DomainSpec("proper", True)
+        # a width of 1 puts one target of each class in a chunk
+        for width, hi in ((1 << 8, 9000), (1, 2000)):
+            runs = [
+                lambda: verify_additive(2, hi, spec, spec),
+                lambda: verify_additive(4, 2 * hi, primes, primes, even_only=True),
+                lambda: verify_linear(2, 3, 1, hi, spec),
+                # descending, with samples that span every chunk
+                lambda: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4),
+                lambda: verify_additive(6, hi, primes, proper, sample_size=10**30),
+            ]
+            monkeypatch.undo()
+            wide = [run() for run in runs]
+            monkeypatch.setattr(additive, "CHUNK", width)
+            monkeypatch.setattr(additive, "CHUNK_ASCENDING", width)
+            narrow = [run() for run in runs]
+            for w, n in zip(wide[:3], narrow[:3]):  # ascending: every field
+                assert vars(w) == vars(n)
+            assert wide[4].stats["mode"] == "right-descending"
+            # descending depth counts from each chunk's top
+            for w, n in zip(wide[3:], narrow[3:]):
+                assert w.witness_sample == n.witness_sample
+                assert w.counterexamples == n.counterexamples
 
     def test_jobs_do_not_change_report(self, monkeypatch):
         # narrow ascending chunks, so that the pool merges seven of them
@@ -527,19 +536,21 @@ def reference_settle(n0, step, wit, cands, a, b, mem, ascending):
 
 def _random_class(rng, a, b, s, ascending):
     """A class as the engine builds one: the targets n0 + s*b*t, a sorted
-    candidate group c = r (mod b) with a*r = n0 (mod b), and a membership
-    array whose density varies so that chunks reach the late phase."""
+    candidate group c = r (mod b) with a*r = n0 (mod b), some of whose
+    largest c have no room below the last target, and a membership array
+    whose density varies so that chunks reach the late phase."""
     count = int(rng.integers(1, 600))
     n0 = int(rng.integers(a + b, a + b + 400))
     last = n0 + s * b * (count - 1)
     mem = rng.random((last - a) // b + 1) < rng.choice([0.02, 0.1, 0.4])
     mem[0] = False
     r = next(r for r in range(b) if (a * r - n0) % b == 0)
-    group = np.arange(r or b, (last - b) // a + 1, b, dtype=np.int64)
+    past = b * int(rng.integers(0, 20))  # reach of the c with no room
+    group = np.arange(r or b, (last - b) // a + 1 + past, b, dtype=np.int64)
     group = np.sort(rng.choice(group, min(group.size, int(rng.integers(1, 300))), replace=False))
     cands = group.tolist()
     if not ascending:
-        # the engine starts at the largest c that leaves room below the last target
+        # a descending scan starts at the largest c that leaves room below the last target
         cands = [c for c in cands if a * c + b <= last][::-1]
     return n0, count, group, cands, mem
 
@@ -586,10 +597,9 @@ class TestMaskKernel:
             wit = np.full(count, -1, dtype=np.int64)
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
             views = [mem[r::s].copy() for r in range(s)]
-            top = group if ascending else group[: len(cands)]
             offs = a * (group // b)
-            open_, got_depth = additive._settle(n0, s * b, count, top, offs[: top.size], a, b,
-                                                mem, views, ascending)
+            open_, got_depth = additive._settle(n0, s * b, count, group, offs, a, b, mem, views,
+                                                ascending)
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
             shown = np.flatnonzero(wit >= 0)
@@ -633,6 +643,22 @@ class TestLargeSample:
         assert rep.stats["mode"] == "right-descending"
         _, witness, _ = oracle_additive(6, 2 * 10**4, left, right)
         self.check(rep, witness)
+
+    def test_unbounded_sample_holds_every_represented_target(self):
+        spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
+        no_one, proper = DomainSpec("figurate", False), DomainSpec("proper", True)
+        runs = [  # (verifier, oracle, arguments, keywords)
+            (verify_additive, oracle_additive, (2, 4000, no_one, no_one), {}),
+            (verify_additive, oracle_additive, (5, 4000, primes, primes), {"even_only": True}),
+            (verify_additive, oracle_additive, (6, 4000, primes, proper), {}),
+            (verify_linear, oracle_linear, (2, 3, 1, 4000, spec), {}),
+            (verify_linear, oracle_linear, (2, 151, 1, 4000, spec), {}),
+        ]
+        for verify, oracle, args, kw in runs:
+            rep = verify(*args, **kw, sample_size=10**30)
+            witness = oracle(*args, **kw)[1]
+            assert len(rep.witness_sample) == rep.stats["witnesses"] == len(witness)
+            self.check(rep, witness)
 
     def test_linear_descending_classes(self):
         spec = DomainSpec("figurate", True)

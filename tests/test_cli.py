@@ -224,6 +224,22 @@ class TestParser:
         build_parser()
         assert len(added) == 16
 
+    def test_run_constructs_two_parsers(self, tmp_path, monkeypatch):
+        # the top parser and the one subparser: option groups add their
+        # options to the subparser, with no parent parser of their own
+        made = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            made.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        code, env = run_json(["solve", "--i", "1", "--j", "1", "--k", "2", "--bound", "100"],
+                             tmp_path)
+        assert code == 0 and env["task"] == "solve"
+        assert len(made) == 2
+
     @pytest.mark.parametrize("argv", [
         [],
         ["bogus"],

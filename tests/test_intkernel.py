@@ -250,6 +250,10 @@ class TestPrimePowers:
         with pytest.raises(UsageError):
             prime_powers_upto(1000, build_sieve(100))
 
+    def test_negative_limit_rejected(self):
+        with pytest.raises(UsageError):
+            prime_powers_upto(-1, build_sieve(100))
+
     def test_matches_argsort_construction(self, spf3e6):
         primes = spf3e6[0]
         table = build_sieve(3 * 10**6)
@@ -356,6 +360,12 @@ class TestBinomialArg:
             for t in (0, -5):
                 with pytest.raises(UsageError):
                     binomial_arg(t, i)
+
+    # C(n, 0) = 1 for every n, and C(n, i) has no meaning for i < 0
+    @pytest.mark.parametrize("i", [0, -1])
+    def test_index_below_one_rejected(self, i):
+        with pytest.raises(UsageError):
+            binomial_arg(5, i)
 
     def test_every_small_target(self):
         for i in range(1, 13):
