@@ -149,16 +149,16 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
 
 
 # A handler takes the parsed arguments, their --jobs checked, and returns its
-# report's envelope fields (the arguments of ``build_envelope`` but
-# ``elapsed_ms``) and its csv table.  ``args.params`` holds the options its
+# report's envelope fields but ``elapsed_ms`` (those it leaves out take their
+# empty values) and its csv table.  ``args.params`` holds the options its
 # ``command`` call declares, not those of its option groups, with their values
-# in declaration order; it is the report's ``params``, except that figurate,
-# curve and the four scans build their own.  The library returns numbers and
-# arrays; naming a report and rendering it happen here.  A check report takes
-# its verdict fields from ``_verdict``: the failing items are its
-# counterexamples, and it is verified iff there are none.  ``verified`` False
-# makes the exit code 1.  Handlers call the library through this module's
-# globals, so wrapping a name here wraps it for every command.
+# in declaration order; ``_execute`` makes it the report's ``params`` unless the
+# handler builds its own, as figurate, curve and the four scans do.  The
+# library returns numbers and arrays; naming a report and rendering it happen
+# here.  A check report takes its verdict fields from ``_verdict``: the failing
+# items are its counterexamples, and it is verified iff there are none.
+# ``verified`` False makes the exit code 1.  Handlers call the library through
+# this module's globals, so wrapping a name here wraps it for every command.
 
 Result = tuple[dict, Table]
 
@@ -171,7 +171,6 @@ def _listing(args, task: str, header: list[str], rows: list | np.ndarray) -> Res
         sample = sample.tolist()
     fields = dict(
         task=task,
-        params=args.params,
         witness_sample=[dict(zip(header, r)) for r in sample],
         stats={"count": len(rows)},
     )
@@ -251,7 +250,7 @@ def _scan(args) -> Result:
         params = {"left": _label(left), "right": _label(right), "even_only": even_only}
         rep = verify_additive(args.lo, args.hi, left, right, even_only=even_only, **counts)
     # the report's fields are the envelope's, with the range in two
-    fields = dict(vars(rep), task=args.task, params=params, range_=(rep.lo, rep.hi))
+    fields = dict(vars(rep), task=args.task, params=params, range=[rep.lo, rep.hi])
     del fields["lo"], fields["hi"]
     rows: list[list[object]] = [["witness", w["n"], w["x"], w["y"]] for w in rep.witness_sample]
     rows += [["counterexample", n, "", ""] for n in rep.counterexamples]
@@ -273,7 +272,6 @@ def _solve(args) -> Result:
     sols = solve_equation(inst, args.bound)
     fields = dict(
         task="solve",
-        params=args.params,
         witness_sample=[
             {"p": s.p, "a": s.a, "q": s.q, "b": s.b, "left": s.left, "right": s.right}
             for s in sols
@@ -298,7 +296,6 @@ def _families(args) -> Result:
     sections = special_family_checks(args.bound)
     fields = dict(
         task="special-families",
-        params=args.params,
         **_verdict([s.name for s in sections if not s.matches]),
         stats={
             s.name: {
@@ -326,7 +323,6 @@ def _errata(args) -> Result:
     bad = [list(e.instance) for e in entries if e.status != "MATCH"]
     fields = dict(
         task="catalog-reconciliation",
-        params=args.params,
         **_verdict(bad),
         stats={"instances": len(entries), "discrepancies": len(bad)},
         errata=[{**_errata_fields(e), "notes": e.notes} for e in entries] + _curve_corrections(),
@@ -425,7 +421,6 @@ def _conj41(args) -> Result:
     ]
     fields = dict(
         task="power-of-two-gaps",
-        params=args.params,
         **_verdict([row.r for row in gaps if not row.matches]),
         witness_sample=found[: args.sample_size],
         stats={
@@ -447,7 +442,6 @@ def _conj42(args) -> Result:
     ]
     fields = dict(
         task="prime-gaps",
-        params=args.params,
         **_verdict([row.d for row in rep.rows if row.count == 0]),
         witness_sample=found[: args.sample_size],
         stats={
@@ -461,8 +455,8 @@ def _conj42(args) -> Result:
 
 
 def _execute(args) -> Result:
-    """Run the subcommand's handler and wrap its fields in the envelope,
-    with the handler's wall time as ``elapsed_ms``."""
+    """Run the subcommand's handler and wrap its fields in the envelope, with
+    ``args.params`` as their default ``params`` and its wall time as ``elapsed_ms``."""
     if args.max_counterexamples < 0 or args.sample_size < 0:
         raise UsageError("--max-counterexamples and --sample-size must be >= 0")
     if args.jobs < 1:
@@ -470,6 +464,7 @@ def _execute(args) -> Result:
     args.params = {name: getattr(args, name) for name in args.own}
     t0 = time.perf_counter()
     fields, table = args.handler(args)
+    fields.setdefault("params", args.params)
     env = build_envelope(**fields, elapsed_ms=int((time.perf_counter() - t0) * 1000))
     return env, table
 

@@ -249,6 +249,8 @@ def integer_root(n: int, e: int) -> tuple[int, bool]:
         raise UsageError("integer_root needs e >= 2")
     if n == 0:
         return 0, True
+    if e >= n.bit_length():  # 2^e > n >= 1
+        return 1, n == 1
     if e == 2:
         r = isqrt(n)
         return r, r * r == n

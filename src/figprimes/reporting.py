@@ -1,8 +1,8 @@
 """Report envelope shared by every CLI task, plus json/csv/text renderers.
 
-The envelope key order is part of the contract; the json and text renderers
-are pure functions of the envelope and the csv renderer of the tabular
-attachment, so identical inputs always serialize to identical bytes.
+``ENVELOPE_KEYS`` is the envelope's key order, part of the contract; the json
+and text renderers are pure functions of the envelope and the csv renderer of
+its ``Table``, so identical inputs always serialize to identical bytes.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ ENVELOPE_KEYS = (
     "errata",
     "elapsed_ms",
 )
+#: the empty value of each key that has one other than None, made fresh per envelope
+_EMPTY = {"counterexamples": list, "counterexample_total": int, "witness_sample": list,
+          "stats": dict}
 
 
 @dataclass
@@ -83,31 +86,20 @@ def int_lines(rows: np.ndarray) -> str:
     return text.tobytes().decode("ascii")
 
 
-def build_envelope(
-    task: str,
-    params: dict,
-    range_: tuple[int, int] | None = None,
-    verified: bool | None = None,
-    counterexamples: list | None = None,
-    counterexample_total: int = 0,
-    witness_sample: list | None = None,
-    stats: dict | None = None,
-    errata: list | None = None,
-    elapsed_ms: int = 0,
-) -> dict:
-    env = {
-        "task": task,
-        "params": params,
-        "range": list(range_) if range_ is not None else None,
-        "verified": verified,
-        "counterexamples": counterexamples if counterexamples is not None else [],
-        "counterexample_total": counterexample_total,
-        "witness_sample": witness_sample if witness_sample is not None else [],
-        "stats": stats if stats is not None else {},
-    }
-    if errata is not None:
-        env["errata"] = errata
-    env["elapsed_ms"] = elapsed_ms
+def build_envelope(task: str, params: dict, elapsed_ms: int = 0, **fields) -> dict:
+    """The envelope in ``ENVELOPE_KEYS`` order.  A key that ``fields`` leaves
+    out or gives as None takes its empty value (from ``_EMPTY``, else None),
+    but ``errata`` appears only when given; an unknown key raises TypeError."""
+    fields.update(task=task, params=params, elapsed_ms=elapsed_ms)
+    env = {}
+    for key in ENVELOPE_KEYS:
+        value = fields.pop(key, None)
+        if value is None and key in _EMPTY:
+            value = _EMPTY[key]()
+        if value is not None or key != "errata":
+            env[key] = value
+    if fields:
+        raise TypeError(f"build_envelope() got unknown envelope keys {sorted(fields)}")
     return env
 
 

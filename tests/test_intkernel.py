@@ -298,6 +298,27 @@ class TestIntegerRoot:
                 assert integer_root(base**e + 1, e)[0] == base
                 assert integer_root(base**e - 1, e)[0] == base - 1
 
+    def test_huge_exponents_return_at_once(self):
+        # Newton from r = 2 would build 2^(e - 1) here
+        for e in (10**18, 2**63):
+            for n in (1, 2, 10, U63_MAX, 2**200):
+                assert integer_root(n, e) == (1, n == 1)
+
+    def test_exponents_around_the_bit_length(self):
+        def brute_root(n, e):
+            r = 1
+            while (r + 1) ** e <= n:
+                r += 1
+            return r, r**e == n
+
+        rng = np.random.default_rng(61)
+        ns = [1, 2, 3, 4, 7, 8, 9, 2**62, U63_MAX] + rng.integers(2, 2**62, size=40).tolist()
+        for n in ns:
+            bits = n.bit_length()
+            for e in (bits - 1, bits, bits + 1):
+                if e >= 2:
+                    assert integer_root(n, e) == brute_root(n, e), (n, e)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(UsageError):
             integer_root(-1, 2)

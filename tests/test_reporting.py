@@ -1,5 +1,6 @@
 """``reporting.int_lines`` against ``csv.writer`` and against the per-value
-join it replaced, on the edges of its digit counts and of int64."""
+join it replaced, on the edges of its digit counts and of int64; and
+``build_envelope`` against the per-key builder it replaced."""
 from __future__ import annotations
 
 import csv
@@ -7,8 +8,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from figprimes.reporting import int_lines
+from figprimes.reporting import build_envelope, int_lines, render_json, render_text
 
 
 def joined_lines(rows: np.ndarray) -> str:
@@ -68,3 +71,94 @@ class TestIntLines:
                 a = rng.integers(-hi, hi, size=size * 2, dtype=np.int64, endpoint=True)
                 for rows in (a, a.reshape(-1, 2)):
                     assert int_lines(rows) == joined_lines(rows) == writer_lines(rows)
+
+
+def reference_envelope(
+    task: str,
+    params: dict,
+    range_: tuple[int, int] | None = None,
+    verified: bool | None = None,
+    counterexamples: list | None = None,
+    counterexample_total: int = 0,
+    witness_sample: list | None = None,
+    stats: dict | None = None,
+    errata: list | None = None,
+    elapsed_ms: int = 0,
+) -> dict:
+    """The envelope builder with one parameter per key: the oracle kept from
+    before ``build_envelope`` walked ``ENVELOPE_KEYS``."""
+    env = {
+        "task": task,
+        "params": params,
+        "range": list(range_) if range_ is not None else None,
+        "verified": verified,
+        "counterexamples": counterexamples if counterexamples is not None else [],
+        "counterexample_total": counterexample_total,
+        "witness_sample": witness_sample if witness_sample is not None else [],
+        "stats": stats if stats is not None else {},
+    }
+    if errata is not None:
+        env["errata"] = errata
+    env["elapsed_ms"] = elapsed_ms
+    return env
+
+
+_ints = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+_names = st.text(alphabet="abcdefgh_", min_size=1, max_size=6)
+
+#: each optional key's values when a report sets it
+SET_VALUES = {
+    "range": st.lists(_ints, min_size=2, max_size=2),
+    "verified": st.booleans(),
+    "counterexamples": st.lists(_ints, max_size=12),
+    "counterexample_total": st.integers(min_value=0, max_value=10**6),
+    "witness_sample": st.lists(st.fixed_dictionaries({"n": _ints, "x": _ints, "y": _ints}),
+                               max_size=7),
+    "stats": st.dictionaries(_names, _ints | st.booleans() | st.none(), max_size=4),
+    "errata": st.lists(st.dictionaries(_names, _ints, max_size=3) | _names, max_size=3),
+    "elapsed_ms": st.integers(min_value=0, max_value=10**7),
+}
+
+
+@st.composite
+def reports(draw):
+    """(task, params, fields): each optional key absent, None or set.  The
+    reference keeps a None ``counterexample_total`` as None, where its empty
+    value is 0; no report gives it as None, so it is never drawn so."""
+    fields = {}
+    for key, values in SET_VALUES.items():
+        choice = draw(st.sampled_from(("absent", "none", "set")))
+        if choice == "set":
+            fields[key] = draw(values)
+        elif choice == "none" and key != "counterexample_total":
+            fields[key] = None
+    return draw(_names), draw(st.dictionaries(_names, _ints, max_size=4)), fields
+
+
+class TestBuildEnvelope:
+    @given(reports())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_key_builder(self, report):
+        task, params, fields = report
+        old = dict(fields)
+        if "range" in old:
+            value = old.pop("range")
+            old["range_"] = None if value is None else tuple(value)
+        env = build_envelope(task, params, **fields)
+        want = reference_envelope(task, params, **old)
+        assert list(env.items()) == list(want.items())
+        assert render_json(env) == render_json(want)
+        assert render_text(env) == render_text(want)
+
+    @pytest.mark.parametrize("key", ["range_", "verify", "lo"])
+    def test_unknown_key_raises(self, key):
+        with pytest.raises(TypeError, match=key):
+            build_envelope("t", {}, **{key: 1})
+
+    def test_empty_values_are_fresh(self):
+        a, b = build_envelope("t", {}), build_envelope("t", {}, stats=None)
+        for key in ("stats", "counterexamples", "witness_sample"):
+            assert a[key] == b[key] and a[key] is not b[key], key
+        a["stats"]["x"] = 1
+        a["counterexamples"].append(2)
+        assert build_envelope("t", {}) == b
