@@ -37,8 +37,10 @@ spends more passes on candidates its low targets cannot use, and
 ``max_search_depth``, which those scans count from the chunk's top, would
 change with the width.
 
-The engine builds its own set table, to max(hi, 2), and resolves both domains
-from it, so a report depends only on the range, the domains and the options.
+The engine builds its own set table, to max(hi, 2), so a report depends only
+on the range, the domains and the options.  A domain is its member array, and
+the side looked up is read through one mask that no domain copies: the prime
+mask, or the table's own membership cut in place to that side's members.
 
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
@@ -90,31 +92,20 @@ class DomainSpec:
             raise UsageError(f"unknown domain kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class _Domain:
-    values: np.ndarray      # ascending members, dtype int64
-    membership: np.ndarray  # bool, indexable by value
-
-
-def resolve_domain(spec: DomainSpec, table: FigurateTable) -> _Domain:
-    """The members of ``spec`` up to the table's limit; the table holds 1."""
+def resolve_domain(spec: DomainSpec, table: FigurateTable) -> np.ndarray:
+    """The domain ``spec`` as its ascending int64 members up to the table's
+    limit, the table's own arrays where they fit; the table holds 1.  A
+    domain is this array alone: the one mask a scan looks up is the prime
+    mask or the table's own membership, which ``_verify`` cuts in place."""
     pt = table.prime_table
     if spec.kind == "primes":
-        return _Domain(pt.primes, pt.prime_mask)
+        return pt.primes
     if spec.kind == "prime-powers":
-        values = prime_powers_upto(table.limit, pt)[0]
-        membership = np.zeros(table.limit + 1, dtype=bool)
-        membership[values] = True
-        return _Domain(values, membership)
-    if spec.kind == "figurate" and spec.include_one:
-        # the table's own arrays, shared: the kernel only reads them
-        return _Domain(table.values, table.membership)
-    membership = table.membership.copy()
+        return prime_powers_upto(table.limit, pt)[0]
+    values = table.values
     if spec.kind == "proper":
-        membership &= ~pt.prime_mask
-    if not spec.include_one:
-        membership[1] = False
-    return _Domain(np.flatnonzero(membership).astype(np.int64), membership)
+        values = values[~pt.prime_mask[values]]
+    return values if spec.include_one else values[1:]  # 1 is the least member
 
 
 @dataclass
@@ -282,12 +273,18 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     if max_counterexamples < 0 or sample_size < 0:
         raise UsageError("max_counterexamples and sample_size must be >= 0")
     table = generate_figurate(max(hi, 2))
-    ldom = resolve_domain(left, table)
-    rdom = ldom if right == left else resolve_domain(right, table)
-    descending = rdom.values.size * 4 < ldom.values.size or (a < b and b * b > hi - lo + 1)
+    lvals = resolve_domain(left, table)
+    rvals = lvals if right == left else resolve_domain(right, table)
+    descending = rvals.size * 4 < lvals.size or (a < b and b * b > hi - lo + 1)
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
-    ci, m, it, other = (b, a, rdom, ldom) if descending else (a, b, ldom, rdom)
-    cands = it.values[: np.searchsorted(it.values, (hi - m) // ci, "right")]
+    ci, m, it, other = (b, a, rvals, lvals) if descending else (a, b, lvals, rvals)
+    pt = table.prime_table
+    mem = pt.prime_mask if other is pt.primes else table.membership
+    if mem is table.membership and other is not table.values:
+        # no one else holds this scan's table: cut its membership to the other side
+        mem[table.values] = False
+        mem[other] = True
+    cands = it[: np.searchsorted(it, (hi - m) // ci, "right")]
     if m == 1:  # one class
         groups = [cands]
     else:
@@ -299,7 +296,6 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     classes = {
         ci * int(g[0]) % m: (g, g if m == ci == 1 else ci * (g // m)) for g in groups if g.size
     }
-    mem = other.membership
     # targets one stride s = step apart look up o one stride apart
     views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
 

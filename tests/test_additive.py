@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import tracemalloc
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from figprimes import (
     UsageError,
     figurate_witness,
     generate_figurate,
+    prime_powers_upto,
     verify_additive,
     verify_linear,
 )
@@ -50,6 +52,34 @@ def domain_set(spec: DomainSpec) -> frozenset[int]:
     if spec.kind == "proper":
         members -= primes
     return members if spec.include_one else members - {1}
+
+
+def reference_domain(spec: DomainSpec, table) -> SimpleNamespace:
+    """The domain as ``resolve_domain`` built it before a domain became its
+    member array: the ascending members and a membership mask of their own,
+    a copy of the table's but for the primes and the figurate members with 1.
+    It is the oracle for the member arrays and for the mask a scan reads."""
+    pt = table.prime_table
+    if spec.kind == "primes":
+        return SimpleNamespace(values=pt.primes, membership=pt.prime_mask)
+    if spec.kind == "prime-powers":
+        values = prime_powers_upto(table.limit, pt)[0]
+        membership = np.zeros(table.limit + 1, dtype=bool)
+        membership[values] = True
+        return SimpleNamespace(values=values, membership=membership)
+    if spec.kind == "figurate" and spec.include_one:
+        return SimpleNamespace(values=table.values, membership=table.membership)
+    membership = table.membership.copy()
+    if spec.kind == "proper":
+        membership &= ~pt.prime_mask
+    if not spec.include_one:
+        membership[1] = False
+    return SimpleNamespace(values=np.flatnonzero(membership).astype(np.int64),
+                           membership=membership)
+
+
+#: every domain, with and without 1
+SPECS = [DomainSpec(kind, one) for kind in DOMAIN_KINDS for one in (True, False)]
 
 
 def oracle_additive(lo, hi, left, right, even_only=False):
@@ -137,9 +167,14 @@ class TestPrimePlusProper:
         assert (rep.witness_sample[0]["x"], rep.witness_sample[0]["y"]) == (2, 9)
 
     def test_proper_domain_excludes_primes(self, fig2e4):
-        proper = set(resolve_domain(DomainSpec("proper", True), fig2e4).values.tolist())
-        assert {1, 4, 6, 9, 10}.issubset(proper)
-        assert not any(p in proper for p in (2, 3, 5, 7, 11, 13))
+        for one in (True, False):
+            spec = DomainSpec("proper", one)
+            values = resolve_domain(spec, fig2e4)
+            assert values.dtype == np.int64
+            assert np.array_equal(values, reference_domain(spec, fig2e4).values)
+            proper = set(values.tolist())
+            assert {4, 6, 9, 10}.issubset(proper) and (1 in proper) == one
+            assert not any(p in proper for p in (2, 3, 5, 7, 11, 13))
 
 
 class TestGoldbach:
@@ -310,13 +345,38 @@ class TestEngineMechanics:
 
     def test_resolve_domain_matches_oracle(self):
         table = generate_figurate(3000)
-        for kind in DOMAIN_KINDS:
-            for include_one in (True, False):
-                spec = DomainSpec(kind, include_one)
-                dom = resolve_domain(spec, table)
-                expected = sorted(n for n in domain_set(spec) if n <= 3000)
-                assert dom.values.tolist() == expected, spec
-                assert np.flatnonzero(dom.membership).tolist() == expected, spec
+        for spec in SPECS:
+            values, ref = resolve_domain(spec, table), reference_domain(spec, table)
+            expected = sorted(n for n in domain_set(spec) if n <= 3000)
+            assert values.dtype == np.int64, spec
+            assert values.tolist() == expected, spec
+            assert np.array_equal(values, ref.values), spec
+            assert np.flatnonzero(ref.membership).tolist() == expected, spec
+
+    def test_scan_reads_the_looked_up_domain_mask(self, monkeypatch):
+        """The one mask every ``_settle`` call of a scan receives is the
+        membership of the side it looks up, as ``reference_domain`` built it,
+        for every ordered pair of domains in both directions."""
+        settle, masks = additive._settle, []
+
+        def spy(*args):
+            masks.append(args[7])
+            return settle(*args)
+
+        monkeypatch.setattr(additive, "_settle", spy)
+        hi, modes = 3000, set()
+        table = generate_figurate(hi)
+        for left in SPECS:
+            for right in SPECS:
+                masks.clear()
+                for even_only in (False, True):
+                    rep = verify_additive(5, hi, left, right, even_only=even_only)
+                mode = rep.stats["mode"]
+                modes.add(mode)
+                other = left if mode == "right-descending" else right
+                expected = reference_domain(other, table).membership
+                assert masks and all(np.array_equal(mem, expected) for mem in masks), (left, right)
+        assert modes == {"left-ascending", "right-descending"}
 
 
 def oracle_linear(a, b, lo, hi, spec):
@@ -669,19 +729,26 @@ class TestLargeSample:
         assert {w["n"] % 2 for w in rep.witness_sample} == {0, 1}
 
 
-def test_scan_peak_memory_near_table():
-    """The scan holds each candidate class once, as an array: its traced
-    peak stays within 1.75 times that of building the set table alone,
-    which a second, Python-list copy of the members would exceed."""
-    spec = DomainSpec("figurate")
-    verify_additive(2, 10**6, spec, spec)  # first-call allocations stay out
+@pytest.mark.parametrize("left, right, bound", [
+    (DomainSpec("figurate"), DomainSpec("figurate"), 1.75),
+    (DomainSpec("figurate", False), DomainSpec("figurate", False), 1.4),
+    (DomainSpec("primes"), DomainSpec("proper"), 1.4),
+    (DomainSpec("prime-powers"), DomainSpec("prime-powers"), 1.4),
+], ids=["sum2", "sum2-no-one", "prime-proper", "prime-powers"])
+def test_scan_peak_memory_near_table(left, right, bound):
+    """The scan holds each candidate class once, as an array, and reads the
+    side it looks up through the table's own mask: its traced peak stays
+    within ``bound`` times that of building the set table alone.  A second,
+    Python-list copy of the members would exceed 1.75, and a copy of the
+    membership mask per domain 1.4."""
+    verify_additive(2, 10**4, left, right)  # first-call allocations stay out
     tracemalloc.start()
     try:
         generate_figurate(10**6)
         table = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        verify_additive(2, 10**6, spec, spec)
+        verify_additive(2, 10**6, left, right)
         scan = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert scan <= 1.75 * table
+    assert scan <= bound * table

@@ -1,5 +1,6 @@
 """End-to-end command line checks: exit codes, envelope shape, csv payloads,
-and byte-level determinism across worker counts."""
+byte-level determinism across worker counts, and random argv over every
+subcommand's options."""
 from __future__ import annotations
 
 import argparse
@@ -14,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from figprimes import (
     DomainSpec,
@@ -27,6 +30,13 @@ from figprimes.reporting import ENVELOPE_KEYS, Table, build_envelope, render_rep
 
 KEYS_NO_ERRATA = [k for k in ENVELOPE_KEYS if k != "errata"]
 DATA = Path(__file__).parent / "data"
+#: integers past each ceiling: the sieve budget, the solver's 2^62 bound, 63 and 64 bits
+GUARDS = (2**28 + 1, 2**62 + 1, 2**63 - 1, 2**63, 10**19, -(2**63))
+#: an option's integer: small, or one time in eight a guard, so that most
+#: draws of a command's several integers still run it
+INTS = st.integers(0, 7).flatmap(
+    lambda k: st.sampled_from(GUARDS) if k == 0 else st.integers(-3, 2000)
+)
 
 
 def run_cli(argv, tmp_path, name="out"):
@@ -576,3 +586,50 @@ class TestRenderers:
         env = build_envelope("demo", {})
         with pytest.raises(ValueError):
             render_report(env, "yaml", None)
+
+
+def subparsers(cmd: str | None = None) -> dict[str, argparse.ArgumentParser]:
+    """The subparsers ``build_parser(cmd)`` adds, by command."""
+    parser = build_parser(cmd)
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@st.composite
+def argvs(draw, dump: Path) -> list[str]:
+    """One subcommand's argv: its required options and a draw of the others
+    but help and the output options, each with a value from its choices, a
+    small integer or a guard value; ``--dump`` names ``dump``."""
+    cmd = draw(st.sampled_from(sorted(subparsers())))
+    argv = [cmd]
+    for action in subparsers(cmd)[cmd]._actions:
+        if action.dest in ("help", "format", "out"):
+            continue
+        if action.option_strings and not action.required and not draw(st.booleans()):
+            continue
+        flag = action.option_strings[:1]
+        if action.nargs == 0:  # a switch
+            argv += flag
+            continue
+        if action.choices:
+            value = draw(st.sampled_from(list(action.choices)))
+        elif action.type is int:
+            value = draw(INTS)
+        else:
+            value = dump
+        argv += [*flag, str(value)]
+    return argv
+
+
+class TestFuzz:
+    """Random argv over every subcommand's declared options, in-process."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_exit_code_in_range_and_same_in_every_format(self, tmp_path, data):
+        # an exception escaping run is a traceback, and fails the test
+        argv = data.draw(argvs(tmp_path / "dump.txt"), label="argv")
+        codes = {fmt: run(argv + ["--format", fmt, "--out", str(tmp_path / fmt)])
+                 for fmt in ("json", "csv", "text")}
+        assert codes["json"] in (0, 1, 2, 3)
+        assert codes["csv"] == codes["text"] == codes["json"]
