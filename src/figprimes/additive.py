@@ -39,8 +39,9 @@ change with the width.
 
 The engine builds its own set table, to max(hi, 2), so a report depends only
 on the range, the domains and the options.  A domain is its member array, and
-the side looked up is read through one mask that no domain copies: the prime
-mask, or the table's own membership cut in place to that side's members.
+the side looked up is read through the table's one bitmap, the sieve's prime
+mask, which no domain copies: once both domains are read, the scan cuts that
+mask in place to the looked-up side's members unless that side is the primes.
 
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
@@ -95,8 +96,8 @@ class DomainSpec:
 def resolve_domain(spec: DomainSpec, table: FigurateTable) -> np.ndarray:
     """The domain ``spec`` as its ascending int64 members up to the table's
     limit, the table's own arrays where they fit; the table holds 1.  A
-    domain is this array alone: the one mask a scan looks up is the prime
-    mask or the table's own membership, which ``_verify`` cuts in place."""
+    domain is this array alone: the one mask a scan looks up is the sieve's
+    prime mask, which ``_verify`` cuts in place only after this has read it."""
     pt = table.prime_table
     if spec.kind == "primes":
         return pt.primes
@@ -278,11 +279,11 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     descending = rvals.size * 4 < lvals.size or (a < b and b * b > hi - lo + 1)
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
     ci, m, it, other = (b, a, rvals, lvals) if descending else (a, b, lvals, rvals)
-    pt = table.prime_table
-    mem = pt.prime_mask if other is pt.primes else table.membership
-    if mem is table.membership and other is not table.values:
-        # no one else holds this scan's table: cut its membership to the other side
-        mem[table.values] = False
+    # the one mask looked up is the sieve's; no one else holds this scan's
+    # table, so it is cut in place to the other side when that is not the primes
+    mem, primes = table.prime_table.prime_mask, table.prime_table.primes
+    if other is not primes:
+        mem[primes] = False
         mem[other] = True
     cands = it[: np.searchsorted(it, (hi - m) // ci, "right")]
     if m == 1:  # one class

@@ -15,9 +15,8 @@ from operator import index
 
 import numpy as np
 
-from .errors import ResourceLimitError, UsageError
+from .errors import UsageError
 from .intkernel import (
-    DEFAULT_SIEVE_ENTRIES,
     U63_MAX,
     PrimeTable,
     binomial_arg,
@@ -46,15 +45,16 @@ class FigurateWitness:
 
 @dataclass(frozen=True)
 class FigurateTable:
-    """Membership structures for the set restricted to [1, limit].
+    """The set restricted to [1, limit]: its members, and the sieve they came from.
 
-    The table stores membership only; ``figurate_witness`` derives the
-    canonical witness of a member on demand, with no table.
+    The table's one array indexed by value is the sieve's ``prime_mask``; the
+    members other than the primes are a few thousand up to 10**8, so a test
+    of membership by value is a search in ``values``.  ``figurate_witness``
+    derives the canonical witness of a member on demand, with no table.
     """
 
     limit: int
     values: np.ndarray          # ascending member values, dtype int64
-    membership: np.ndarray      # bool, indexable by value
     prime_table: PrimeTable
 
     @property
@@ -73,25 +73,19 @@ def generate_figurate(
     Strata run over i: i = 1 contributes the prime powers, taken as one array
     from ``prime_powers_upto``; for i >= 2 only arguments m >= 2i matter since
     C(m, i) = C(m, m - i) and C(m, m) = 1 is handled by the include_one flag.
-    Only membership is recorded; ``figurate_witness`` finds witnesses.
+    Only the ascending values are kept, with no bitmap of their own: the
+    sieve's budget is the table's.  ``figurate_witness`` finds witnesses.
     """
     if limit < 2:
         raise UsageError("generation limit must be >= 2")
     if limit > U63_MAX:
         raise UsageError("values are capped at 2^63 - 1")
-    if limit + 1 > DEFAULT_SIEVE_ENTRIES:
-        raise ResourceLimitError(
-            f"membership bitmap of {limit + 1} entries exceeds the budget of "
-            f"{DEFAULT_SIEVE_ENTRIES}"
-        )
     if table is None:
         table = build_sieve(limit)
     if table.limit < limit:
         raise UsageError("prime table too small for generation limit")
 
     prime_powers = prime_powers_upto(limit, table)[0]
-    membership = np.zeros(limit + 1, dtype=bool)
-    membership[prime_powers] = True
 
     # C(m, i) >= C(m, 2) > limit once m > isqrt(2 * limit) + 1, for every i >= 2
     cut = int(np.searchsorted(prime_powers, isqrt(2 * limit) + 2, side="right"))
@@ -106,19 +100,13 @@ def generate_figurate(
             found.append(v)
         i += 1
 
-    # The other strata hold a few hundred values, so they are merged into the
-    # prime powers rather than read back from the bitmap.  Neither they nor 1
-    # is a prime power: every prime power dividing C(m, i) is at most m
-    # (Kummer), and C(m, i) >= C(m, 2) > m for 2 <= i <= m - 2.
+    # The other strata hold a few hundred values, merged into the prime
+    # powers where ``searchsorted`` places them.  Neither they nor 1 is a
+    # prime power: every prime power dividing C(m, i) is at most m (Kummer),
+    # and C(m, i) >= C(m, 2) > m for 2 <= i <= m - 2.
     found = np.unique(np.array(found, dtype=np.int64))
-    membership[found] = True
     values = np.insert(prime_powers, np.searchsorted(prime_powers, found), found)
-    return FigurateTable(
-        limit=limit,
-        values=values,
-        membership=membership,
-        prime_table=table,
-    )
+    return FigurateTable(limit=limit, values=values, prime_table=table)
 
 
 def figurate_witness(n: int) -> FigurateWitness | None:
@@ -181,8 +169,11 @@ def figurate_stats(table: FigurateTable) -> StatsRecord:
 
 def twin_figurate(limit: int) -> np.ndarray:
     """All pairs (f, f + 2) of members with f + 2 <= limit, ascending, as the
-    rows of an (n, 2) int64 array."""
-    table = generate_figurate(limit)
-    f = table.values[table.values + 2 <= limit]
-    f = f[table.membership[f + 2]]
+    rows of an (n, 2) int64 array.  The members ascend and are distinct, so
+    f + 2, if a member, is one of the next two."""
+    v = generate_figurate(limit).values
+    twin = np.zeros(v.size, dtype=bool)
+    twin[:-1] = v[1:] == v[:-1] + 2
+    twin[:-2] |= v[2:] == v[:-2] + 2
+    f = v[twin]
     return np.column_stack((f, f + 2))

@@ -28,7 +28,7 @@ from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 #: inclusive cap for every value the package computes with: values stay in 63 bits
 U63_MAX = 2**63 - 1
 
-#: budget of every table indexed by value (sieve, membership bitmap), in entries
+#: budget of every table indexed by value (the sieve, the set table's one bitmap), in entries
 DEFAULT_SIEVE_ENTRIES = 1 << 28
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -19,6 +19,7 @@ from figprimes import (
     ArithmeticGuardError,
     DomainSpec,
     UsageError,
+    build_sieve,
     figurate_witness,
     generate_figurate,
     prime_powers_upto,
@@ -57,8 +58,8 @@ def domain_set(spec: DomainSpec) -> frozenset[int]:
 def reference_domain(spec: DomainSpec, table) -> SimpleNamespace:
     """The domain as ``resolve_domain`` built it before a domain became its
     member array: the ascending members and a membership mask of their own,
-    a copy of the table's but for the primes and the figurate members with 1.
-    It is the oracle for the member arrays and for the mask a scan reads."""
+    the prime mask for the primes and else scattered from the members.  It
+    is the oracle for the member arrays and for the mask a scan reads."""
     pt = table.prime_table
     if spec.kind == "primes":
         return SimpleNamespace(values=pt.primes, membership=pt.prime_mask)
@@ -67,9 +68,10 @@ def reference_domain(spec: DomainSpec, table) -> SimpleNamespace:
         membership = np.zeros(table.limit + 1, dtype=bool)
         membership[values] = True
         return SimpleNamespace(values=values, membership=membership)
+    membership = np.zeros(table.limit + 1, dtype=bool)
+    membership[table.values] = True
     if spec.kind == "figurate" and spec.include_one:
-        return SimpleNamespace(values=table.values, membership=table.membership)
-    membership = table.membership.copy()
+        return SimpleNamespace(values=table.values, membership=membership)
     if spec.kind == "proper":
         membership &= ~pt.prime_mask
     if not spec.include_one:
@@ -443,9 +445,11 @@ class TestLinear:
         sample = [(w["n"], w["x"], w["y"]) for w in rep.witness_sample]
         assert len(sample) == 10
         assert sample[0] == (99993, 1, 1)
+        member = np.zeros(10**6 + 1, dtype=bool)
+        member[fig1e6.values] = True
         represented = np.zeros(10**6 + 1, dtype=bool)
         for y in range(1, 11):
-            if fig1e6.membership[y]:
+            if member[y]:
                 xs = fig1e6.values[fig1e6.values <= (10**6 - 99991 * y) // 2]
                 represented[2 * xs + 99991 * y] = True
         first = np.flatnonzero(represented)[:10].tolist()
@@ -454,7 +458,7 @@ class TestLinear:
             assert x == min(
                 (n - 99991 * y) // 2 for y in range(1, 11)
                 if (n - 99991 * y) % 2 == 0 and n - 99991 * y >= 2
-                and fig1e6.membership[y] and fig1e6.membership[(n - 99991 * y) // 2]
+                and member[y] and member[(n - 99991 * y) // 2]
             )
         assert rep.stats["below_floor"] == 99992
         assert rep.counterexample_total == 10**6 - 99992 - int(represented.sum()) == 708802
@@ -729,21 +733,26 @@ class TestLargeSample:
         assert {w["n"] % 2 for w in rep.witness_sample} == {0, 1}
 
 
-@pytest.mark.parametrize("left, right, bound", [
-    (DomainSpec("figurate"), DomainSpec("figurate"), 1.75),
-    (DomainSpec("figurate", False), DomainSpec("figurate", False), 1.4),
-    (DomainSpec("primes"), DomainSpec("proper"), 1.4),
-    (DomainSpec("prime-powers"), DomainSpec("prime-powers"), 1.4),
+@pytest.mark.parametrize("left, right, bound, sieve_bound", [
+    (DomainSpec("figurate"), DomainSpec("figurate"), 1.75, 2.8),
+    (DomainSpec("figurate", False), DomainSpec("figurate", False), 1.4, None),
+    (DomainSpec("primes"), DomainSpec("proper"), 1.4, 2.8),
+    (DomainSpec("prime-powers"), DomainSpec("prime-powers"), 1.4, None),
 ], ids=["sum2", "sum2-no-one", "prime-proper", "prime-powers"])
-def test_scan_peak_memory_near_table(left, right, bound):
+def test_scan_peak_memory_near_table(left, right, bound, sieve_bound):
     """The scan holds each candidate class once, as an array, and reads the
-    side it looks up through the table's own mask: its traced peak stays
-    within ``bound`` times that of building the set table alone.  A second,
-    Python-list copy of the members would exceed 1.75, and a copy of the
-    membership mask per domain 1.4."""
+    side it looks up through the sieve's prime mask, cut in place: its traced
+    peak stays within ``bound`` times that of building the set table alone.
+    A second, Python-list copy of the members would exceed 1.75, and a copy
+    of the mask per domain 1.4.  Where ``sieve_bound`` is given, the peak
+    also stays within that many times the sieve's alone, which a bitmap of
+    the table's own beside the prime mask would exceed."""
     verify_additive(2, 10**4, left, right)  # first-call allocations stay out
     tracemalloc.start()
     try:
+        build_sieve(10**6)
+        sieve = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         generate_figurate(10**6)
         table = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
@@ -752,3 +761,5 @@ def test_scan_peak_memory_near_table(left, right, bound):
     finally:
         tracemalloc.stop()
     assert scan <= bound * table
+    if sieve_bound is not None:
+        assert scan <= sieve_bound * sieve, scan / sieve

@@ -34,6 +34,13 @@ def _is_pp(m: int) -> bool:
     return False
 
 
+def member_mask(table) -> np.ndarray:
+    """A bool mask indexed by value, true at the table's members."""
+    mask = np.zeros(table.limit + 1, dtype=bool)
+    mask[table.values] = True
+    return mask
+
+
 def oracle_members(limit: int, include_one: bool) -> set[int]:
     """Every positive C(p**a, i) <= limit, straight from the definition.
 
@@ -63,8 +70,9 @@ class TestMembershipOracle:
         expected = oracle_members(limit, include_one)
         got = set(table.values.tolist())
         assert got == expected
+        mask = member_mask(table)
         for n in range(0, limit + 1):
-            assert table.membership[n] == (n in expected), n
+            assert mask[n] == (n in expected), n
 
     def test_first_members_include_one(self):
         table = generate_figurate(40)
@@ -74,12 +82,12 @@ class TestMembershipOracle:
     def test_one_excluded_on_flag(self):
         table = generate_figurate(40, include_one=False)
         assert table.values.tolist()[0] == 2
-        assert not table.membership[1]
+        assert not member_mask(table)[1]
 
     def test_fifteen_not_member(self):
         # C(6, 2) = 15 but 6 is not a prime power
         table = generate_figurate(100)
-        assert not table.membership[15]
+        assert not member_mask(table)[15]
         assert figurate_witness(15) is None
 
 
@@ -117,7 +125,7 @@ class TestWitnesses:
                 assert comb(m, m - w.i) == comb(m, w.i)
 
     def test_witness_for_nonmember_is_none(self, fig2e4):
-        for n in np.flatnonzero(~fig2e4.membership[1:3000]) + 1:
+        for n in np.flatnonzero(~member_mask(fig2e4)[1:3000]) + 1:
             assert figurate_witness(n) is None, n
 
     def test_large_table_free_witness(self):
@@ -137,6 +145,16 @@ class TestTableShape:
         vals = fig1e6.values
         assert (vals[1:] > vals[:-1]).all()
         assert fig1e6.count == vals.size
+
+    def test_one_bitmap_per_table(self):
+        # the sieve's prime mask is the one array indexed by value that a
+        # table and its prime table hold together
+        table = generate_figurate(1000)
+        arrays = [v for part in (table, table.prime_table) for v in vars(part).values()
+                  if isinstance(v, np.ndarray)]
+        bitmaps = [v for v in arrays if v.dtype == bool]
+        assert len(bitmaps) == 1 and bitmaps[0] is table.prime_table.prime_mask
+        assert bitmaps[0].shape == (1001,)
 
     def test_generation_guards(self):
         with pytest.raises(UsageError):
