@@ -58,6 +58,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -279,8 +280,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     descending = rvals.size * 4 < lvals.size or (a < b and b * b > hi - lo + 1)
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
     ci, m, it, other = (b, a, rvals, lvals) if descending else (a, b, lvals, rvals)
-    # the one mask looked up is the sieve's; no one else holds this scan's
-    # table, so it is cut in place to the other side when that is not the primes
+    # no one else holds this scan's table: cut its prime mask to the other side
     mem, primes = table.prime_table.prime_mask, table.prime_table.primes
     if other is not primes:
         mem[primes] = False
@@ -376,6 +376,8 @@ def verify_additive(
     sample_size: int = 10,
 ) -> VerificationReport:
     """Check that every n in [lo, hi] is x + y with x, y in the two domains."""
+    lo, hi, jobs, max_counterexamples, sample_size = map(
+        index, (lo, hi, jobs, max_counterexamples, sample_size))
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
     step = 2 if even_only else 1
@@ -406,6 +408,8 @@ def verify_linear(
     (a-1)(b-1) threshold classically tied to coprime coefficient pairs; a, b
     and that threshold must fit in 63 bits.
     """
+    a, b, lo, hi, jobs, max_counterexamples, sample_size = map(
+        index, (a, b, lo, hi, jobs, max_counterexamples, sample_size))
     if a < 1 or b < 1 or gcd(a, b) != 1:
         raise UsageError("need a, b >= 1 with gcd(a, b) = 1")
     if max(a, b, (a - 1) * (b - 1)) > U63_MAX:

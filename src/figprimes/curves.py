@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, isqrt
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -122,6 +123,7 @@ class CurveModel:
 def _model(kind: str, s: int, k: int) -> CurveModel:
     """The model of one kind, built from its row of ``_KINDS``; its constant
     term must fit in 63 bits."""
+    s, k = index(s), index(k)
     if s not in (1, -1) or k < 1:
         raise UsageError(f"{kind}_model needs s in {{1, -1}} and k >= 1")
     spec = _KINDS[kind]

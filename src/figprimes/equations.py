@@ -190,6 +190,7 @@ def enumerate_p_minus1_triangular(limit: int) -> list[tuple[int, int]]:
     ascending by C(q, 2), so by p.  Its bound C(q, 2) <= 2^62 caps the limit
     at 2^62 + 1.
     """
+    limit = index(limit)
     if not 2 <= limit <= 2**62 + 1:
         raise UsageError("limit must be in [2, 2^62 + 1]")
     p, a, q, b, _, _ = _walk(1, 2, 1, limit - 1)

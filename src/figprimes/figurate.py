@@ -76,6 +76,7 @@ def generate_figurate(
     Only the ascending values are kept, with no bitmap of their own: the
     sieve's budget is the table's.  ``figurate_witness`` finds witnesses.
     """
+    limit = index(limit)
     if limit < 2:
         raise UsageError("generation limit must be >= 2")
     if limit > U63_MAX:

@@ -28,7 +28,7 @@ from .errors import ArithmeticGuardError, ResourceLimitError, UsageError
 #: inclusive cap for every value the package computes with: values stay in 63 bits
 U63_MAX = 2**63 - 1
 
-#: budget of every table indexed by value (the sieve, the set table's one bitmap), in entries
+#: budget of the one table indexed by value, the sieve's prime mask, in entries
 DEFAULT_SIEVE_ENTRIES = 1 << 28
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -167,6 +167,7 @@ def build_sieve(limit: int) -> PrimeTable:
     and Hudson, BIT 17 (1977)).  ``primes`` is read off the odd view, with
     no full-size copy.  The budget is checked before anything is allocated.
     """
+    limit = index(limit)
     if limit < 2:
         raise UsageError("sieve limit must be >= 2")
     if limit + 1 > DEFAULT_SIEVE_ENTRIES:

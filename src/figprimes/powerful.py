@@ -19,6 +19,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
+from operator import index
 
 from .errors import ResourceLimitError, UsageError
 from .intkernel import DEFAULT_SIEVE_ENTRIES, U63_MAX, build_sieve, integer_root, is_prime
@@ -104,6 +105,7 @@ def pell_family(count: int) -> PellFamily:
     Each pair is a consecutive square-full pair.  The family is truncated as
     soon as u^2 would leave the 63-bit envelope.
     """
+    count = index(count)
     if count < 1:
         raise UsageError("count must be >= 1")
     pairs: list[PellPair] = []

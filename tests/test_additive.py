@@ -7,6 +7,7 @@ fallback) must all collapse to the same answers.
 """
 from __future__ import annotations
 
+import json
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -404,6 +405,41 @@ def oracle_linear(a, b, lo, hi, spec):
         else:
             cex.append(n)
     return cex, witness, below, position
+
+
+class TestNumpyIntegerInputs:
+    """numpy integers enter as Python ints, so that the 63-bit guard sees
+    exact values and a report serializes."""
+
+    def test_linear_guard_sees_exact_coefficients(self):
+        # int64 (a-1)*(b-1) would wrap to a negative threshold
+        with pytest.raises(ArithmeticGuardError):
+            verify_linear(np.int64(2**40), np.int64(2**40 + 1), 1, 100, DomainSpec("figurate"))
+
+    def test_reports_hold_python_ints(self):
+        spec, n = DomainSpec("figurate"), np.int64
+        options = {"jobs": 2, "max_counterexamples": 5, "sample_size": 3}
+        as_numpy = {key: n(v) for key, v in options.items()}
+        pairs = [
+            (verify_additive(n(2), n(100), spec, spec, **as_numpy),
+             verify_additive(2, 100, spec, spec, **options)),
+            (verify_linear(n(2), n(3), n(1), n(100), spec, **as_numpy),
+             verify_linear(2, 3, 1, 100, spec, **options)),
+        ]
+        for got, want in pairs:
+            assert json.dumps(vars(got)) == json.dumps(vars(want))
+
+    def test_non_integers_rejected(self):
+        spec = DomainSpec("figurate")
+        for call in (
+            lambda: verify_additive(2, 100.5, spec, spec),
+            lambda: verify_additive(2.0, 100, spec, spec),
+            lambda: verify_additive(2, 100, spec, spec, jobs=1.0),
+            lambda: verify_additive(2, 100, spec, spec, sample_size=2.5),
+            lambda: verify_linear(2.0, 3, 1, 100, spec),
+        ):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                call()
 
 
 class TestLinear:

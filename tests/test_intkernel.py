@@ -6,7 +6,9 @@ with them on every checked input.
 """
 from __future__ import annotations
 
+import json
 import os
+from dataclasses import asdict
 from math import comb, factorial, gcd, isqrt
 
 import numpy as np
@@ -21,10 +23,17 @@ from figprimes import (
     ResourceLimitError,
     UsageError,
     build_sieve,
+    cubic_model,
+    enumerate_p_minus1_triangular,
+    figurate_stats,
+    generate_figurate,
     integer_root,
     is_prime,
+    pell_family,
     prime_power_decompose,
     prime_powers_upto,
+    quartic_model,
+    twin_figurate,
 )
 from figprimes import intkernel
 from figprimes.intkernel import (
@@ -753,3 +762,28 @@ def test_extended_sieve_at_the_budget():
     # compared in blocks, so that no third mask-sized array is made
     for lo in range(0, limit + 1, 1 << 24):
         assert np.array_equal(table.prime_mask[lo : lo + (1 << 24)], mask[lo : lo + (1 << 24)]), lo
+
+
+@pytest.mark.parametrize("call", [
+    build_sieve,
+    generate_figurate,
+    twin_figurate,
+    lambda v: cubic_model(1, v),
+    lambda v: quartic_model(-1, v),
+    pell_family,
+    enumerate_p_minus1_triangular,
+], ids=["build_sieve", "generate_figurate", "twin_figurate", "cubic_model", "quartic_model",
+        "pell_family", "enumerate_p_minus1_triangular"])
+def test_integer_arguments_only(call):
+    """An entry point takes its integer arguments through ``operator.index``,
+    as ``is_prime`` does: a float is refused at the door, and a numpy integer
+    becomes a Python int."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(10.5)
+    call(np.int64(10))
+
+
+def test_numpy_limit_leaves_no_numpy_in_the_record():
+    rec = figurate_stats(generate_figurate(np.int64(100)))
+    assert type(rec.limit) is int
+    json.dumps(asdict(rec))
