@@ -150,9 +150,8 @@ class TestTableShape:
         # the sieve's prime mask is the one array indexed by value that a
         # table and its prime table hold together
         table = generate_figurate(1000)
-        arrays = [v for part in (table, table.prime_table) for v in vars(part).values()
-                  if isinstance(v, np.ndarray)]
-        bitmaps = [v for v in arrays if v.dtype == bool]
+        bitmaps = [v for part in (table, table.prime_table) for v in vars(part).values()
+                   if isinstance(v, np.ndarray) and v.dtype == bool]
         assert len(bitmaps) == 1 and bitmaps[0] is table.prime_table.prime_mask
         assert bitmaps[0].shape == (1001,)
 

@@ -777,7 +777,7 @@ def test_extended_sieve_at_the_budget():
 def test_integer_arguments_only(call):
     """An entry point takes its integer arguments through ``operator.index``,
     as ``is_prime`` does: a float is refused at the door, and a numpy integer
-    becomes a Python int."""
+    is taken as the int it holds."""
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call(10.5)
     call(np.int64(10))
