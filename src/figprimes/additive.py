@@ -103,7 +103,7 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> np.ndarray:
     if spec.kind == "primes":
         return pt.primes
     if spec.kind == "prime-powers":
-        return prime_powers_upto(table.limit, pt)[0]
+        return prime_powers_upto(table.limit, pt)
     values = table.values
     if spec.kind == "proper":
         values = values[~pt.prime_mask[values]]

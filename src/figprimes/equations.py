@@ -153,18 +153,23 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
 
 def _walk(i: int, j: int, k: int, value_bound: int) -> tuple[np.ndarray, ...]:
     """The walk of ``solve_equation`` for checked arguments, as aligned int64
-    arrays (p, a, q, b, left, right) in the order of its solutions."""
+    arrays (p, a, q, b, left, right) in the order of its solutions.  A walked
+    prime is its own base with exponent 1, which the sieve's prime mask tells;
+    only the few higher powers among the hits are decomposed."""
     # walk the side with the larger index; the other side is sides + shift
     walk, other, shift = (i, j, -k) if i > j else (j, i, k)
     limit = binomial_arg(value_bound + k if i > j else value_bound, walk)[0]
     if i == j >= 2:
         limit = min(limit, k)
-    values, bases, exponents = prime_powers_upto(limit, build_sieve(max(limit, 2)))
-    first = int(np.searchsorted(values, walk))
-    values, bases, exponents = values[first:], bases[first:], exponents[first:]
+    table = build_sieve(max(limit, 2))
+    values = prime_powers_upto(limit, table)
+    values = values[int(np.searchsorted(values, walk)):]
+    prime = table.prime_mask[values]
+    del table  # the batch decomposition below need not hold the sieve
     sides = _binomials(values, walk)
-    keep = np.flatnonzero(sides + shift >= 1)
-    sides, bases, exponents = sides[keep], bases[keep], exponents[keep]
+    # C(v, walk) increases with v, so the targets >= 1 are a suffix
+    first = int(np.searchsorted(sides, 1 - shift))
+    sides = sides[first:]
     targets = sides + shift
     # 0 marks a target with no argument; it is no prime power
     if other == 1:
@@ -176,7 +181,10 @@ def _walk(i: int, j: int, k: int, value_bound: int) -> tuple[np.ndarray, ...]:
         args = np.array([n if exact else 0 for n, exact in inverse], dtype=np.int64)
     arg_bases, arg_exponents = prime_power_decompose_many(args)
     hits = np.flatnonzero(arg_exponents)
-    walked = (bases[hits], exponents[hits], sides[hits])
+    bases, higher = values[first + hits], ~prime[first + hits]
+    exponents = np.ones_like(bases)
+    bases[higher], exponents[higher] = prime_power_decompose_many(bases[higher])
+    walked = (bases, exponents, sides[hits])
     inverted = (arg_bases[hits], arg_exponents[hits], targets[hits])
     (p, a, left), (q, b, right) = (walked, inverted) if i > j else (inverted, walked)
     return p, a, q, b, left, right

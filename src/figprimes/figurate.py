@@ -86,7 +86,7 @@ def generate_figurate(
     if table.limit < limit:
         raise UsageError("prime table too small for generation limit")
 
-    prime_powers = prime_powers_upto(limit, table)[0]
+    prime_powers = prime_powers_upto(limit, table)
 
     # C(m, i) >= C(m, 2) > limit once m > isqrt(2 * limit) + 1, for every i >= 2
     cut = int(np.searchsorted(prime_powers, isqrt(2 * limit) + 2, side="right"))

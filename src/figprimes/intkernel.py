@@ -201,18 +201,16 @@ def build_sieve(limit: int) -> PrimeTable:
     return PrimeTable(limit=limit, primes=primes, prime_mask=mask)
 
 
-def prime_powers_upto(
-    limit: int, table: PrimeTable
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All p**a <= limit with a >= 1, as aligned int64 arrays ascending by value.
+def prime_powers_upto(limit: int, table: PrimeTable) -> np.ndarray:
+    """All p**a <= limit with a >= 1, as one ascending int64 array.
 
-    Returns ``(values, bases, exponents)`` with ``values == bases**exponents``.
     Row a of the construction holds p**a for a prefix of the primes: p**a * p
     grows with p, so the primes that still fit one more factor are a prefix of
     the previous row, and the rows a >= 2 take only the primes p with
     p * p <= limit.  Those rows are few (about 500 values at 10^7): they alone
     are sorted, then inserted into the primes where ``searchsorted`` places
-    them.  Prime powers are distinct, so the order is exact.
+    them.  Prime powers are distinct, so the order is exact.  No base or
+    exponent is kept: a caller decomposes the few values it needs them for.
     """
     if limit > table.limit:
         raise UsageError("prime table too small for requested limit")
@@ -227,19 +225,9 @@ def prime_powers_upto(
         if not cut:
             break
         rows.append(row[:cut] * small[:cut])
-    higher = rows[1:] or [small[:0]]
-    powers = np.concatenate(higher)
-    order = np.argsort(powers)
-    powers = powers[order]
-    bases = np.concatenate([small[: row.size] for row in higher])[order]
-    at = np.searchsorted(primes, powers)
-    exponents = np.ones(primes.size + powers.size, dtype=np.int64)
-    # each inserted value lands at its place among the primes plus the
-    # number of inserted values before it
-    exponents[at + np.arange(at.size)] = np.repeat(
-        np.arange(2, len(higher) + 2, dtype=np.int64), [row.size for row in higher]
-    )[order]
-    return np.insert(primes, at, powers), np.insert(primes, at, bases), exponents
+    # the rows a >= 2, past the primes of row 1
+    powers = np.sort(np.concatenate(rows)[small.size :])
+    return np.insert(primes, np.searchsorted(primes, powers), powers)
 
 
 def integer_root(n: int, e: int) -> tuple[int, bool]:

@@ -6,6 +6,7 @@ solution sets appear here only through the shipped catalog file.
 """
 from __future__ import annotations
 
+import tracemalloc
 from math import comb, isqrt
 
 import numpy as np
@@ -21,13 +22,13 @@ from figprimes import (
     enumerate_p_minus1_triangular,
     is_prime,
     prime_power_decompose,
-    prime_powers_upto,
     solve_equation,
     special_family_checks,
     theorem_errata,
 )
-from figprimes.equations import _binomials, _pair_args, load_published_catalog
+from figprimes.equations import _binomials, _pair_args, _walk, load_published_catalog
 from figprimes.intkernel import U63_MAX, binomial_arg
+from test_intkernel import argsort_prime_powers
 
 CATALOG_INSTANCES = [
     (2, 1, 1), (3, 1, 1), (4, 1, 1),
@@ -228,7 +229,7 @@ class TestEvenUnitInstance:
         # p**a = q**b + k read off a prime-power mask, with no decomposition
         bound = 10**7
         table = build_sieve(bound + k)
-        values, bases, exps = prime_powers_upto(bound + k, table)
+        values, bases, exps = argsort_prime_powers(bound + k, table.primes)
         mask = np.zeros(bound + k + 1, dtype=bool)
         mask[values] = True
         power = dict(zip(values.tolist(), zip(bases.tolist(), exps.tolist())))
@@ -240,6 +241,30 @@ class TestEvenUnitInstance:
         sols = solve_equation(EquationInstance(1, 1, k), bound)
         assert len(sols) == count
         assert {s.pqab for s in sols} == expected
+
+
+@pytest.mark.parametrize("i, j, k, bound, ratio", [
+    (1, 1, 2, 10**6, 4.4),
+    (1, 2, 1, 10**12, 4.0),
+])
+def test_walk_peak_memory_near_sieve(i, j, k, bound, ratio):
+    """The walk keeps one int64 value and one prime flag per walked prime
+    power, cuts its targets as a suffix and lets the sieve go before the
+    batch decomposition: its traced peak stays within ``ratio`` times that
+    of the sieve it builds (3.9 and 3.7 today), which aligned base and
+    exponent arrays, or an index array of the kept targets, would exceed."""
+    limit = binomial_arg(bound + k if i > j else bound, max(i, j))[0]
+    _walk(i, j, k, 10**4)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        sieve = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _walk(i, j, k, bound)
+        walk = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert walk <= ratio * sieve, walk / sieve
 
 
 def family_oracle(bound):

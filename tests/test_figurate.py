@@ -7,6 +7,7 @@ but unarguable on small limits.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -154,6 +155,21 @@ class TestTableShape:
                    if isinstance(v, np.ndarray) and v.dtype == bool]
         assert len(bitmaps) == 1 and bitmaps[0] is table.prime_table.prime_mask
         assert bitmaps[0].shape == (1001,)
+
+    def test_generation_peak_memory_near_sieve(self):
+        # generation adds the prime powers and the few other members to the
+        # sieve; the three aligned prime-power arrays it once built do not fit
+        generate_figurate(10**4)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            build_sieve(10**6)
+            sieve = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            generate_figurate(10**6)
+            table = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table <= 1.9 * sieve, table / sieve
 
     def test_generation_guards(self):
         with pytest.raises(UsageError):

@@ -243,16 +243,19 @@ class TestPrimePowers:
             expected = [
                 n for n in range(2, limit + 1) if len(trial_factorize(n)) == 1
             ]
-            values, bases, exponents = prime_powers_upto(limit, table)
-            assert values.dtype == bases.dtype == exponents.dtype == np.int64
+            values = prime_powers_upto(limit, table)
+            assert values.dtype == np.int64
             assert values.tolist() == expected
-            for v, p, a in zip(values.tolist(), bases.tolist(), exponents.tolist()):
+            # the oracle's bases and exponents, which other tests read
+            oracle = argsort_prime_powers(limit, table.primes)
+            assert oracle[0].tolist() == expected
+            for v, p, a in zip(*(column.tolist() for column in oracle)):
                 assert p**a == v
                 assert trial_division_prime(p)
 
     def test_values_ascend(self):
         table = build_sieve(10**4)
-        vals = prime_powers_upto(10**4, table)[0].tolist()
+        vals = prime_powers_upto(10**4, table).tolist()
         assert vals == sorted(vals)
 
     def test_table_too_small_rejected(self):
@@ -279,10 +282,8 @@ class TestPrimePowers:
         limits += rng.integers(2, 3 * 10**6, size=20).tolist()
         for limit in limits:
             got = prime_powers_upto(limit, table)
-            want = argsort_prime_powers(limit, primes)
-            for g, w in zip(got, want):
-                assert g.dtype == np.int64
-                assert np.array_equal(g, w), limit
+            assert got.dtype == np.int64
+            assert np.array_equal(got, argsort_prime_powers(limit, primes)[0]), limit
 
 
 class TestIntegerRoot:
@@ -737,7 +738,7 @@ def test_extended_batch_against_sieve_and_scalar():
     if os.environ.get("FIGPRIMES_EXTENDED") != "1":
         pytest.skip("set FIGPRIMES_EXTENDED=1 for the batch run to 10^8")
     limit = 10**8
-    values, bases, exps = prime_powers_upto(limit - 1, build_sieve(limit - 1))
+    values, bases, exps = argsort_prime_powers(limit - 1, build_sieve(limit - 1).primes)
     for lo in range(0, limit, 10**6):
         n = np.arange(lo, lo + 10**6, dtype=np.int64)
         got_bases, got_exps = prime_power_decompose_many(n)
