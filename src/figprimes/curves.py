@@ -201,6 +201,7 @@ def search_integral_points(model: CurveModel, xmax: int) -> list[CurvePoint]:
     survivors get an exact ``isqrt``.  ``emit_samples`` walks the same
     window one X at a time.
     """
+    xmax = index(xmax)
     if xmax < 1:
         raise UsageError("xmax must be >= 1")
     _guard_window(model, xmax)
@@ -259,6 +260,7 @@ def emit_samples(
     step: int = 1,
 ) -> list[tuple[int, int, bool, int | None]]:
     """Rows (X, rhs, is_square, Y) over an X window, for offline inspection."""
+    xlo, xhi, step = index(xlo), index(xhi), index(step)
     if step < 1 or xlo > xhi:
         raise UsageError("need step >= 1 and xlo <= xhi")
     if (xhi - xlo) // step + 1 > MAX_SAMPLE_ROWS:

@@ -227,6 +227,7 @@ def special_family_checks(bound: int = 10**9) -> list[FamilySection]:
     The first two read the solutions of instance (1, 2, 1) with b = 1, the
     third those of (1, 3, 1); p**a <= bound is C(q**b, j) <= bound - 1.
     """
+    bound = index(bound)
     if bound < 10**6:
         raise UsageError("family checks need bound >= 10^6")
     triangular = [s for s in solve_equation(EquationInstance(1, 2, 1), bound - 1) if s.b == 1]

@@ -212,6 +212,7 @@ def prime_powers_upto(limit: int, table: PrimeTable) -> np.ndarray:
     them.  Prime powers are distinct, so the order is exact.  No base or
     exponent is kept: a caller decomposes the few values it needs them for.
     """
+    limit = index(limit)
     if limit > table.limit:
         raise UsageError("prime table too small for requested limit")
     if limit < 0:
@@ -232,6 +233,7 @@ def prime_powers_upto(limit: int, table: PrimeTable) -> np.ndarray:
 
 def integer_root(n: int, e: int) -> tuple[int, bool]:
     """(floor(n ** (1/e)), exact?) computed purely in integers."""
+    n, e = index(n), index(e)
     if n < 0:
         raise UsageError("integer_root needs n >= 0")
     if e < 2:
@@ -265,6 +267,7 @@ def binomial_arg(target: int, i: int) -> tuple[int, bool]:
     max(i, floor((i! * target)^(1/i) + (i - 1)/2)) in floating point, as
     i! * C(n, i) = n(n-1)...(n-i+1) is close to (n - (i - 1)/2)^i.
     """
+    target, i = index(target), index(i)
     if target > U63_MAX:
         raise ArithmeticGuardError("binomial_arg needs a target below 2^63")
     if target < 1:

@@ -93,6 +93,7 @@ def consecutive_powerful_pairs(limit: int) -> list[DifferencePair]:
     They are the adjacent entries of the square-full list that differ by 1;
     2 is not square-full, so B = 1 never pairs.
     """
+    limit = index(limit)
     if limit < 9:
         raise UsageError("limit must be >= 9")
     full = _tfull_upto(limit, 2)
@@ -164,6 +165,7 @@ def diff_cubefull_search(d: int, limit: int) -> list[DifferencePair]:
     exponent rule for d's primes (the criterion in the module docstring).
     Only d is factored.
     """
+    d, limit = index(d), index(limit)
     if d < 1:
         raise UsageError("d must be >= 1")
     if limit <= d:
@@ -186,6 +188,7 @@ class PowerGapRow:
 def power_of_two_gap_report(rmax: int, limit: int) -> list[PowerGapRow]:
     """Check d = 2^r for r in [0, rmax]: no pair at r = 0, exactly the pair
     (2^(r+1), 2^r) for r >= 1."""
+    rmax, limit = index(rmax), index(limit)
     if rmax < 0:
         raise UsageError("rmax must be >= 0")
     # 2^(rmax+1) > limit, read from the bit length so no rmax-bit integer is built
@@ -219,6 +222,7 @@ class PrimeGapReport:
 def prime_gap_report(limit: int, nmax: int = 28, search_cap: int = 64) -> PrimeGapReport:
     """Tabulate cube-full-product pairs for every gap n in [2, nmax] and find
     the least gap (and least prime gap) with no pair up to ``search_cap``."""
+    limit, nmax, search_cap = index(limit), index(nmax), index(search_cap)
     if not 2 <= nmax <= search_cap:
         raise UsageError("need 2 <= nmax <= search_cap")
     if limit <= search_cap:

@@ -23,16 +23,23 @@ from figprimes import (
     ResourceLimitError,
     UsageError,
     build_sieve,
+    consecutive_powerful_pairs,
     cubic_model,
+    diff_cubefull_search,
+    emit_samples,
     enumerate_p_minus1_triangular,
     figurate_stats,
     generate_figurate,
     integer_root,
     is_prime,
     pell_family,
+    power_of_two_gap_report,
+    prime_gap_report,
     prime_power_decompose,
     prime_powers_upto,
     quartic_model,
+    search_integral_points,
+    special_family_checks,
     twin_figurate,
 )
 from figprimes import intkernel
@@ -782,6 +789,38 @@ def test_integer_arguments_only(call):
     with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
         call(10.5)
     call(np.int64(10))
+
+
+@pytest.mark.parametrize("call, value", [
+    pytest.param(lambda v: integer_root(v, 3), 1000, id="integer_root"),
+    pytest.param(lambda v: integer_root(1000, v), 3, id="integer_root-e"),
+    pytest.param(lambda v: binomial_arg(v, 2), 10, id="binomial_arg"),
+    pytest.param(lambda v: binomial_arg(10, v), 2, id="binomial_arg-i"),
+    pytest.param(lambda v: prime_powers_upto(v, build_sieve(100)), 50, id="prime_powers_upto"),
+    pytest.param(consecutive_powerful_pairs, 1000, id="consecutive_powerful_pairs"),
+    pytest.param(lambda v: diff_cubefull_search(v, 1000), 1, id="diff_cubefull_search"),
+    pytest.param(lambda v: diff_cubefull_search(1, v), 1000, id="diff_cubefull_search-limit"),
+    pytest.param(lambda v: power_of_two_gap_report(v, 1000), 3, id="power_of_two_gap_report"),
+    pytest.param(lambda v: power_of_two_gap_report(3, v), 1000,
+                 id="power_of_two_gap_report-limit"),
+    pytest.param(prime_gap_report, 10**4, id="prime_gap_report"),
+    pytest.param(lambda v: prime_gap_report(10**4, v), 20, id="prime_gap_report-nmax"),
+    pytest.param(lambda v: prime_gap_report(10**4, 20, v), 40, id="prime_gap_report-cap"),
+    pytest.param(lambda v: search_integral_points(cubic_model(1, 1), v), 10,
+                 id="search_integral_points"),
+    pytest.param(lambda v: emit_samples(cubic_model(1, 1), v, 3), 0, id="emit_samples"),
+    pytest.param(lambda v: emit_samples(cubic_model(1, 1), 0, v), 3, id="emit_samples-xhi"),
+    pytest.param(lambda v: emit_samples(cubic_model(1, 1), 0, 3, v), 1, id="emit_samples-step"),
+    pytest.param(special_family_checks, 10**6, id="special_family_checks"),
+])
+def test_integer_arguments_at_the_door(call, value):
+    """The arithmetic and search entry points take their integer arguments
+    through ``operator.index`` too: a float is refused before any work, and a
+    numpy integer gives the result of the int it holds, with no numpy
+    scalar in it (whose ``repr`` would differ)."""
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call(value + 0.5)
+    assert repr(call(np.int64(value))) == repr(call(value))
 
 
 def test_numpy_limit_leaves_no_numpy_in_the_record():
