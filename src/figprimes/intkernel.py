@@ -9,11 +9,13 @@ double with a 64-bit significand for n < 2^62, which is off from the true
 quotient by less than 1/2, so wrapping 64-bit arithmetic and two unsigned
 minimums make the residue exact (see ``_mulmod``); and it seeds integer
 roots with a float64 power whose rounded value is then checked in integers.
-Each batch block runs the smallest deterministic witness set its largest
-lane allows.  Values from 2^62 up, and from 2^50 up where long double is
-plain double, go to the scalar ``prime_power_decompose``, which uses Python
-integers and the seven bases valid below 2^64 throughout.  Batch primality
-is exponent 1 of that decomposition.
+The batch takes its lanes in input order, ``_BLOCK`` at a time; each block
+runs the smallest deterministic witness set its largest lane allows, in
+float64 when that lane is below 2^50.  Values from 2^62 up, and from 2^50
+up where long double is plain double, go to the scalar
+``prime_power_decompose``, which uses Python integers and the seven bases
+valid below 2^64 throughout.  Batch primality is exponent 1 of that
+decomposition.
 """
 from __future__ import annotations
 
@@ -61,8 +63,9 @@ _WITNESS_SETS = (
     (_MR_LIMIT, _MR_BASES),
 )
 
-#: lanes per batch Miller-Rabin block, which bounds its temporaries
-_BLOCK = 1 << 14
+#: lanes per block of ``prime_power_decompose_many``, which bounds its
+#: temporaries; about 30% of them, those with no factor <= 37, reach Miller-Rabin
+_BLOCK = 1 << 16
 
 #: odd entries per ``build_sieve`` segment; they span 1 MiB of the mask, which
 #: stays inside a 2 MiB L2 cache
@@ -397,19 +400,21 @@ def _strong_test(
     return passed
 
 
-def _miller_rabin_block(n: np.ndarray, quotient: type) -> np.ndarray:
-    """``is_prime``'s witness loop over int64 lanes: odd n in (37, 2^62) with
-    no factor <= 37, all below 2^50 when ``quotient`` is float64.
+def _miller_rabin_block(n: np.ndarray) -> np.ndarray:
+    """``is_prime``'s witness loop over int64 lanes: odd n in (37, _LANE_LIMIT)
+    with no factor <= 37.
 
     The block runs the first witness set of ``_WITNESS_SETS`` whose bound
-    exceeds its largest lane.  Every set opens with base 2, which runs on
-    every lane.  Few composites pass it, so the other bases of the set run
-    together on the lanes that do, one stacked copy of those lanes per base.
+    exceeds its largest lane, and takes its quotients in float64 when that
+    lane is below ``_FLOAT_LIMIT`` and in long double otherwise.  Every set
+    opens with base 2, which runs on every lane.  Few composites pass it, so
+    the other bases of the set run together on the lanes that do, one stacked
+    copy of those lanes per base.
     """
     top = int(n.max())
     _, *bases = next(bases for bound, bases in _WITNESS_SETS if top < bound)
     n = n.astype(np.uint64)
-    nf = n.astype(quotient)
+    nf = n.astype(np.float64 if top < _FLOAT_LIMIT else np.longdouble)
     n1 = n - np.uint64(1)
     # n - 1 = d * 2^s; the lowest set bit of n - 1 is a power of two, exact in
     # float64, and frexp reads its exponent off exactly
@@ -443,38 +448,21 @@ def _power_screen(n: np.ndarray) -> np.ndarray:
     return hit
 
 
-def _miller_rabin_many(n: np.ndarray) -> np.ndarray:
-    """Primality of int64 lanes n in (37, _LANE_LIMIT) with no factor <= 37.
-
-    The lanes are sorted first, so each block spans a narrow range of values
-    and runs the witness set its largest lane needs; blocks below 2^50 take
-    float64 quotients and the rest long double, so no float64 block holds a
-    lane at or above 2^50.
-    """
-    order = np.argsort(n)
-    v = n[order]
-    wide = int(np.searchsorted(v, _FLOAT_LIMIT))
-    prime = np.zeros(n.size, dtype=bool)
-    for lo, hi, quotient in ((0, wide, np.float64), (wide, v.size, np.longdouble)):
-        for s in range(lo, hi, _BLOCK):
-            t = min(s + _BLOCK, hi)
-            prime[order[s:t]] = _miller_rabin_block(v[s:t], quotient)
-    return prime
-
-
 def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
     """``prime_power_decompose`` over a one-dimensional integer array.
 
     Returns aligned int64 arrays ``(bases, exponents)`` with
     ``values == bases**exponents`` where the value is a prime power, and
-    ``bases == exponents == 0`` where it is not.  A lane with a prime factor
-    p <= 37 is a prime power exactly when it is a power of p, so one lookup in
-    ``_SMALL_POWERS`` decides it; the lanes with no factor <= 37 run batch
-    Miller-Rabin, and only the composite lanes whose float root screen finds
-    an exact power reach the scalar ``_power_root``.  Values at or above
-    ``_LANE_LIMIT`` (2^62, or 2^50 where long double is plain double) go
-    through scalar ``prime_power_decompose``.  Other dtypes than integers (bool
-    too) raise UsageError, and values from 2^63 up ArithmeticGuardError.
+    ``bases == exponents == 0`` where it is not.  The lanes run in input
+    order, ``_BLOCK`` at a time, which bounds the temporaries.  In a block, a
+    lane with a prime factor p <= 37 is a prime power exactly when it is a
+    power of p, so one lookup in ``_SMALL_POWERS`` decides it; the lanes with
+    no factor <= 37 run ``_miller_rabin_block``, and only the composite lanes
+    whose float root screen finds an exact power reach the scalar
+    ``_power_root``.  Values at or above ``_LANE_LIMIT`` (2^62, or 2^50 where
+    long double is plain double) go through scalar ``prime_power_decompose``.
+    Other dtypes than integers (bool too) raise UsageError, and values from
+    2^63 up ArithmeticGuardError.
     """
     v = np.asarray(values)
     if v.ndim != 1 or v.dtype.kind not in "iu":
@@ -484,26 +472,32 @@ def prime_power_decompose_many(values) -> tuple[np.ndarray, np.ndarray]:
     v = v.astype(np.int64, copy=False)
     bases = np.zeros(v.size, dtype=np.int64)
     exponents = np.zeros(v.size, dtype=np.int64)
-    for lane in np.flatnonzero(v >= _LANE_LIMIT).tolist():
-        d = prime_power_decompose(int(v[lane]))
-        if d is not None:
-            bases[lane], exponents[lane] = d.p, d.a
-    small = (v >= 2) & (v < _LANE_LIMIT)
-    divisible = np.zeros(v.size, dtype=bool)
-    for m, shares in _FACTOR_SCREENS:
-        divisible |= shares[v % m]
-    lanes = np.flatnonzero(small & divisible)
     powers, power_bases, power_exponents = _SMALL_POWERS
-    row = np.searchsorted(powers, v[lanes])
-    found = powers[row] == v[lanes]
-    lanes, row = lanes[found], row[found]
-    bases[lanes], exponents[lanes] = power_bases[row], power_exponents[row]
-    rest = np.flatnonzero(small & ~divisible)
-    prime = _miller_rabin_many(v[rest])
-    bases[rest[prime]], exponents[rest[prime]] = v[rest[prime]], 1
-    composite = rest[~prime]
-    for lane in composite[_power_screen(v[composite])].tolist():
-        d = _power_root(int(v[lane]))
-        if d is not None:
-            bases[lane], exponents[lane] = d.p, d.a
+    for start in range(0, v.size, _BLOCK):
+        block = v[start : start + _BLOCK]
+        # views of the outputs, written lane by lane of the block
+        b, e = bases[start : start + _BLOCK], exponents[start : start + _BLOCK]
+        for lane in np.flatnonzero(block >= _LANE_LIMIT).tolist():
+            d = prime_power_decompose(int(block[lane]))
+            if d is not None:
+                b[lane], e[lane] = d.p, d.a
+        small = (block >= 2) & (block < _LANE_LIMIT)
+        divisible = np.zeros(block.size, dtype=bool)
+        for m, shares in _FACTOR_SCREENS:
+            divisible |= shares[block % m]
+        lanes = np.flatnonzero(small & divisible)
+        row = np.searchsorted(powers, block[lanes])
+        found = powers[row] == block[lanes]
+        lanes, row = lanes[found], row[found]
+        b[lanes], e[lanes] = power_bases[row], power_exponents[row]
+        rest = np.flatnonzero(small & ~divisible)
+        if not rest.size:
+            continue
+        prime = _miller_rabin_block(block[rest])
+        b[rest[prime]], e[rest[prime]] = block[rest[prime]], 1
+        composite = rest[~prime]
+        for lane in composite[_power_screen(block[composite])].tolist():
+            d = _power_root(int(block[lane]))
+            if d is not None:
+                b[lane], e[lane] = d.p, d.a
     return bases, exponents

@@ -244,15 +244,18 @@ class TestEvenUnitInstance:
 
 
 @pytest.mark.parametrize("i, j, k, bound, ratio", [
-    (1, 1, 2, 10**6, 4.4),
-    (1, 2, 1, 10**12, 4.0),
+    (1, 1, 2, 10**6, 3.6),
+    (1, 2, 1, 10**12, 3.6),
+    (1, 1, 2, 10**7, 2.0),
 ])
 def test_walk_peak_memory_near_sieve(i, j, k, bound, ratio):
     """The walk keeps one int64 value and one prime flag per walked prime
-    power, cuts its targets as a suffix and lets the sieve go before the
-    batch decomposition: its traced peak stays within ``ratio`` times that
-    of the sieve it builds (3.9 and 3.7 today), which aligned base and
-    exponent arrays, or an index array of the kept targets, would exceed."""
+    power, cuts its targets as a suffix, lets the sieve go before the batch
+    decomposition, and the batch holds temporaries for one block of lanes
+    only: its traced peak stays within ``ratio`` times that of the sieve it
+    builds (3.35, 3.36 and 1.65 today), which aligned base and exponent
+    arrays, an index array of the kept targets or whole-array batch
+    temporaries (3.93, 3.69 and 2.66) would exceed."""
     limit = binomial_arg(bound + k if i > j else bound, max(i, j))[0]
     _walk(i, j, k, 10**4)  # first-call allocations stay out
     tracemalloc.start()

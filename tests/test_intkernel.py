@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import tracemalloc
 from dataclasses import asdict
 from math import comb, factorial, gcd, isqrt
 
@@ -706,39 +707,75 @@ class TestWitnessSets:
         _, exps = prime_power_decompose_many(np.array(values, dtype=np.int64))
         assert [e == 1 for e in exps.tolist()] == [isprime(v) for v in values]
 
-    def test_float64_blocks_stay_below_2_50(self, monkeypatch):
+    @staticmethod
+    def spy_strong_test(monkeypatch) -> list[tuple[int, int, np.dtype]]:
+        """(smallest lane, largest lane, quotient dtype) of every ``_strong_test`` call."""
         seen = []
-        block = intkernel._miller_rabin_block
+        strong = intkernel._strong_test
 
-        def spy(n, quotient):
-            seen.append((int(n.max()), quotient))
-            return block(n, quotient)
+        def spy(n, nf, d, s, a):
+            seen.append((int(n.min()), int(n.max()), nf.dtype))
+            return strong(n, nf, d, s, a)
 
-        monkeypatch.setattr(intkernel, "_miller_rabin_block", spy)
+        monkeypatch.setattr(intkernel, "_strong_test", spy)
+        return seen
+
+    def test_float64_blocks_stay_below_2_50(self, monkeypatch):
+        # sorted lanes, so that blocks of 64 fall wholly below 2^50 or
+        # reach past it, and both kinds of block occur
+        seen = self.spy_strong_test(monkeypatch)
         monkeypatch.setattr(intkernel, "_BLOCK", 64)
         rng = np.random.default_rng(50)
-        values = odd_lanes_without_small_factor(rng, 2**50 - 2**12, 2**50 + 2**12, 500)
+        values = sorted(odd_lanes_without_small_factor(rng, 2**50 - 2**12, 2**50 + 2**12, 500))
         assert_batch_agrees(values)
-        assert all(top < 2**50 for top, quotient in seen if quotient is np.float64)
+        assert all(top < 2**50 for _, top, dtype in seen if dtype == np.float64)
         if intkernel._WIDE:
-            assert {quotient for _, quotient in seen} == {np.float64, np.longdouble}
+            assert {dtype for _, _, dtype in seen} == {np.dtype(np.float64), np.dtype(np.longdouble)}
+
+    @pytest.mark.skipif(not intkernel._WIDE, reason="lanes from 2^50 up go scalar")
+    def test_block_across_2_50_runs_long_double(self, monkeypatch):
+        # one block with lanes on both sides of 2^50: its largest lane puts
+        # all of them into long double, which is exact below 2^62
+        seen = self.spy_strong_test(monkeypatch)
+        rng = np.random.default_rng(51)
+        below = odd_lanes_without_small_factor(rng, 2**50 - 2**12, 2**50, 100)
+        above = odd_lanes_without_small_factor(rng, 2**50, 2**50 + 2**12, 100)
+        values = [v for pair in zip(below, above) for v in pair]
+        assert_batch_agrees(values)
+        assert seen[0] == (min(below), max(above), np.dtype(np.longdouble))
+        assert {dtype for _, _, dtype in seen} == {np.dtype(np.longdouble)}
 
     def test_lanes_past_a_2_50_ceiling_go_scalar(self, monkeypatch):
         # a long double without a 64-bit significand leaves the ceiling at 2^50
         seen = []
-        many = intkernel._miller_rabin_many
+        block = intkernel._miller_rabin_block
 
         def spy(n):
             seen.extend(n.tolist())
-            return many(n)
+            return block(n)
 
         monkeypatch.setattr(intkernel, "_LANE_LIMIT", 2**50)
-        monkeypatch.setattr(intkernel, "_miller_rabin_many", spy)
+        monkeypatch.setattr(intkernel, "_miller_rabin_block", spy)
         rng = np.random.default_rng(62)
         values = (odd_lanes_without_small_factor(rng, 2**49, 2**50, 200)
                   + odd_lanes_without_small_factor(rng, 2**50, 2**62, 200))
         assert_batch_agrees(values + [2**50 - 1, 2**50 + 1, 3**39, 2**62 - 1])
         assert seen and max(seen) < 2**50
+
+
+def test_batch_peak_memory_near_outputs():
+    """The batch holds temporaries for one block of ``_BLOCK`` lanes at a
+    time, so over 10^6 lanes its traced peak stays within 1.5 times its two
+    outputs (1.14 today); whole-array temporaries read 2.88."""
+    values = np.arange(10**8, 10**8 + 10**6, dtype=np.int64)
+    prime_power_decompose_many(values[:1000])  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        bases, exps = prime_power_decompose_many(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (bases.nbytes + exps.nbytes), peak / (bases.nbytes + exps.nbytes)
 
 
 def test_extended_batch_against_sieve_and_scalar():
