@@ -173,7 +173,7 @@ def map_solution(model: CurveModel, x: int, y: int) -> CurvePoint:
     index-2 argument.  Pure transform: the result lies on the curve exactly
     when (x, y) solves the model's difference equation."""
     (mx, tx), (my, ty) = _KINDS[model.kind].maps
-    return CurvePoint(mx * x - tx, my * y - ty)
+    return CurvePoint(mx * index(x) - tx, my * index(y) - ty)
 
 
 #: values of X per array pass of a point search, which bounds its temporaries

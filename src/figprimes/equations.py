@@ -41,6 +41,8 @@ class EquationInstance:
     k: int
 
     def __post_init__(self) -> None:
+        for name in ("i", "j", "k"):
+            object.__setattr__(self, name, index(getattr(self, name)))
         if self.i < 1 or self.j < 1 or self.k < 1:
             raise UsageError("instance needs i, j, k >= 1")
 
@@ -126,7 +128,7 @@ def solve_equation(inst: EquationInstance, value_bound: int = 10**12) -> list[Eq
         raise UsageError("value_bound must be >= 1")
     if value_bound > 2**62:
         raise UsageError("value_bound above 2^62 is not supported")
-    i, j, k = inst.i, inst.j, index(inst.k)
+    i, j, k = inst.key
     if value_bound + k > U63_MAX:
         raise ArithmeticGuardError("value_bound + k exceeds 2^63 - 1")
     if max(i, j) > U63_MAX:

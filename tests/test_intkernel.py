@@ -20,6 +20,7 @@ from sympy import isprime, nextprime, perfect_power
 
 from figprimes import (
     ArithmeticGuardError,
+    EquationInstance,
     PrimePower,
     ResourceLimitError,
     UsageError,
@@ -33,6 +34,7 @@ from figprimes import (
     generate_figurate,
     integer_root,
     is_prime,
+    map_solution,
     pell_family,
     power_of_two_gap_report,
     prime_gap_report,
@@ -837,6 +839,11 @@ def test_extended_sieve_at_the_budget():
     pytest.param(lambda v: emit_samples(cubic_model(1, 1), 0, v), 3, id="emit_samples-xhi"),
     pytest.param(lambda v: emit_samples(cubic_model(1, 1), 0, 3, v), 1, id="emit_samples-step"),
     pytest.param(special_family_checks, 10**6, id="special_family_checks"),
+    pytest.param(lambda v: EquationInstance(v, 1, 1), 2, id="EquationInstance-i"),
+    pytest.param(lambda v: EquationInstance(1, v, 1), 1, id="EquationInstance-j"),
+    pytest.param(lambda v: EquationInstance(1, 1, v), 3, id="EquationInstance-k"),
+    pytest.param(lambda v: map_solution(cubic_model(1, 1), v, 2), 1, id="map_solution-x"),
+    pytest.param(lambda v: map_solution(cubic_model(1, 1), 1, v), 2, id="map_solution-y"),
 ])
 def test_integer_arguments_only(call, value):
     """An entry point takes its integer arguments through ``operator.index``,
