@@ -149,21 +149,24 @@ class StatsRecord:
 
 
 def figurate_stats(table: FigurateTable) -> StatsRecord:
-    """Count members by class and compare the density against the primes."""
+    """Count members by class and compare the density against the primes.
+
+    Every prime up to the limit is a member, so the primes are counted in the
+    sieve's prime list, and 1, if present, is the first value.  The only even
+    prime is 2, which every table holds (its limit is at least 2), so the even
+    composites are the even members but one; the odd composites are the rest.
+    """
     vals = table.values
-    pm = table.prime_table.prime_mask[vals]
-    ones = vals == 1
-    comp = ~pm & ~ones
-    primes = int(pm.sum())
-    comp_even = int((comp & (vals % 2 == 0)).sum())
-    comp_odd = int((comp & (vals % 2 == 1)).sum())
+    primes = int(np.searchsorted(table.prime_table.primes, table.limit, side="right"))
+    includes_one = bool(vals[0] == 1)
+    comp_even = table.count - int(np.count_nonzero(vals & 1)) - 1
     return StatsRecord(
         limit=table.limit,
         total=table.count,
         primes=primes,
         composite_even=comp_even,
-        composite_odd=comp_odd,
-        includes_one=bool(ones.any()),
+        composite_odd=table.count - includes_one - primes - comp_even,
+        includes_one=includes_one,
         density_vs_primes=table.count / primes,
     )
 

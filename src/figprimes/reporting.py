@@ -7,6 +7,7 @@ its ``Table``, so identical inputs always serialize to identical bytes.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 from dataclasses import dataclass
@@ -36,54 +37,79 @@ class Table:
 
     ``rows`` is a list of rows, an integer array with one row per entry
     (one column when it is one-dimensional), or such an array's csv lines
-    as ``int_lines`` renders them.
+    as ``int_lines`` renders them; ``int_lines`` rejects any other array,
+    float or bool, whose text would not be the one ``csv.writer`` gives.
     """
 
     header: list[str]
     rows: list[list[object]] | np.ndarray | str
 
 
-#: 10^1 .. 10^19: a magnitude below 2^64 has one digit more than the number of these it reaches
-_POWERS_OF_TEN = 10 ** np.arange(1, 20, dtype=np.uint64)
+@functools.cache
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """The two 20,000-word lookup tables of ``int_lines``, for the lowest
+    4-digit group and for the groups above it, built on first use.  Word k is
+    the four digits of k, as little-endian ASCII bytes; word 10**4 + k is k
+    as a top group, with its leading zeros as NUL.  The empty top group is
+    "0" when it is the lowest, and all NUL above it."""
+    k = np.arange(10**4, dtype="<u4")
+    upper = np.zeros(2 * 10**4, dtype=k.dtype)
+    for i in range(4):  # byte i holds the 10**(3 - i) digit
+        char = (k // 10 ** (3 - i) % 10 + ord("0")) << 8 * i
+        upper[: 10**4] |= char
+        upper[10**4 :] |= char * (k >= 10 ** (3 - i))
+    lowest = upper.copy()
+    lowest[10**4] = ord("0") << 24
+    for table in (lowest, upper):
+        table.setflags(write=False)  # the cache hands the same arrays to every call
+    return lowest, upper
 
 
 def int_lines(rows: np.ndarray) -> str:
-    """An int64 array as csv lines: the text ``csv.writer`` gives for its rows.
+    """An integer array as csv lines: the text ``csv.writer`` gives for its rows.
 
     Integers never need quoting, so each line is the row's values joined by
-    commas; every line ends in a newline.  The text is filled in one byte
-    buffer.  Each value takes its sign, its digits and one separator, so its
-    digit count (from ``searchsorted`` on the powers of ten) and a cumulative
-    sum place every field.  The digits are then written from the last one
-    back, by repeated division by 10 over the values that still have digits
-    left: sorted by digit count, those are a suffix.  Magnitudes are uint64,
-    so -2^63 needs no special case.
+    commas; every line ends in a newline.  The text is first laid out in
+    fixed-width little-endian uint32 words, NUL-padded: each value takes g
+    digit words (g 4-digit groups cover the largest magnitude), most
+    significant first, then one separator word, "," or "\n", whose second
+    byte is "-" when the next value is negative; one leading word holds the
+    first value's sign.  Group j of every value comes from one uint64
+    division by 10**4 and a lookup in a table of 20,000 words, indexed by the
+    group's digits plus 10**4 when nothing is above it, where its leading
+    zeros are NUL.  Deleting the NULs leaves the text.  Magnitudes are
+    uint64, so -2^63 needs no special case.  Any dtype but a signed or
+    unsigned integer (bool included) raises TypeError.
     """
-    if not len(rows):
-        return ""
+    if rows.dtype.kind not in "iu":
+        raise TypeError(f"int_lines needs an integer array, not {rows.dtype}")
+    if not rows.size:
+        return "\n" * len(rows)  # rows with no columns are empty lines
     columns = rows[0].size
     values = rows.ravel()
     negative = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)
-    extra = np.searchsorted(_POWERS_OF_TEN, magnitude, side="right")  # digits beyond the first
-    widths = extra + negative + 2
-    ends = np.cumsum(widths)  # one past each value's separator
-    text = np.empty(ends[-1], dtype=np.uint8)
-    text[ends - 1] = np.tile(np.frombuffer(b"," * (columns - 1) + b"\n", np.uint8), len(rows))
-    text[(ends - widths)[negative]] = ord("-")
-    order = np.argsort(extra.astype(np.uint8), kind="stable")
-    magnitude, last = magnitude[order], (ends - 2)[order]  # last: each last digit's offset
-    # step k writes the 10^k digit of the values with more than k digits, those
-    # from position start on; uint8 arithmetic is mod 256, which holds the digit
-    counts = np.bincount(extra)
-    for k, start in enumerate((np.cumsum(counts) - counts).tolist()):
-        rest = magnitude[start:]
-        quotient = rest // np.uint64(10)
-        digit = rest.astype(np.uint8) - quotient.astype(np.uint8) * np.uint8(10)
-        text[last[start:] - k] = digit + np.uint8(ord("0"))
-        rest[:] = quotient
-    return text.tobytes().decode("ascii")
+    q = values.astype(np.uint64)
+    np.negative(q, out=q, where=negative)
+    groups = -(-len(str(int(q.max()))) // 4)
+    words = np.empty(1 + values.size * (groups + 1), dtype="<u4")
+    words[0] = ord("-") if negative[0] else 0
+    body = words[1:].reshape(len(rows), columns, groups + 1)
+    body[:, :-1, groups] = ord(",")
+    body[:, -1, groups] = ord("\n")
+    body = body.reshape(values.size, groups + 1)
+    np.add(body[:-1, groups], ord("-") << 8, out=body[:-1, groups], where=negative[1:])
+    lowest, upper = _digit_words()
+    above, scaled = np.empty_like(q), np.empty_like(q)
+    for j in range(groups):
+        np.floor_divide(q, np.uint64(10**4), out=above)
+        np.multiply(above, np.uint64(10**4), out=scaled)
+        q -= scaled  # q is now this group's digits, and then its table index
+        np.add(q, np.uint64(10**4), out=q, where=above == 0)
+        # an index below 2 * 10**4 reads the same as int64, which numpy takes uncast
+        body[:, groups - 1 - j] = (upper if j else lowest)[q.view(np.int64)]
+        q, above = above, q
+    del q, above, scaled, body  # freed before the text's two copies are made
+    return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def build_envelope(task: str, params: dict, elapsed_ms: int = 0, **fields) -> dict:

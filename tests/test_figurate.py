@@ -23,7 +23,7 @@ from figprimes import (
     twin_figurate,
 )
 from figprimes.cli import run
-from figprimes.figurate import ONE_WITNESS_ARGS
+from figprimes.figurate import ONE_WITNESS_ARGS, StatsRecord
 
 
 def _is_pp(m: int) -> bool:
@@ -195,7 +195,35 @@ class TestTableShape:
             assert path.read_bytes() == per_line.encode("ascii")
 
 
+def reference_stats(table) -> StatsRecord:
+    """Each member classed through the prime mask and ``% 2``: the oracle kept
+    from before ``figurate_stats`` counted classes without the mask."""
+    vals = table.values
+    pm = table.prime_table.prime_mask[vals]
+    ones = vals == 1
+    comp = ~pm & ~ones
+    primes = int(pm.sum())
+    return StatsRecord(
+        limit=table.limit,
+        total=table.count,
+        primes=primes,
+        composite_even=int((comp & (vals % 2 == 0)).sum()),
+        composite_odd=int((comp & (vals % 2 == 1)).sum()),
+        includes_one=bool(ones.any()),
+        density_vs_primes=table.count / primes,
+    )
+
+
 class TestStats:
+    @pytest.mark.parametrize("limit", [2, 3, 10, 1000, 10**6])
+    @pytest.mark.parametrize("include_one", [True, False])
+    @pytest.mark.parametrize("sieve_factor", [1, 2])
+    def test_matches_reference(self, limit, include_one, sieve_factor):
+        """Also over a sieve past the limit, whose primes the limit cuts."""
+        sieve = build_sieve(sieve_factor * limit)
+        table = generate_figurate(limit, include_one=include_one, table=sieve)
+        assert figurate_stats(table) == reference_stats(table)
+
     def test_limit_ten_classes(self):
         rec = figurate_stats(generate_figurate(10))
         assert rec.total == 10

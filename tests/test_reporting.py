@@ -1,17 +1,26 @@
 """``reporting.int_lines`` against ``csv.writer`` and against the per-value
-join it replaced, on the edges of its digit counts and of int64; and
-``build_envelope`` against the per-key builder it replaced."""
+join it replaced, on the edges of its 4-digit groups and of int64, on drawn
+integer arrays, and on its peak memory; and ``build_envelope`` against the
+per-key builder it replaced."""
 from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figprimes.reporting import build_envelope, int_lines, render_json, render_text
+from figprimes.reporting import (
+    Table,
+    build_envelope,
+    int_lines,
+    render_csv,
+    render_json,
+    render_text,
+)
 
 
 def joined_lines(rows: np.ndarray) -> str:
@@ -64,6 +73,23 @@ class TestIntLines:
         for rows in (np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)):
             assert int_lines(rows) == "" == joined_lines(rows)
 
+    @pytest.mark.parametrize("rows", [np.array([1.5, 2.7]), np.array([[True], [False]]),
+                                      np.array(["1", "2"]), np.array([1, 2], dtype=object)],
+                             ids=["float", "bool", "str", "object"])
+    def test_rejects_all_but_integer_dtypes(self, rows):
+        """``csv.writer`` writes 1.5 and True, where a digit fill would write 1 and 1."""
+        with pytest.raises(TypeError, match="integer array"):
+            int_lines(rows)
+        with pytest.raises(TypeError, match="integer array"):
+            render_csv(Table(["v"], rows))
+
+    def test_rows_with_no_columns_are_empty_lines(self):
+        rows = np.zeros((3, 0), dtype=np.int64)
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([[]] * 3)
+        assert int_lines(rows) == buf.getvalue() == "\n\n\n"
+        assert render_csv(Table([], rows)) == b"\n" * 4
+
     def test_seeded_random(self):
         rng = np.random.default_rng(63)
         for size in (1, 2, 5, 1000):
@@ -71,6 +97,45 @@ class TestIntLines:
                 a = rng.integers(-hi, hi, size=size * 2, dtype=np.int64, endpoint=True)
                 for rows in (a, a.reshape(-1, 2)):
                     assert int_lines(rows) == joined_lines(rows) == writer_lines(rows)
+
+
+def test_int_lines_peak_memory_near_output(fig1e6):
+    """The traced peak over the 79,096 members up to 10^6 is at most 8x the
+    text: 6.0x with the word fill, 11.3x with the per-digit scatter before it."""
+    tracemalloc.start()
+    try:
+        text = int_lines(fig1e6.values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(text)
+
+
+#: each 4-digit group boundary with both signs, and the int64 and uint64 edges
+GROUP_EDGES = sorted(
+    {s * v for k in range(5) for v in (10 ** (4 * k) - 1, 10 ** (4 * k)) for s in (1, -1)}
+    | {2**63 - 2, 2**63 - 1, -(2**63), 1 - 2**63, 2**63, 2**64 - 1}
+)
+
+
+@st.composite
+def int_arrays(draw) -> np.ndarray:
+    """An int8, int32, int64 or uint64 array of 1-4 columns (one-dimensional
+    or not when it has one), its values drawn from the group edges in range
+    or from the whole range."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int32", "int64", "uint64"])))
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    value = st.sampled_from([v for v in GROUP_EDGES if lo <= v <= hi]) | st.integers(lo, hi)
+    rows, columns = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    values = draw(st.lists(value, min_size=rows * columns, max_size=rows * columns))
+    flat = columns == 1 and draw(st.booleans())
+    return np.array(values, dtype=dtype).reshape((rows,) if flat else (rows, columns))
+
+
+@given(int_arrays())
+@settings(max_examples=300, deadline=None)
+def test_int_lines_matches_csv_writer(rows):
+    assert int_lines(rows) == writer_lines(rows)
 
 
 def reference_envelope(
