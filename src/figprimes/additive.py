@@ -21,11 +21,36 @@ fills one open mask over its targets, and chunk results are merged in chunk
 order, so the report is identical no matter how many worker threads run.
 Witnesses always use the minimal x.
 
-Targets one stride s apart (s = 2 for even-only scans) look their summands
-up one stride apart too.  Such a scan copies the membership array once into
-the s contiguous residue views ``mem[r::s]``, shared by every chunk, so that
-no pass reads memory with a stride; at s = 1 the array itself is the one
-view.
+Parity classes.  When both sides are one domain and x ascends, the parity of
+n can rule out every odd member on one side, and all but a few members are
+odd: the even ones are the powers of 2 and the even C(p^a, i), 226 up to
+10**6.  For n = a*x + b*y with a even, y has n's parity, so an even target
+needs an even y: its sub-scan runs the even y descending, whose first hit
+from the top gives the minimal x, and records in each target the y that
+settled it.  For x + y, an odd target needs x or y even, and exchanging them
+settles the same n: its sub-scan runs the even x ascending.  Its minimal x is
+min(e, n - e'), e the least even member with n - e a member and e' the
+largest; e' is searched only where n minus the largest even member below n
+is less than e.  The other parity class, the even targets of x + y or the
+odd ones of a*x + b*y with a even, admits every pair and runs the
+candidates of its classes mod b as before.  A scan with b even, whose
+classes mod b already fix x's parity, or with a and b odd and unequal, or
+with two domains, or descending, is not split.  ``max_search_depth`` keeps its
+meaning: each target's minimal x's 1-based position in the ascending
+candidates of its class.  The even-y sub-scan takes it from the recorded y.
+The odd x + y sub-scan takes it from the late phase's first hits, which give
+e for the targets they settle; if the full-width passes reached deeper, the
+targets that their last 1, 2, 4, ... passes settled have their minimal x
+found, until the passes before reach no deeper.
+
+Targets two apart, in a parity class or an even-only scan, look their
+summands up two apart too.  Such a scan drops the table's mask and lays the
+looked-up side out de-interleaved, its even entries and then its odd ones in
+one buffer of the same size (rounded up to odd), scattered from its member
+array a block at a time and shared by every chunk, so that no pass reads
+memory with a stride and the scan holds one mask as before.  ``_first_hits``
+reads that layout with one subtraction per lookup, as it reads the
+interleaved one.
 
 A chunk spans a fixed number of targets per class, times the modulus, and
 that number depends on the direction.  Ascending scans take CHUNK_ASCENDING:
@@ -41,7 +66,8 @@ The engine builds its own set table, to max(hi, 2), so a report depends only
 on the range, the domains and the options.  A domain is its member array, and
 the side looked up is read through the table's one bitmap, the sieve's prime
 mask, which no domain copies: once both domains are read, the scan cuts that
-mask in place to the looked-up side's members unless that side is the primes.
+mask in place to the looked-up side's members unless that side is the primes,
+or, if its targets lie two apart, replaces it with the de-interleaved one.
 
 The witness sample is the represented targets below a sample end, at most
 ``sample_size`` of them.  ``verify_additive`` ends it after its first
@@ -78,6 +104,9 @@ _STRAGGLER_MIN_PASSES = 64
 _COMPACT_BELOW = 1 / 32
 # Rows times columns of one block of the first-hit search.
 _SEARCH_CELLS = 1 << 16
+# Members laid out per step of a de-interleaved mask, which bounds its temporaries.
+_SCATTER_BLOCK = 1 << 16
+_NONE = np.empty(0, dtype=np.int64)
 
 DOMAIN_KINDS = ("primes", "figurate", "proper", "prime-powers")
 
@@ -130,9 +159,10 @@ def _settle(
     a: int,
     b: int,
     mem: np.ndarray,
-    views: list[np.ndarray],
+    half: int,
     ascending: bool,
-) -> tuple[np.ndarray, int]:
+    wit: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, tuple[int, np.ndarray, np.ndarray]]:
     """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
     ``cands`` holds the candidates c ascending, one residue class mod b, and
@@ -142,14 +172,20 @@ def _settle(
     Scan position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
     descending over what is left, as in ``_first_hits``, so a descending scan
     starts at the largest candidate with room, and a target settles at the
-    first position whose o >= 1 is in the membership array ``mem``.  Callers keep
-    n0 - a*c divisible by b and step a multiple of b, so for one c the o of
-    all targets are o0 + s*t with s = step//b; ``views[r]`` is
-    ``mem[r::s]``, so they are ``views[o0 % s]`` from o0 // s on, read
-    contiguously.  Returns the open mask, true at the targets that no
-    candidate settles, and the search depth, the largest 1-based position
-    that settled a target.  Which candidate settled a target is not kept:
-    ``_first_hits`` finds it for the targets a report shows.
+    first position whose o >= 1 is a member, by the mask ``mem`` in the
+    layout ``half`` names (see ``_first_hits``).  Callers keep n0 - a*c
+    divisible by b and step a multiple of b, so for one c the o of all
+    targets are o0 + s*t with s = step//b, which is 2 for the de-interleaved
+    layout and 1 for the interleaved one.  Its views, ``mem[:half]`` and
+    ``mem[half:]`` or ``mem`` itself, hold the o = r (mod s) in turn, so the
+    lookups are ``views[o0 % s]`` from o0 // s on, read contiguously.
+    Returns the open mask, true at the targets that no candidate settles;
+    the search depth, the largest 1-based position that settled a target;
+    and the late phase as (the full-width passes' depth, its targets' row
+    indices, their first hits as indices into ``cands`` or -1), with no rows
+    if it did not run.  Which candidate settled a target in a full-width
+    pass is kept only in ``wit``, where one is given: else ``_first_hits``
+    finds it for the targets a report shows.
 
     A full-width pass ANDs the open mask with the lookups, counts the hits
     and clears them.  Once fewer than ``_COMPACT_BELOW`` of the targets, or
@@ -164,13 +200,16 @@ def _settle(
     open_ = np.ones(count, dtype=bool)
     pending = count
     s = step // b
+    views = [mem[:half], mem[half:]] if half else [mem]
     # Python ints, so that o0 stays exact
     for pos, c in enumerate(map(int, cands if ascending else cands[::-1])):
         if pending < count * _COMPACT_BELOW or pending <= _STRAGGLER_CUTOFF:
             rows = np.flatnonzero(open_)
-            hits = _first_hits(n0 + step * rows, cands, offs, a, b, mem, ascending, pos)
-            open_[rows[hits >= 0]] = False
-            hits = hits[hits >= 0]
+            found = _first_hits(n0 + step * rows, cands, offs, a, b, mem, half, ascending, pos)
+            open_[rows[found >= 0]] = False
+            hits = found[found >= 0]
+            if wit is not None:
+                wit[rows[found >= 0]] = cands[hits]
             if not ascending:
                 hits = np.sort(cands.size - 1 - hits)  # positions in the scan's order
                 need = rows.size - _STRAGGLER_CUTOFF  # hits that leave at most the cutoff open
@@ -183,7 +222,7 @@ def _settle(
                     # change that may record those reports again.
                     p = max(pos, _STRAGGLER_MIN_PASSES, int(hits[need - 1]) + 1 if need > 0 else 0)
                     hits = hits[: np.searchsorted(hits, p)]
-            return open_, max(depth, int(hits.max(initial=-1)) + 1)
+            return open_, max(depth, int(hits.max(initial=-1)) + 1), (depth, rows, found)
         o0 = (n0 - a * c) // b
         t0 = max(0, (s - o0) // s)  # first t with o >= 1
         view, q = views[o0 % s], o0 // s  # mem[o0 + s*t] is view[q + t]
@@ -191,14 +230,16 @@ def _settle(
         k = int(np.count_nonzero(hit))
         if k:
             open_[t0:] ^= hit
+            if wit is not None:
+                np.copyto(wit[t0:], c, where=hit)
             pending -= k
             depth = pos + 1
             if pending == 0:
                 break
-    return open_, depth
+    return open_, depth, (depth, _NONE, _NONE)
 
 
-def _first_hits(ns, cands, offs, ci, m, mem, ascending, start=0):
+def _first_hits(ns, cands, offs, ci, m, mem, half, ascending, start=0):
     """For each target n in ``ns``, the index into ``cands`` (ascending, one
     residue class mod m) of its first c in the scan's order with
     ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle`` finds it, or
@@ -213,8 +254,14 @@ def _first_hits(ns, cands, offs, ci, m, mem, ascending, start=0):
     With c = r + m*u for the class's residue r, the lookup is
     o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  ``offs`` holds
     ci*u = ci*(c // m) for every c of ``cands``, computed once per class.
-    The lookups clip their indices: an o below 1 reads ``mem[0]``, which is
-    false, since no domain holds 0, and o never exceeds n.
+    ``mem`` holds the membership of o at index o when ``half`` is 0, and
+    de-interleaved otherwise: the even o, then the odd from index ``half``,
+    with mem.size = 2*half - 1, so o is at (o >> 1) + half*(o & 1).  That is
+    P(base) - Q(ci*u) modulo mem.size, with P(v) = (v >> 1) + half*(v & 1)
+    and Q(v) = (v >> 1) + (1 - half)*(v & 1), so a lookup costs one
+    subtraction in either layout.  A column past a target's room reads an
+    arbitrary entry: a descending block never reaches one, and an ascending
+    block's first hit there shows that the target has none.
     """
     base = (ns - ci * (int(cands[0]) % m)) // m
     room = np.searchsorted(cands, (ns - m) // ci, "right")  # candidates with room
@@ -223,6 +270,10 @@ def _first_hits(ns, cands, offs, ci, m, mem, ascending, start=0):
     else:
         top = np.minimum(room, cands.size - start) - 1
         left = top + 1
+    if half:
+        base = (base >> 1) + (base & 1) * half
+        if not ascending:  # its blocks gather from offs; ascending ones split a slice
+            offs = (offs >> 1) + (offs & 1) * (1 - half)
     found = np.full(ns.size, -1, dtype=np.int64)
     rows = np.flatnonzero(left > 0)
     done = 0  # columns tested so far, counted from each target's start
@@ -231,17 +282,54 @@ def _first_hits(ns, cands, offs, ci, m, mem, ascending, start=0):
         if ascending:  # one row of columns serves every target
             k = start + done
             u = offs[k : k + width]
+            if half:
+                u = (u >> 1) + (u & 1) * (1 - half)
         else:
             # a column past index 0 repeats it, a miss already tested
             u = np.take(offs, top[rows, None] - np.arange(done, done + width), mode="clip")
-        hit = np.take(mem, base[rows, None] - u, mode="clip")
+        hit = np.take(mem, base[rows, None] - u, mode="wrap")
         first = hit.argmax(axis=1)
         got = hit[np.arange(rows.size), first]
+        if ascending:  # a first hit past the target's room is none, and its room is spent
+            got &= first < left[rows] - done
         first += done
         found[rows[got]] = first[got] + start if ascending else top[rows[got]] - first[got]
         done += width
         rows = rows[~got & (left[rows] > done)]
     return found
+
+
+def _classes(cands, ci, m):
+    """The candidates ``cands`` (ascending) by residue class mod m.  The
+    class c = r (mod m) reaches exactly the targets n = ci*r (mod m), its
+    key, which maps to the class and its lookup offsets ci*(c // m), the
+    class itself at m = ci = 1."""
+    if m == 1:
+        groups = [cands]
+    else:
+        res = cands % m if cands.size else cands  # m may pass int64 only when none is left
+        order = np.argsort(res, kind="stable")
+        groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
+    return {ci * int(g[0]) % m: (g, g if m == ci == 1 else ci * (g // m)) for g in groups if g.size}
+
+
+def _open(n0, step, count, classes, ci, m, mem, half, ascending, wit=None):
+    """The open mask of the grid n0 + step*t, 0 <= t < count, and its depth.
+
+    ``_settle`` runs over one sub-grid at a time: the targets of one class
+    key whose lookups fall in one view, a stride of m*s for s views.  The
+    targets of a key that holds no candidate stay open.  ``wit``, where
+    given, receives each settled target's candidate, as in ``_settle``."""
+    opens = np.ones(count, dtype=bool)
+    depth = 0
+    stride = m * (2 if half else 1) // step
+    for t0 in range(min(stride, count)):
+        n, rows = n0 + step * t0, slice(t0, None, stride)
+        if n % m in classes:
+            opens[rows], d, _ = _settle(n, step * stride, opens[rows].size, *classes[n % m], ci, m,
+                                        mem, half, ascending, None if wit is None else wit[rows])
+            depth = max(depth, d)
+    return opens, depth
 
 
 def _certificate(value: int, spec: DomainSpec) -> dict:
@@ -260,15 +348,15 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
     over a set table built to max(hi, 2).
 
-    Each chunk settles its targets class by class and returns only its
-    counterexamples and its depth.  The rest runs once per scan: the chunks'
-    counterexamples are joined in chunk order, the sample is the first
-    ``sample_size`` grid targets below ``sample_end`` that are not among
-    them, and one ``_first_hits`` call per residue class finds its witnesses.
-    Returns the report with its verdict and the stats every scan shares,
-    whether y was iterated descending and the largest counterexample, if any.
-    Every target of the range counts as scanned; those below a + b are
-    neither witnesses nor counterexamples.
+    Each chunk settles its targets class by class, or parity class by parity
+    class, and returns only its counterexamples and its depth.  The rest runs
+    once per scan: the chunks' counterexamples are joined in chunk order, the
+    sample is the first ``sample_size`` grid targets below ``sample_end``
+    that are not among them, and one ``_first_hits`` call per residue class
+    finds its witnesses.  Returns the report with its verdict and the stats
+    every scan shares, whether y was iterated descending and the largest
+    counterexample, if any.  Every target of the range counts as scanned;
+    those below a + b are neither witnesses nor counterexamples.
     """
     if jobs < 1:
         raise UsageError("jobs must be >= 1")
@@ -280,41 +368,93 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     descending = rvals.size * 4 < lvals.size or (a < b and b * b > hi - lo + 1)
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
     ci, m, it, other = (b, a, rvals, lvals) if descending else (a, b, lvals, rvals)
-    # no one else holds this scan's table: cut its prime mask to the other side
+    # parity classes, when both sides read one mask, x ascends, and n's parity
+    # fixes y's (a even) or leaves x or y even for odd n with x, y exchangeable
+    parity = right == left and not descending and (a % 2 == 0 or a == b)
     mem, primes = table.prime_table.prime_mask, table.prime_table.primes
-    if other is not primes:
+    del table
+    half = 0
+    if parity or step == 2:  # targets two apart: drop the table's mask, lay out the other side
+        half = mem.size // 2 + 1
+        del mem, primes
+        mem = np.zeros(2 * half - 1, dtype=bool)  # odd-sized: a false pad ends an even count
+        for i in range(0, other.size, _SCATTER_BLOCK):
+            o = other[i : i + _SCATTER_BLOCK]
+            mem[(o >> 1) + half * (o & 1)] = True
+    elif other is not primes:  # no one else holds this scan's table: cut its mask in place
         mem[primes] = False
         mem[other] = True
-    cands = it[: np.searchsorted(it, (hi - m) // ci, "right")]
-    if m == 1:  # one class
-        groups = [cands]
-    else:
-        res = cands % m if cands.size else cands  # m may pass int64 only when none is left
-        order = np.argsort(res, kind="stable")
-        groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
-    # c = r (mod m) reaches exactly the targets n = ci*r (mod m), the class's
-    # key; with each class its lookup offsets ci*(c // m), the class itself at m = ci = 1
-    classes = {
-        ci * int(g[0]) % m: (g, g if m == ci == 1 else ci * (g // m)) for g in groups if g.size
-    }
-    # targets one stride s = step apart look up o one stride apart
-    views = [mem] if step == 1 else [mem[r::step].copy() for r in range(step)]
+    classes = _classes(it[: np.searchsorted(it, (hi - m) // ci, "right")], ci, m)
+    if parity:
+        evens = 2 * np.flatnonzero(mem[: (hi - a) // b // 2 + 1])  # the even y with room
+        yeven = _classes(evens, b, a)
+
+    def depth_of(xs):
+        """The largest 1-based position of the x values ``xs`` in their classes."""
+        keys = a * xs % b
+        return max((int(np.searchsorted(group, xs[keys == q].max(initial=0), "right"))
+                    for q, (group, _) in classes.items()), default=0)
+
+    def least(ns, xs):
+        """The least x of odd targets ``ns`` of x + y whose least even x is
+        ``xs``: n - e' for the largest even e' with n - e' a member, where the
+        largest even member below n leaves that smaller than ``xs``."""
+        top = np.searchsorted(evens, ns - 1, "right") - 1
+        near = np.flatnonzero((top >= 0) & (ns - evens[top] < xs))
+        if not near.size:
+            return xs
+        e = evens[_first_hits(ns[near], evens, evens, 1, 1, mem, half, False)]  # e' <= n - x exists
+        xs[near] = np.minimum(xs[near], ns[near] - e)
+        return xs
+
+    def odd(n0, count):
+        """The open mask and depth of odd targets n0 + 2t of x + y: x or y is
+        even, and (x, y) settles n when (y, x) does, so the even x settle
+        the targets.  The late phase's first hits give the least x of the
+        targets it settles.  If the full-width passes reached deeper than
+        those, the targets that their last passes settled, the last 1, 2,
+        4, ... of them, get their least x, until the passes before reach no
+        deeper."""
+        opens, _, (full, late, found) = _settle(n0, 2, count, evens, evens, 1, 1, mem, half, True)
+        hit = found >= 0
+        depth = depth_of(least(n0 + 2 * late[hit], evens[found[hit]]))
+        p, w = full, 1
+        while p and depth_of(evens[p - 1 : p]) > depth:
+            p, w = max(0, full - w), 2 * w
+            # the targets whose least even x lies at position p or deeper
+            mask = _settle(n0, 2, count, evens[:p], evens[:p], 1, 1, mem, half, True)[0] & ~opens
+            ns = n0 + 2 * np.flatnonzero(mask)
+            xs = evens[_first_hits(ns, evens, evens, 1, 1, mem, half, True, p)]
+            depth = max(depth, depth_of(least(ns, xs)))
+        return opens, depth
+
+    def even_y(n0, count):
+        """The open mask and depth of even targets n0 + 2t, a even: y is even."""
+        wit = np.zeros(count, dtype=np.int64)
+        opens, _ = _open(n0, 2, count, yeven, b, a, mem, half, False, wit)
+        ts = np.flatnonzero(~opens)
+        return opens, depth_of((n0 + 2 * ts - b * wit[ts]) // a)
 
     def worker(span):
         """The counterexamples of one chunk, ascending, and its depth."""
-        n0 = span[0] + -span[0] % step
-        count = max(0, (span[1] - n0) // step + 1)
-        opens = np.ones(count, dtype=bool)
-        depth = 0
-        for q, (group, offs) in classes.items():
-            t0 = (q - n0) % m  # m = 1 whenever step > 1
-            k = (count - 1 - t0) // m + 1
-            if k > 0:
-                mask, d = _settle(n0 + step * t0, step * m, k, group, offs, ci, m, mem, views,
-                                  not descending)
-                opens[t0::m] = mask
-                depth = max(depth, d)
-        return n0 + step * np.flatnonzero(opens), depth
+        if not parity:
+            n0 = span[0] + -span[0] % step
+            opens, depth = _open(n0, step, max(0, (span[1] - n0) // step + 1), classes, ci, m,
+                                 mem, half, not descending)
+            return n0 + step * np.flatnonzero(opens), depth
+        cex, depth = np.zeros(span[1] - span[0] + 1, dtype=bool), 0
+        for par in range(0, 2, step):
+            t0 = (par - span[0]) % 2
+            n0, count = span[0] + t0, len(range(t0, cex.size, 2))
+            if not count:
+                continue
+            if (a + par) % 2:  # every x meets the targets: y's parity follows
+                opens, d = _open(n0, 2, count, classes, a, b, mem, half, True)
+            else:
+                opens, d = (odd if a % 2 else even_y)(n0, count)
+            cex[t0::2] = opens
+            depth = max(depth, d)
+        return span[0] + np.flatnonzero(cex), depth
 
     start = max(lo, a + b)  # no target below a + b has x, y >= 1
     width = (CHUNK if descending else CHUNK_ASCENDING) * m
@@ -340,7 +480,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     for q in np.unique(res).tolist():
         sel = res == q
         group, offs = classes[q]
-        wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, not descending)]
+        wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, half, not descending)]
     o = (ns - ci * wit) // m
     xs, ys = (o, wit) if descending else (wit, o)
     samples = [

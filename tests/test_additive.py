@@ -14,6 +14,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import isprime
 
 from figprimes import (
@@ -81,6 +83,14 @@ def reference_domain(spec: DomainSpec, table) -> SimpleNamespace:
                            membership=membership)
 
 
+def split_layout(mask: np.ndarray) -> np.ndarray:
+    """A membership mask de-interleaved as a scan reads it: its even
+    entries, one false entry if the mask's size is even, then its odd
+    entries, which so start at size // 2 + 1 of an odd size."""
+    pad = np.zeros(1 - mask.size % 2, dtype=bool)
+    return np.concatenate((mask[::2], pad, mask[1::2]))
+
+
 #: every domain, with and without 1
 SPECS = [DomainSpec(kind, one) for kind in DOMAIN_KINDS for one in (True, False)]
 
@@ -96,6 +106,7 @@ def oracle_additive(lo, hi, left, right, even_only=False):
             continue
         for pos, x in enumerate(lset, 1):
             if x >= n:
+                cex.append(n)
                 break
             if n - x in rset:
                 witness[n] = (x, n - x)
@@ -357,29 +368,37 @@ class TestEngineMechanics:
             assert np.flatnonzero(ref.membership).tolist() == expected, spec
 
     def test_scan_reads_the_looked_up_domain_mask(self, monkeypatch):
-        """The one mask every ``_settle`` call of a scan receives is the
-        membership of the side it looks up, as ``reference_domain`` built it,
-        for every ordered pair of domains in both directions."""
-        settle, masks = additive._settle, []
+        """Every mask that a scan's kernels, ``_settle`` and ``_first_hits``,
+        receive is the membership of the side it looks up, as
+        ``reference_domain`` built it, in the layout the call names: the
+        mask itself, or its even entries followed by its odd ones, for every
+        ordered pair of domains in both directions."""
+        reads = []
+        for name, at in (("_settle", 7), ("_first_hits", 5)):
+            def spy(*args, kernel=getattr(additive, name), at=at):
+                reads.append(args[at : at + 2])  # (mem, half)
+                return kernel(*args)
 
-        def spy(*args):
-            masks.append(args[7])
-            return settle(*args)
-
-        monkeypatch.setattr(additive, "_settle", spy)
-        hi, modes = 3000, set()
+            monkeypatch.setattr(additive, name, spy)
+        hi, modes, layouts = 3000, set(), set()
         table = generate_figurate(hi)
         for left in SPECS:
             for right in SPECS:
-                masks.clear()
+                reads.clear()
                 for even_only in (False, True):
                     rep = verify_additive(5, hi, left, right, even_only=even_only)
                 mode = rep.stats["mode"]
                 modes.add(mode)
                 other = left if mode == "right-descending" else right
                 expected = reference_domain(other, table).membership
-                assert masks and all(np.array_equal(mem, expected) for mem in masks), (left, right)
+                assert reads, (left, right)
+                for mem, half in reads:
+                    layouts.add(half)
+                    assert half in (0, expected.size // 2 + 1), (left, right)
+                    assert np.array_equal(mem, split_layout(expected) if half else expected), (
+                        left, right)
         assert modes == {"left-ascending", "right-descending"}
+        assert layouts == {0, (hi + 1) // 2 + 1}
 
 
 def oracle_linear(a, b, lo, hi, spec):
@@ -657,8 +676,9 @@ def _random_class(rng, a, b, s, ascending):
 
 class TestMaskKernel:
     """``_settle`` against ``reference_settle`` on random classes: the open
-    mask and the depth, and each represented target's witness as
-    ``_first_hits`` finds it."""
+    mask, the depth and the late phase's first hits, and each represented
+    target's witness as ``_first_hits`` finds it.  Classes whose targets lie
+    two strides apart read the mask de-interleaved, as the engine does."""
 
     @pytest.mark.parametrize("below", [0, 2, 1 / 32])
     @pytest.mark.parametrize("straggle", [False, True])
@@ -680,12 +700,13 @@ class TestMaskKernel:
         if straggle:  # every class reaches the late phase early
             monkeypatch.setattr(additive, "_STRAGGLER_CUTOFF", 200)
             monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
-        first_hits, late, starts = additive._first_hits, [], []
+        first_hits, late, starts, layout = additive._first_hits, [], [], []
 
-        def spy(ns, cands, offs, ci, m, mem, ascending, start):
+        def spy(ns, cands, offs, ci, m, mem, half, ascending, start):
             assert np.array_equal(offs, ci * (cands // m))
+            assert mem is layout[0] and half == layout[1]
             starts.append(start)
-            late.append(first_hits(ns, cands, offs, ci, m, mem, ascending, start))
+            late.append(first_hits(ns, cands, offs, ci, m, mem, half, ascending, start))
             return late[-1]
 
         monkeypatch.setattr(additive, "_first_hits", spy)
@@ -696,15 +717,23 @@ class TestMaskKernel:
             n0, count, group, cands, mem = _random_class(rng, a, b, s, ascending)
             wit = np.full(count, -1, dtype=np.int64)
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
-            views = [mem[r::s].copy() for r in range(s)]
+            half = mem.size // 2 + 1 if s == 2 else 0
+            layout[:] = split_layout(mem) if half else mem, half
             offs = a * (group // b)
-            open_, got_depth = additive._settle(n0, s * b, count, group, offs, a, b, mem, views,
-                                                ascending)
+            open_, got_depth, (full, rows, found) = additive._settle(
+                n0, s * b, count, group, offs, a, b, *layout, ascending)
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
+            # the late phase's first hits are the reference's witnesses, and
+            # the full-width passes reach the deepest position of the others
+            assert np.array_equal(np.where(found >= 0, group[found], -1), wit[rows])
+            position = {c: p for p, c in enumerate(cands, 1)}
+            before = np.ones(count, dtype=bool)
+            before[rows] = False
+            assert full == max((position[c] for c in wit[before & (wit >= 0)].tolist()), default=0)
             shown = np.flatnonzero(wit >= 0)
             ns = n0 + s * b * shown
-            found = first_hits(ns, group, offs, a, b, mem, ascending)
+            found = first_hits(ns, group, offs, a, b, *layout, ascending)
             assert np.array_equal(group[found], wit[shown])
         # some classes reach the late phase, and some of its targets stay open
         assert late and any((hits < 0).any() for hits in late)
@@ -713,6 +742,99 @@ class TestMaskKernel:
             # before _STRAGGLER_MIN_PASSES, so the descending depth rule cuts
             # at a position past the call's start
             assert min(starts) < additive._STRAGGLER_MIN_PASSES
+
+
+@lru_cache
+def _oracle(a, b, spec):
+    """(counterexamples, witness per n, its position) of a*x + b*y over
+    [1, 3000], x and y from ``spec``, by the brute-force oracles; x + y by
+    ``oracle_additive``, whose positions rank x among all the values."""
+    if a == b == 1:
+        cex, witness, position = oracle_additive(2, 3000, spec, spec)
+        return cex, witness, position
+    cex, witness, _, position = oracle_linear(a, b, 1, 3000, spec)
+    return cex, witness, position
+
+
+class TestParityClasses:
+    """Scans whose sides are one domain split their targets by parity: odd
+    targets of x + y meet only the even x, even targets of a*x + b*y with a
+    even only the even y.  Reports stay those of the brute-force oracles."""
+
+    #: n = 7,629,217 (mod 11,184,810) with 2^k < n: n - 2^k has one of these
+    #: as a factor (Erdos, Summa Brasil. Math. 2 (1950))
+    COVER = (3, 5, 7, 13, 17, 241)
+
+    @pytest.mark.parametrize("n, x, depth", [(7629217, 56, 33), (18814027, 84, 45)])
+    def test_erdos_progression(self, n, x, depth):
+        assert 2 * 3 * 5 * 7 * 13 * 17 * 241 == 11184810 and n % 11184810 == 7629217
+        k = 0
+        while 2**k < n:  # no n - 2^k is a prime power
+            rest = n - 2**k
+            p = next(p for p in self.COVER if rest % p == 0)
+            while rest % p == 0:
+                rest //= p
+            assert rest > 1, (n, k)
+            k += 1
+        # so n is no sum of two prime powers, one of them a power of 2 ...
+        powers = DomainSpec("prime-powers")
+        rep = verify_additive(n, n, powers, powers)
+        assert rep.counterexamples == [n] and rep.stats["max_search_depth"] == 0
+        # ... but it is one of two members, through an even binomial C(8, 3) or C(9, 3)
+        spec = DomainSpec("figurate")
+        rep = verify_additive(n, n, spec, spec)
+        w = rep.witness_sample[0]
+        assert (w["x"], w["y"], w["x_cert"]) == (x, n - x, {"kind": "binomial", **{
+            "p": 2 if x == 56 else 3, "a": 3 if x == 56 else 2, "i": 3}})
+        assert rep.stats["max_search_depth"] == depth
+
+    @staticmethod
+    def check(rep, a, b, spec, lo, hi, step, end, sample_size):
+        """The report's counterexamples, witness sample and depth are the
+        oracle's over the grid of multiples of ``step`` in [lo, hi]."""
+        cex, witness, position = _oracle(a, b, spec)
+        grid = [n for n in range(max(lo, a + b), hi + 1) if n % step == 0]
+        assert rep.counterexamples == [n for n in grid if n in cex]
+        assert rep.counterexample_total == len(rep.counterexamples)
+        shown = [n for n in grid if n in witness and n < end][:sample_size]
+        assert [w["n"] for w in rep.witness_sample] == shown
+        assert all((w["x"], w["y"]) == witness[w["n"]] for w in rep.witness_sample)
+        if not (a < b and b * b > hi - lo + 1):  # descending scans count depth per chunk
+            assert rep.stats["max_search_depth"] == max(
+                (position[n] for n in grid if n in witness), default=0)
+
+    @pytest.mark.parametrize("chunk", [1 << 4, additive.CHUNK_ASCENDING])
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    def test_whole_range_matches_oracle(self, monkeypatch, spec, chunk):
+        """All of [2, 3000]: the prime powers' deepest odd targets settle in
+        the full-width passes, before the late phase, so only the search
+        for their least x finds the depth."""
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", chunk)
+        rep = verify_additive(2, 3000, spec, spec, max_counterexamples=10**4, sample_size=10**4)
+        self.check(rep, 1, 1, spec, 2, 3000, 1, 10**4, 10**4)
+
+    @settings(max_examples=120, deadline=None)
+    @given(bounds=st.lists(st.integers(1, 3000), min_size=2, max_size=2).map(sorted),
+           spec=st.sampled_from(SPECS),
+           pair=st.sampled_from([(1, 1), (2, 3), (4, 7), (3, 5), (2, 151)]),
+           linear=st.booleans(), even_only=st.booleans(), jobs=st.sampled_from([1, 2]),
+           chunk=st.sampled_from([1 << 4, 1 << 7, additive.CHUNK_ASCENDING]),
+           sample_size=st.sampled_from([0, 3, 10**4]))
+    def test_matches_oracles(self, bounds, spec, pair, linear, even_only, jobs, chunk,
+                             sample_size):
+        lo, hi = bounds
+        a, b = pair if linear else (1, 1)
+        counts = {"jobs": jobs, "max_counterexamples": 10**4, "sample_size": sample_size}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(additive, "CHUNK_ASCENDING", chunk)
+            if linear:
+                rep, step, end = verify_linear(a, b, lo, hi, spec, **counts), 1, hi + 1
+            else:
+                lo, step = max(lo, 2), 2 if even_only else 1
+                hi = max(lo, hi)
+                rep = verify_additive(lo, hi, spec, spec, even_only=even_only, **counts)
+                end = lo + step * sample_size
+        self.check(rep, a, b, spec, lo, hi, step, end, sample_size)
 
 
 class TestLargeSample:
