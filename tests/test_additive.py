@@ -750,8 +750,7 @@ def _oracle(a, b, spec):
     [1, 3000], x and y from ``spec``, by the brute-force oracles; x + y by
     ``oracle_additive``, whose positions rank x among all the values."""
     if a == b == 1:
-        cex, witness, position = oracle_additive(2, 3000, spec, spec)
-        return cex, witness, position
+        return oracle_additive(2, 3000, spec, spec)
     cex, witness, _, position = oracle_linear(a, b, 1, 3000, spec)
     return cex, witness, position
 
