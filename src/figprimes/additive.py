@@ -155,7 +155,6 @@ def _settle(
     step: int,
     count: int,
     cands: np.ndarray,
-    offs: np.ndarray,
     a: int,
     b: int,
     mem: np.ndarray,
@@ -165,10 +164,9 @@ def _settle(
 ) -> tuple[np.ndarray, int, tuple[int, np.ndarray, np.ndarray]]:
     """Settle the targets n = n0 + step*t, 0 <= t < count, as n = a*c + b*o.
 
-    ``cands`` holds the candidates c ascending, one residue class mod b, and
-    ``offs`` their lookup offsets a*(c // b), which only ``_first_hits``
-    reads.  Both are first cut to the candidates with room below the last
-    target, a*c + b <= n0 + step*(count - 1): no other c reaches a target.
+    ``cands`` holds the candidates c ascending, one residue class mod b,
+    first cut to the candidates with room below the last target,
+    a*c + b <= n0 + step*(count - 1): no other c reaches a target.
     Scan position p is ``cands[p]`` ascending and ``cands[cands.size - 1 - p]``
     descending over what is left, as in ``_first_hits``, so a descending scan
     starts at the largest candidate with room, and a target settles at the
@@ -195,7 +193,7 @@ def _settle(
     """
     last = n0 + step * (count - 1)
     top = np.searchsorted(cands, (last - b) // a, "right")
-    cands, offs = cands[:top], offs[:top]
+    cands = cands[:top]
     depth = 0
     open_ = np.ones(count, dtype=bool)
     pending = count
@@ -205,7 +203,7 @@ def _settle(
     for pos, c in enumerate(map(int, cands if ascending else cands[::-1])):
         if pending < count * _COMPACT_BELOW or pending <= _STRAGGLER_CUTOFF:
             rows = np.flatnonzero(open_)
-            found = _first_hits(n0 + step * rows, cands, offs, a, b, mem, half, ascending, pos)
+            found = _first_hits(n0 + step * rows, cands, a, b, mem, half, ascending, pos)
             open_[rows[found >= 0]] = False
             hits = found[found >= 0]
             if wit is not None:
@@ -234,12 +232,10 @@ def _settle(
                 np.copyto(wit[t0:], c, where=hit)
             pending -= k
             depth = pos + 1
-            if pending == 0:
-                break
     return open_, depth, (depth, _NONE, _NONE)
 
 
-def _first_hits(ns, cands, offs, ci, m, mem, half, ascending, start=0):
+def _first_hits(ns, cands, ci, m, mem, half, ascending, start=0):
     """For each target n in ``ns``, the index into ``cands`` (ascending, one
     residue class mod m) of its first c in the scan's order with
     ci*c + m <= n and ``mem[(n - ci*c) // m]``, as ``_settle`` finds it, or
@@ -252,38 +248,39 @@ def _first_hits(ns, cands, offs, ci, m, mem, half, ascending, start=0):
     retires at its first hit or once its candidates with room run out.
 
     With c = r + m*u for the class's residue r, the lookup is
-    o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  ``offs`` holds
-    ci*u = ci*(c // m) for every c of ``cands``, computed once per class.
-    ``mem`` holds the membership of o at index o when ``half`` is 0, and
-    de-interleaved otherwise: the even o, then the odd from index ``half``,
-    with mem.size = 2*half - 1, so o is at (o >> 1) + half*(o & 1).  That is
-    P(base) - Q(ci*u) modulo mem.size, with P(v) = (v >> 1) + half*(v & 1)
-    and Q(v) = (v >> 1) + (1 - half)*(v & 1), so a lookup costs one
-    subtraction in either layout.  A column past a target's room reads an
-    arbitrary entry: a descending block never reaches one, and an ascending
-    block's first hit there shows that the target has none.
+    o = (n - ci*r)//m - ci*u, and the room rule is o >= 1.  ``mem`` holds
+    the membership of o at index o when ``half`` is 0, and de-interleaved
+    otherwise: the even o, then the odd from index ``half``, with mem.size =
+    2*half - 1, so o is at (o >> 1) + half*(o & 1).  That is P(base) -
+    Q(ci*u) modulo mem.size, with P(v) = (v >> 1) + half*(v & 1) and Q(v) =
+    (v >> 1) + (1 - half)*(v & 1), so a lookup costs one subtraction in
+    either layout.  ci*u, in the layout, is taken per block slice when
+    ascending, so no whole class is ever transformed, and once per call when
+    descending.  A column past a target's room reads an arbitrary entry: a
+    descending block never reaches one, and an ascending block's first hit
+    there shows that the target has none.
     """
+    def offsets(c):  # ci*(c // m) for the candidates c, in the layout
+        u = ci * (c // m)
+        return (u >> 1) + (u & 1) * (1 - half) if half else u
+
     base = (ns - ci * (int(cands[0]) % m)) // m
+    if half:
+        base = (base >> 1) + (base & 1) * half
     room = np.searchsorted(cands, (ns - m) // ci, "right")  # candidates with room
     if ascending:
         left = room - start  # candidates left from the start on
     else:
         top = np.minimum(room, cands.size - start) - 1
         left = top + 1
-    if half:
-        base = (base >> 1) + (base & 1) * half
-        if not ascending:  # its blocks gather from offs; ascending ones split a slice
-            offs = (offs >> 1) + (offs & 1) * (1 - half)
+        offs = offsets(cands)
     found = np.full(ns.size, -1, dtype=np.int64)
     rows = np.flatnonzero(left > 0)
     done = 0  # columns tested so far, counted from each target's start
     while rows.size:
         width = max(1, min(max(64, done), _SEARCH_CELLS // rows.size))
         if ascending:  # one row of columns serves every target
-            k = start + done
-            u = offs[k : k + width]
-            if half:
-                u = (u >> 1) + (u & 1) * (1 - half)
+            u = offsets(cands[start + done : start + done + width])
         else:
             # a column past index 0 repeats it, a miss already tested
             u = np.take(offs, top[rows, None] - np.arange(done, done + width), mode="clip")
@@ -302,31 +299,29 @@ def _first_hits(ns, cands, offs, ci, m, mem, half, ascending, start=0):
 def _classes(cands, ci, m):
     """The candidates ``cands`` (ascending) by residue class mod m.  The
     class c = r (mod m) reaches exactly the targets n = ci*r (mod m), its
-    key, which maps to the class and its lookup offsets ci*(c // m), the
-    class itself at m = ci = 1."""
+    key, which maps to the class's array."""
     if m == 1:
         groups = [cands]
     else:
         res = cands % m if cands.size else cands  # m may pass int64 only when none is left
         order = np.argsort(res, kind="stable")
         groups = np.split(cands[order], np.flatnonzero(np.diff(res[order])) + 1)
-    return {ci * int(g[0]) % m: (g, g if m == ci == 1 else ci * (g // m)) for g in groups if g.size}
+    return {ci * int(g[0]) % m: g for g in groups if g.size}
 
 
 def _open(n0, step, count, classes, ci, m, mem, half, ascending, wit=None):
     """The open mask of the grid n0 + step*t, 0 <= t < count, and its depth.
 
-    ``_settle`` runs over one sub-grid at a time: the targets of one class
-    key whose lookups fall in one view, a stride of m*s for s views.  The
-    targets of a key that holds no candidate stay open.  ``wit``, where
+    ``_settle`` runs over the targets t = t0 (mod m) at a time, which share
+    one class key and, as step is 2 in the de-interleaved layout, one view.
+    The targets of a key that holds no candidate stay open.  ``wit``, where
     given, receives each settled target's candidate, as in ``_settle``."""
     opens = np.ones(count, dtype=bool)
     depth = 0
-    stride = m * (2 if half else 1) // step
-    for t0 in range(min(stride, count)):
-        n, rows = n0 + step * t0, slice(t0, None, stride)
+    for t0 in range(min(m, count)):
+        n, rows = n0 + step * t0, slice(t0, None, m)
         if n % m in classes:
-            opens[rows], d, _ = _settle(n, step * stride, opens[rows].size, *classes[n % m], ci, m,
+            opens[rows], d, _ = _settle(n, step * m, opens[rows].size, classes[n % m], ci, m,
                                         mem, half, ascending, None if wit is None else wit[rows])
             depth = max(depth, d)
     return opens, depth
@@ -348,8 +343,8 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
     over a set table built to max(hi, 2).
 
-    Each chunk settles its targets class by class, or parity class by parity
-    class, and returns only its counterexamples and its depth.  The rest runs
+    Each chunk runs the class plan, residue by residue of n mod g, and
+    returns only its counterexamples and its depth.  The rest runs
     once per scan: the chunks' counterexamples are joined in chunk order, the
     sample is the first ``sample_size`` grid targets below ``sample_end``
     that are not among them, and one ``_first_hits`` call per residue class
@@ -371,10 +366,11 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     # parity classes, when both sides read one mask, x ascends, and n's parity
     # fixes y's (a even) or leaves x or y even for odd n with x, y exchangeable
     parity = right == left and not descending and (a % 2 == 0 or a == b)
+    g = 2 if parity or step == 2 else 1  # the spacing of the targets that one runner settles
     mem, primes = table.prime_table.prime_mask, table.prime_table.primes
     del table
     half = 0
-    if parity or step == 2:  # targets two apart: drop the table's mask, lay out the other side
+    if g == 2:  # targets two apart: drop the table's mask, lay out the other side
         half = mem.size // 2 + 1
         del mem, primes
         mem = np.zeros(2 * half - 1, dtype=bool)  # odd-sized: a false pad ends an even count
@@ -393,7 +389,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         """The largest 1-based position of the x values ``xs`` in their classes."""
         keys = a * xs % b
         return max((int(np.searchsorted(group, xs[keys == q].max(initial=0), "right"))
-                    for q, (group, _) in classes.items()), default=0)
+                    for q, group in classes.items()), default=0)
 
     def least(ns, xs):
         """The least x of odd targets ``ns`` of x + y whose least even x is
@@ -403,7 +399,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         near = np.flatnonzero((top >= 0) & (ns - evens[top] < xs))
         if not near.size:
             return xs
-        e = evens[_first_hits(ns[near], evens, evens, 1, 1, mem, half, False)]  # e' <= n - x exists
+        e = evens[_first_hits(ns[near], evens, 1, 1, mem, half, False)]  # e' <= n - x exists
         xs[near] = np.minimum(xs[near], ns[near] - e)
         return xs
 
@@ -415,16 +411,16 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         those, the targets that their last passes settled, the last 1, 2,
         4, ... of them, get their least x, until the passes before reach no
         deeper."""
-        opens, _, (full, late, found) = _settle(n0, 2, count, evens, evens, 1, 1, mem, half, True)
+        opens, _, (full, late, found) = _settle(n0, 2, count, evens, 1, 1, mem, half, True)
         hit = found >= 0
         depth = depth_of(least(n0 + 2 * late[hit], evens[found[hit]]))
         p, w = full, 1
         while p and depth_of(evens[p - 1 : p]) > depth:
             p, w = max(0, full - w), 2 * w
             # the targets whose least even x lies at position p or deeper
-            mask = _settle(n0, 2, count, evens[:p], evens[:p], 1, 1, mem, half, True)[0] & ~opens
+            mask = _settle(n0, 2, count, evens[:p], 1, 1, mem, half, True)[0] & ~opens
             ns = n0 + 2 * np.flatnonzero(mask)
-            xs = evens[_first_hits(ns, evens, evens, 1, 1, mem, half, True, p)]
+            xs = evens[_first_hits(ns, evens, 1, 1, mem, half, True, p)]
             depth = max(depth, depth_of(least(ns, xs)))
         return opens, depth
 
@@ -435,25 +431,24 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         ts = np.flatnonzero(~opens)
         return opens, depth_of((n0 + 2 * ts - b * wit[ts]) // a)
 
+    def scan(n0, count):
+        """The open mask and depth of targets n0 + g*t over the classes."""
+        return _open(n0, g, count, classes, ci, m, mem, half, not descending)
+
+    # the class plan: each residue of the targets mod g and its runner, the
+    # classes unless a parity split's residue needs odd or even_y
+    plan = [(par, scan if not parity or (a + par) % 2 else odd if a % 2 else even_y)
+            for par in range(0, g, step)]
+
     def worker(span):
         """The counterexamples of one chunk, ascending, and its depth."""
-        if not parity:
-            n0 = span[0] + -span[0] % step
-            opens, depth = _open(n0, step, max(0, (span[1] - n0) // step + 1), classes, ci, m,
-                                 mem, half, not descending)
-            return n0 + step * np.flatnonzero(opens), depth
         cex, depth = np.zeros(span[1] - span[0] + 1, dtype=bool), 0
-        for par in range(0, 2, step):
-            t0 = (par - span[0]) % 2
-            n0, count = span[0] + t0, len(range(t0, cex.size, 2))
-            if not count:
-                continue
-            if (a + par) % 2:  # every x meets the targets: y's parity follows
-                opens, d = _open(n0, 2, count, classes, a, b, mem, half, True)
-            else:
-                opens, d = (odd if a % 2 else even_y)(n0, count)
-            cex[t0::2] = opens
-            depth = max(depth, d)
+        for par, run in plan:
+            t0 = (par - span[0]) % g
+            count = len(range(t0, cex.size, g))
+            if count:
+                cex[t0::g], d = run(span[0] + t0, count)
+                depth = max(depth, d)
         return span[0] + np.flatnonzero(cex), depth
 
     start = max(lo, a + b)  # no target below a + b has x, y >= 1
@@ -479,8 +474,8 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     res = ns % m
     for q in np.unique(res).tolist():
         sel = res == q
-        group, offs = classes[q]
-        wit[sel] = group[_first_hits(ns[sel], group, offs, ci, m, mem, half, not descending)]
+        group = classes[q]
+        wit[sel] = group[_first_hits(ns[sel], group, ci, m, mem, half, not descending)]
     o = (ns - ci * wit) // m
     xs, ys = (o, wit) if descending else (wit, o)
     samples = [

@@ -374,7 +374,7 @@ class TestEngineMechanics:
         mask itself, or its even entries followed by its odd ones, for every
         ordered pair of domains in both directions."""
         reads = []
-        for name, at in (("_settle", 7), ("_first_hits", 5)):
+        for name, at in (("_settle", 6), ("_first_hits", 4)):
             def spy(*args, kernel=getattr(additive, name), at=at):
                 reads.append(args[at : at + 2])  # (mem, half)
                 return kernel(*args)
@@ -702,11 +702,10 @@ class TestMaskKernel:
             monkeypatch.setattr(additive, "_STRAGGLER_MIN_PASSES", 3)
         first_hits, late, starts, layout = additive._first_hits, [], [], []
 
-        def spy(ns, cands, offs, ci, m, mem, half, ascending, start):
-            assert np.array_equal(offs, ci * (cands // m))
+        def spy(ns, cands, ci, m, mem, half, ascending, start):
             assert mem is layout[0] and half == layout[1]
             starts.append(start)
-            late.append(first_hits(ns, cands, offs, ci, m, mem, half, ascending, start))
+            late.append(first_hits(ns, cands, ci, m, mem, half, ascending, start))
             return late[-1]
 
         monkeypatch.setattr(additive, "_first_hits", spy)
@@ -719,9 +718,8 @@ class TestMaskKernel:
             depth = reference_settle(n0, s * b, wit, cands, a, b, mem, ascending)
             half = mem.size // 2 + 1 if s == 2 else 0
             layout[:] = split_layout(mem) if half else mem, half
-            offs = a * (group // b)
             open_, got_depth, (full, rows, found) = additive._settle(
-                n0, s * b, count, group, offs, a, b, *layout, ascending)
+                n0, s * b, count, group, a, b, *layout, ascending)
             assert got_depth == depth
             assert np.array_equal(open_, wit < 0)
             # the late phase's first hits are the reference's witnesses, and
@@ -733,7 +731,7 @@ class TestMaskKernel:
             assert full == max((position[c] for c in wit[before & (wit >= 0)].tolist()), default=0)
             shown = np.flatnonzero(wit >= 0)
             ns = n0 + s * b * shown
-            found = first_hits(ns, group, offs, a, b, *layout, ascending)
+            found = first_hits(ns, group, a, b, *layout, ascending)
             assert np.array_equal(group[found], wit[shown])
         # some classes reach the late phase, and some of its targets stay open
         assert late and any((hits < 0).any() for hits in late)
