@@ -35,8 +35,9 @@ is less than e.  The other parity class, the even targets of x + y or the
 odd ones of a*x + b*y with a even, admits every pair and runs the
 candidates of its classes mod b as before.  A scan with b even, whose
 classes mod b already fix x's parity, or with a and b odd and unequal, or
-with two domains, or descending, is not split.  ``max_search_depth`` keeps its
-meaning: each target's minimal x's 1-based position in the ascending
+with two domains, or descending, is not split; specs of one kind whose
+``drops_one`` agree are one domain.  ``max_search_depth`` keeps its meaning:
+each target's minimal x's 1-based position in the ascending
 candidates of its class.  The even-y sub-scan takes it from the recorded y.
 The odd x + y sub-scan takes it from the late phase's first hits, which give
 e for the targets they settle; if the full-width passes reached deeper, the
@@ -122,6 +123,12 @@ class DomainSpec:
         if self.kind not in DOMAIN_KINDS:
             raise UsageError(f"unknown domain kind {self.kind!r}")
 
+    @property
+    def drops_one(self) -> bool:
+        """Whether ``include_one`` takes 1 out of the set, which the primes
+        and the prime powers never hold."""
+        return not self.include_one and self.kind not in ("primes", "prime-powers")
+
 
 def resolve_domain(spec: DomainSpec, table: FigurateTable) -> np.ndarray:
     """The domain ``spec`` as its ascending int64 members up to the table's
@@ -136,7 +143,7 @@ def resolve_domain(spec: DomainSpec, table: FigurateTable) -> np.ndarray:
     values = table.values
     if spec.kind == "proper":
         values = values[~pt.prime_mask[values]]
-    return values if spec.include_one else values[1:]  # 1 is the least member
+    return values[1:] if spec.drops_one else values  # 1 is the least member
 
 
 @dataclass
@@ -358,14 +365,15 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     if max_counterexamples < 0 or sample_size < 0:
         raise UsageError("max_counterexamples and sample_size must be >= 0")
     table = generate_figurate(max(hi, 2))
+    one = (left.kind, left.drops_one) == (right.kind, right.drops_one)  # one member set
     lvals = resolve_domain(left, table)
-    rvals = lvals if right == left else resolve_domain(right, table)
+    rvals = lvals if one else resolve_domain(right, table)
     descending = rvals.size * 4 < lvals.size or (a < b and b * b > hi - lo + 1)
     # n = ci*c + m*o: c runs over the iterated side, o is looked up in the other
     ci, m, it, other = (b, a, rvals, lvals) if descending else (a, b, lvals, rvals)
     # parity classes, when both sides read one mask, x ascends, and n's parity
     # fixes y's (a even) or leaves x or y even for odd n with x, y exchangeable
-    parity = right == left and not descending and (a % 2 == 0 or a == b)
+    parity = one and not descending and (a % 2 == 0 or a == b)
     g = 2 if parity or step == 2 else 1  # the spacing of the targets that one runner settles
     mem, primes = table.prime_table.prime_mask, table.prime_table.primes
     del table

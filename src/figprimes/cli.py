@@ -229,9 +229,8 @@ def _twins(args) -> Result:
 
 
 def _label(spec: DomainSpec) -> str:
-    """A scan domain as its report's params name it; prime powers never hold 1."""
-    bare = spec.include_one or spec.kind in ("primes", "prime-powers")
-    return spec.kind if bare else f"{spec.kind}-no-one"
+    """A scan domain as its report's params name it."""
+    return f"{spec.kind}-no-one" if spec.drops_one else spec.kind
 
 
 def _scan(args) -> Result:

@@ -785,6 +785,27 @@ class TestParityClasses:
             "p": 2 if x == 56 else 3, "a": 3 if x == 56 else 2, "i": 3}})
         assert rep.stats["max_search_depth"] == depth
 
+    @pytest.mark.parametrize("kind", ["primes", "prime-powers"])
+    def test_one_set_under_either_one_option(self, monkeypatch, kind):
+        """Primes and prime powers never hold 1, so specs that differ only
+        in ``include_one`` name one member set: the mixed pairs split by
+        parity as the equal pair does, making the same kernel calls and
+        giving the same report."""
+        calls, settle = [], additive._settle
+
+        def spy(*args):
+            calls.append([x.tobytes() if isinstance(x, np.ndarray) else x for x in args])
+            return settle(*args)
+
+        monkeypatch.setattr(additive, "_settle", spy)
+        runs = []
+        for pair in ((True, True), (True, False), (False, True)):
+            calls.clear()
+            rep = verify_additive(2, 20000, *(DomainSpec(kind, one) for one in pair),
+                                  max_counterexamples=10**4)
+            runs.append((vars(rep), list(calls)))
+        assert runs[0][1] and all(run == runs[0] for run in runs)
+
     @staticmethod
     def check(rep, a, b, spec, lo, hi, step, end, sample_size):
         """The report's counterexamples, witness sample and depth are the
