@@ -15,11 +15,12 @@ targets stay counterexamples.  A pass only clears the hits from an open mask:
 no witness is stored per target.  Once few targets are open, by share or by
 count, a late phase hands them and the remaining candidates to one blocked
 first-hit search, ``_first_hits``, the same search that finds the witness
-sample.  Each class is held once, as its ascending candidate array, and both
-searches read it by position.  The range is cut into chunks, each chunk
-fills one open mask over its targets, and chunk results are merged in chunk
-order, so the report is identical no matter how many worker threads run.
-Witnesses always use the minimal x.
+sample.  Each class is its ascending candidate array alone, which both
+searches read by position, computing the lookup offsets where they read
+them.  The range is cut into chunks, each chunk fills one open mask over its
+targets, and chunk results are merged in chunk order, so the report is
+identical no matter how many worker threads run.  Witnesses always use the
+minimal x.
 
 Parity classes.  When both sides are one domain and x ascends, the parity of
 n can rule out every odd member on one side, and all but a few members are
@@ -43,6 +44,13 @@ The odd x + y sub-scan takes it from the late phase's first hits, which give
 e for the targets they settle; if the full-width passes reached deeper, the
 targets that their last 1, 2, 4, ... passes settled have their minimal x
 found, until the passes before reach no deeper.
+
+The class plan.  ``_verify`` states once the spacing g of the targets that
+one runner settles, 2 in a parity split or an even-only scan and else 1,
+which picks the mask layout below, and pairs each residue of n mod g with
+its runner: ``_open`` over the classes, or, for a parity split's other
+residue, the odd targets' even x or the even targets' even y.  A chunk runs
+the plan in order, each runner filling its residue's rows of the open mask.
 
 Targets two apart, in a parity class or an even-only scan, look their
 summands up two apart too.  Such a scan drops the table's mask and lays the

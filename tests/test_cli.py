@@ -524,6 +524,31 @@ class TestDumpAndStdout:
             assert listing in here.out + here.err, arg
 
 
+    def test_module_entry_point_exit_codes(self):
+        """``PYTHONPATH=src python -m figprimes.cli`` exits 0 with a json
+        envelope, 1 where a check finds counterexamples and 2 for an
+        unknown subcommand."""
+        src = Path(__file__).resolve().parents[1] / "src"
+
+        def fresh(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "figprimes.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, timeout=120,
+            )
+
+        done = fresh("sum2", "--from", "2", "--to", "100")
+        assert done.returncode == 0, done.stderr
+        env = json.loads(done.stdout)
+        assert (env["task"], env["verified"], env["range"]) == ("sum-of-two", True, [2, 100])
+        done = fresh("linear", "--a", "1", "--b", "2", "--domain", "primes",
+                     "--from", "2", "--to", "50")
+        assert done.returncode == 1, done.stderr
+        assert 20 in json.loads(done.stdout)["counterexamples"]
+        done = fresh("no-such-command")
+        assert done.returncode == 2 and done.stdout == b""
+        assert b"invalid choice: 'no-such-command'" in done.stderr
+
+
 class TestDeterminism:
     def test_jobs_change_elapsed_only(self, tmp_path):
         base = ["sum2", "--from", "2", "--to", "20000"]
