@@ -451,8 +451,9 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
         """The open mask and depth of targets n0 + g*t over the classes."""
         return _open(n0, g, count, classes, ci, m, mem, half, not descending)
 
-    # the class plan: each residue of the targets mod g and its runner, the
-    # classes unless a parity split's residue needs odd or even_y
+    # the class plan: each residue of the targets mod g and its runner; a
+    # parity split scans the classes where a + n is odd, as every x meets those
+    # targets and y's parity follows, and runs odd or even_y on the other
     plan = [(par, scan if not parity or (a + par) % 2 else odd if a % 2 else even_y)
             for par in range(0, g, step)]
 
