@@ -18,9 +18,8 @@ first-hit search, ``_first_hits``, the same search that finds the witness
 sample.  Each class is its ascending candidate array alone, which both
 searches read by position, computing the lookup offsets where they read
 them.  The range is cut into chunks, each chunk fills one open mask over its
-targets, and chunk results are merged in chunk order, so the report is
-identical no matter how many worker threads run.  Witnesses always use the
-minimal x.
+targets, and chunk results are merged in chunk order.  Witnesses always use
+the minimal x.
 
 Parity classes.  When both sides are one domain and x ascends, the parity of
 n can rule out every odd member on one side, and all but a few members are
@@ -89,8 +88,6 @@ report names no task and carries no parameters; the command line adds both.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 from operator import index
@@ -352,8 +349,7 @@ def _certificate(value: int, spec: DomainSpec) -> dict:
     return {"kind": "binomial", "p": w.p, "a": w.a, "i": w.i}
 
 
-def _verify(a, b, lo, hi, left, right, step, sample_end, *,
-            jobs, max_counterexamples, sample_size):
+def _verify(a, b, lo, hi, left, right, step, sample_end, *, max_counterexamples, sample_size):
     """Settle every target n = a*x + b*y in [lo, hi], x from ``left`` and y
     from ``right``, on the grid of multiples of ``step`` (2 only for a = b = 1),
     over a set table built to max(hi, 2).
@@ -368,8 +364,6 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     counterexample, if any.  Every target of the range counts as scanned;
     those below a + b are neither witnesses nor counterexamples.
     """
-    if jobs < 1:
-        raise UsageError("jobs must be >= 1")
     if max_counterexamples < 0 or sample_size < 0:
         raise UsageError("max_counterexamples and sample_size must be >= 0")
     table = generate_figurate(max(hi, 2))
@@ -471,12 +465,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *,
     start = max(lo, a + b)  # no target below a + b has x, y >= 1
     width = (CHUNK if descending else CHUNK_ASCENDING) * m
     chunks = [(s, min(s + width - 1, hi)) for s in range(start, hi + 1, width)]
-    if jobs > 1:
-        # ex.map submits every chunk at once, each starting a thread while none idles
-        with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as ex:
-            results = list(ex.map(worker, chunks))
-    else:
-        results = [worker(c) for c in chunks]
+    results = [worker(c) for c in chunks]
     cex = np.concatenate([c for c, _ in results] or [np.empty(0, dtype=np.int64)])
     first = start + -start % step  # the grid's first target
     # The sample is the first sample_size grid targets below sample_end that
@@ -522,20 +511,19 @@ def verify_additive(
     left: DomainSpec,
     right: DomainSpec,
     *,
-    jobs: int = 1,
     even_only: bool = False,
     max_counterexamples: int = 100,
     sample_size: int = 10,
 ) -> VerificationReport:
     """Check that every n in [lo, hi] is x + y with x, y in the two domains."""
-    lo, hi, jobs, max_counterexamples, sample_size = map(
-        index, (lo, hi, jobs, max_counterexamples, sample_size))
+    lo, hi, max_counterexamples, sample_size = map(
+        index, (lo, hi, max_counterexamples, sample_size))
     if not 2 <= lo <= hi:
         raise UsageError("need 2 <= lo <= hi")
     step = 2 if even_only else 1
     report, descending, _ = _verify(
         1, 1, lo, hi, left, right, step, lo + step * sample_size,
-        jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
+        max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
     report.stats["mode"] = "right-descending" if descending else "left-ascending"
     return report
@@ -548,7 +536,6 @@ def verify_linear(
     hi: int,
     domain: DomainSpec,
     *,
-    jobs: int = 1,
     max_counterexamples: int = 100,
     sample_size: int = 10,
 ) -> VerificationReport:
@@ -560,8 +547,8 @@ def verify_linear(
     (a-1)(b-1) threshold classically tied to coprime coefficient pairs; a, b
     and that threshold must fit in 63 bits.
     """
-    a, b, lo, hi, jobs, max_counterexamples, sample_size = map(
-        index, (a, b, lo, hi, jobs, max_counterexamples, sample_size))
+    a, b, lo, hi, max_counterexamples, sample_size = map(
+        index, (a, b, lo, hi, max_counterexamples, sample_size))
     if a < 1 or b < 1 or gcd(a, b) != 1:
         raise UsageError("need a, b >= 1 with gcd(a, b) = 1")
     if max(a, b, (a - 1) * (b - 1)) > U63_MAX:
@@ -570,7 +557,7 @@ def verify_linear(
         raise UsageError("need 1 <= lo <= hi")
     report, _, largest = _verify(
         a, b, lo, hi, domain, domain, 1, hi + 1,
-        jobs=jobs, max_counterexamples=max_counterexamples, sample_size=sample_size,
+        max_counterexamples=max_counterexamples, sample_size=sample_size,
     )
     threshold = (a - 1) * (b - 1)
     report.stats.update(

@@ -7,7 +7,6 @@ Reports are deterministic for fixed inputs; --jobs changes elapsed_ms only.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -48,18 +47,6 @@ from .powerful import (
 )
 from .reporting import Table, build_envelope, int_lines, render_report
 
-JOBS_ENV = "FIGPRIMES_JOBS"
-
-
-def _default_jobs() -> int:
-    """The setting unclamped, so that ``_execute`` checks it as it checks
-    ``--jobs``; 1 if it is unset or not an integer."""
-    try:
-        return int(os.environ.get(JOBS_ENV, "1"))
-    except ValueError:
-        return 1
-
-
 def _int(flag: str, **kw) -> tuple[str, dict]:
     """An integer option, required unless it has a default."""
     return flag, dict(type=int, required="default" not in kw, **kw)
@@ -75,8 +62,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--out", metavar="PATH", default=None)
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help=f"default ${JOBS_ENV} or 1")
+        p.add_argument("--jobs", type=int, default=1, help="no effect: scans run in one thread")
         p.add_argument("--max-counterexamples", type=int, default=100)
         p.add_argument("--sample-size", type=int, default=10)
 
@@ -236,9 +222,7 @@ def _label(spec: DomainSpec) -> str:
 def _scan(args) -> Result:
     """sum2, prime-proper, goldbach and linear.  The scan generates its set
     inside the timed region, so ``elapsed_ms`` counts it."""
-    counts = dict(
-        jobs=args.jobs, max_counterexamples=args.max_counterexamples, sample_size=args.sample_size
-    )
+    counts = dict(max_counterexamples=args.max_counterexamples, sample_size=args.sample_size)
     if args.cmd == "linear":
         domain = DomainSpec(args.domain, args.include_one)
         params = {**args.params, "domain": _label(domain)}

@@ -86,7 +86,7 @@ def test_c03_triangular_predecessor_list():
 def test_c04_sum_of_two_members():
     spec = DomainSpec("figurate", include_one=True)
     t0 = time.perf_counter()
-    rep = verify_additive(2, 10**6, spec, spec, jobs=1)
+    rep = verify_additive(2, 10**6, spec, spec)
     elapsed = time.perf_counter() - t0
     assert rep.verified and rep.counterexample_total == 0
     assert rep.stats["scanned"] == 10**6 - 1
@@ -98,7 +98,7 @@ def test_c04_extended_sum_to_1e7():
         pytest.skip("set FIGPRIMES_EXTENDED=1 for the 10^7 run")
     spec = DomainSpec("figurate", include_one=True)
     t0 = time.perf_counter()
-    rep = verify_additive(2, 10**7, spec, spec, jobs=1)
+    rep = verify_additive(2, 10**7, spec, spec)
     elapsed = time.perf_counter() - t0
     assert rep.verified and rep.counterexample_total == 0
     assert elapsed < 900.0, elapsed

@@ -258,69 +258,26 @@ class TestEngineMechanics:
                 assert w.witness_sample == n.witness_sample
                 assert w.counterexamples == n.counterexamples
 
-    def test_jobs_do_not_change_report(self, monkeypatch):
-        # narrow ascending chunks, so that the pool merges seven of them
-        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 15)
-        spec = DomainSpec("figurate", True)
-        reps = [
-            verify_additive(2, 2 * 10**5, spec, spec, jobs=j)
-            for j in (1, 4)
-        ]
-        a, b = reps
-        assert a.counterexamples == b.counterexamples
-        assert a.witness_sample == b.witness_sample
-        assert a.stats == b.stats
-        assert a.verified == b.verified
-
     def test_compaction_does_not_change_reports(self, monkeypatch):
-        # the full-width passes are the oracle for the late phase; narrow
-        # ascending chunks give the pool several to merge
+        # the full-width passes are the oracle for the late phase
         monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 12)
         spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
         no_one = DomainSpec("figurate", False)
         runs = [
-            lambda j: verify_additive(2, 2 * 10**4, spec, spec, jobs=j),
-            lambda j: verify_additive(2, 2 * 10**4, no_one, no_one, jobs=j),
-            lambda j: verify_additive(4, 2 * 10**4, primes, primes, even_only=True, jobs=j),
-            lambda j: verify_additive(6, 4000, primes, DomainSpec("proper", True), jobs=j),
-            lambda j: verify_linear(2, 3, 1, 2000, spec, jobs=j),
-            lambda j: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4, jobs=j),
+            lambda: verify_additive(2, 2 * 10**4, spec, spec),
+            lambda: verify_additive(2, 2 * 10**4, no_one, no_one),
+            lambda: verify_additive(4, 2 * 10**4, primes, primes, even_only=True),
+            lambda: verify_additive(6, 4000, primes, DomainSpec("proper", True)),
+            lambda: verify_linear(2, 3, 1, 2000, spec),
+            lambda: verify_linear(2, 151, 1, 2000, spec, sample_size=10**4),
         ]
         reports = {}
         for below in (0, 2):  # late phase by the straggler cutoff only; from the first pass
             monkeypatch.setattr(additive, "_COMPACT_BELOW", below)
-            reports[below] = [vars(run(j)) for run in runs for j in (1, 2)]
+            reports[below] = [vars(run()) for run in runs]
         assert reports[0] == reports[2]
-        proper = reports[2][6]["stats"]  # prime-proper at jobs 1
+        proper = reports[2][3]["stats"]  # prime-proper
         assert (proper["mode"], proper["max_search_depth"]) == ("right-descending", 83)
-
-    def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a recording stand-in for the pool runs map serially, so no thread
-        # starts however many jobs are asked for
-        workers = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return list(map(fn, items))
-
-        monkeypatch.setattr(additive, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(additive.os, "cpu_count", lambda: 3)
-        spec = DomainSpec("figurate", True)
-        serial = verify_additive(2, 9000, spec, spec)
-        for jobs in (2, 3, 10**5):
-            rep = verify_additive(2, 9000, spec, spec, jobs=jobs)
-            assert (rep.counterexamples, rep.stats) == (serial.counterexamples, serial.stats)
-        verify_linear(2, 3, 1, 9000, spec, jobs=10**5)
-        assert workers == [2, 3, 3, 3]
 
     def test_split_ranges_merge_to_full_run(self):
         spec = DomainSpec("figurate", True)
@@ -347,7 +304,7 @@ class TestEngineMechanics:
         spec = DomainSpec("figurate", True)
         with pytest.raises(UsageError):
             verify_additive(1, 10, spec, spec)
-        for bad in ({"jobs": 0}, {"sample_size": -1}, {"max_counterexamples": -1}):
+        for bad in ({"sample_size": -1}, {"max_counterexamples": -1}):
             with pytest.raises(UsageError):
                 verify_additive(2, 10, spec, spec, **bad)
             with pytest.raises(UsageError):
@@ -437,7 +394,7 @@ class TestNumpyIntegerInputs:
 
     def test_reports_hold_python_ints(self):
         spec, n = DomainSpec("figurate"), np.int64
-        options = {"jobs": 2, "max_counterexamples": 5, "sample_size": 3}
+        options = {"max_counterexamples": 5, "sample_size": 3}
         as_numpy = {key: n(v) for key, v in options.items()}
         pairs = [
             (verify_additive(n(2), n(100), spec, spec, **as_numpy),
@@ -453,7 +410,6 @@ class TestNumpyIntegerInputs:
         for call in (
             lambda: verify_additive(2, 100.5, spec, spec),
             lambda: verify_additive(2.0, 100, spec, spec),
-            lambda: verify_additive(2, 100, spec, spec, jobs=1.0),
             lambda: verify_additive(2, 100, spec, spec, sample_size=2.5),
             lambda: verify_linear(2.0, 3, 1, 100, spec),
         ):
@@ -566,17 +522,6 @@ class TestLinear:
         for w in rep.witness_sample:
             assert 2 * w["x"] + 3 * w["y"] == w["n"]
             assert w["x"] in members and w["y"] in members
-
-    def test_jobs_do_not_change_report(self):
-        spec = DomainSpec("figurate", True)
-        reps = [
-            verify_linear(2, 3, 1, 2 * 10**4, spec, jobs=j,
-                          max_counterexamples=10**6)
-            for j in (1, 4)
-        ]
-        assert reps[0].counterexamples == reps[1].counterexamples
-        assert reps[0].stats == reps[1].stats
-        assert reps[0].witness_sample == reps[1].witness_sample
 
     def test_coprimality_enforced(self):
         with pytest.raises(UsageError):
@@ -835,14 +780,13 @@ class TestParityClasses:
     @given(bounds=st.lists(st.integers(1, 3000), min_size=2, max_size=2).map(sorted),
            spec=st.sampled_from(SPECS),
            pair=st.sampled_from([(1, 1), (2, 3), (4, 7), (3, 5), (2, 151)]),
-           linear=st.booleans(), even_only=st.booleans(), jobs=st.sampled_from([1, 2]),
+           linear=st.booleans(), even_only=st.booleans(),
            chunk=st.sampled_from([1 << 4, 1 << 7, additive.CHUNK_ASCENDING]),
            sample_size=st.sampled_from([0, 3, 10**4]))
-    def test_matches_oracles(self, bounds, spec, pair, linear, even_only, jobs, chunk,
-                             sample_size):
+    def test_matches_oracles(self, bounds, spec, pair, linear, even_only, chunk, sample_size):
         lo, hi = bounds
         a, b = pair if linear else (1, 1)
-        counts = {"jobs": jobs, "max_counterexamples": 10**4, "sample_size": sample_size}
+        counts = {"max_counterexamples": 10**4, "sample_size": sample_size}
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(additive, "CHUNK_ASCENDING", chunk)
             if linear:

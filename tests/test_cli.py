@@ -107,7 +107,7 @@ class TestExitCodes:
         assert run(["no-such-command"]) == 2
         assert run(["figurate"]) == 2                   # neither --limit nor --member
         assert run(["sum2", "--from", "2", "--to", "10", "--jobs", "0"]) == 2
-        # every command checks --jobs, not only the scans that use it
+        # every command checks --jobs, though none uses it
         assert run(["pell", "--count", "2", "--jobs", "-3"]) == 2
         assert run(["solve", "--i", "2", "--j", "1", "--k", "1", "--bound", "100",
                     "--jobs", "0"]) == 2
@@ -555,27 +555,6 @@ class TestDeterminism:
         _, one = run_cli(base + ["--jobs", "1"], tmp_path, "one.json")
         _, four = run_cli(base + ["--jobs", "4"], tmp_path, "four.json")
         assert normalized(one) == normalized(four)
-
-    def test_jobs_env_default(self, tmp_path, monkeypatch):
-        base = ["prime-proper", "--from", "6", "--to", "5000"]
-        monkeypatch.setenv("FIGPRIMES_JOBS", "4")
-        _, enved = run_cli(base, tmp_path, "env.json")
-        monkeypatch.delenv("FIGPRIMES_JOBS")
-        _, flagged = run_cli(base + ["--jobs", "4"], tmp_path, "flag.json")
-        assert normalized(enved) == normalized(flagged)
-
-    def test_bad_jobs_env_falls_back(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FIGPRIMES_JOBS", "zero")
-        code, env = run_json(["sum2", "--from", "2", "--to", "100"], tmp_path)
-        assert code == 0
-        assert env["verified"] is True
-
-    def test_negative_jobs_env_rejected(self, tmp_path, monkeypatch, capsys):
-        # the setting meets the same check as --jobs
-        monkeypatch.setenv("FIGPRIMES_JOBS", "-5")
-        code, _ = run_cli(["sum2", "--from", "2", "--to", "100"], tmp_path)
-        assert code == 2
-        assert "jobs must be >= 1" in capsys.readouterr().err
 
     def test_repeat_runs_identical(self, tmp_path):
         args = ["conj42", "--limit", "50000"]

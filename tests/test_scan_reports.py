@@ -3,12 +3,17 @@
 ``data/scan_reports.json``.
 
 The grid is every ordered pair of the eight domains over [2, 3000] and
-[5, 41], even-only or not, at jobs 1 and 2; ``verify_linear`` with (a, b) =
-(1, 2), (2, 3), (3, 4) and (2, 151) over [1, 3000] on each domain; and
-every pair over [2, 2*10**5] at jobs 1, even-only or not, whose descending
-scans run several chunks and whose ascending ones reach the late phase.  A
-report holds no elapsed time, so every field is pinned, and a report that
-no longer serializes fails too.
+[5, 41], even-only or not; ``verify_linear`` with (a, b) = (1, 2), (2, 3),
+(3, 4) and (2, 151) over [1, 3000] on each domain; and every pair over
+[2, 2*10**5], even-only or not, whose descending scans run several chunks
+and whose ascending ones reach the late phase.  A report holds no elapsed
+time, so every field is pinned, and a report that no longer serializes
+fails too.
+
+The additive names end in ``jobs=1``: the scans once took a worker count,
+and the grid ran the small ranges at 1 and 2 workers.  Each report at 2 was
+the same bytes as its twin at 1, so those entries went with the thread
+pool, and the others keep the names they were recorded under.
 
 The recording is the oracle for every refactor of the scan: it must never be
 recorded again from code it is meant to check.  Most of it was made at
@@ -47,10 +52,8 @@ def configurations():
             pair = f"{_name(left)}+{_name(right)}"
             for lo, hi in ((2, 3000), (5, 41)):
                 for even_only in (False, True):
-                    for jobs in (1, 2):
-                        yield (f"{pair} [{lo}, {hi}] even_only={even_only} jobs={jobs}",
-                               partial(verify_additive, lo, hi, left, right,
-                                       even_only=even_only, jobs=jobs))
+                    yield (f"{pair} [{lo}, {hi}] even_only={even_only} jobs=1",
+                           partial(verify_additive, lo, hi, left, right, even_only=even_only))
             for even_only in (False, True):
                 yield (f"{pair} [2, 200000] even_only={even_only} jobs=1",
                        partial(verify_additive, 2, 2 * 10**5, left, right,
