@@ -451,7 +451,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *, max_counterexamples,
     plan = [(par, scan if not parity or (a + par) % 2 else odd if a % 2 else even_y)
             for par in range(0, g, step)]
 
-    def worker(span):
+    def run_chunk(span):
         """The counterexamples of one chunk, ascending, and its depth."""
         cex, depth = np.zeros(span[1] - span[0] + 1, dtype=bool), 0
         for par, run in plan:
@@ -465,16 +465,23 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *, max_counterexamples,
     start = max(lo, a + b)  # no target below a + b has x, y >= 1
     width = (CHUNK if descending else CHUNK_ASCENDING) * m
     chunks = [(s, min(s + width - 1, hi)) for s in range(start, hi + 1, width)]
-    results = [worker(c) for c in chunks]
-    cex = np.concatenate([c for c, _ in results] or [np.empty(0, dtype=np.int64)])
+    results = [run_chunk(c) for c in chunks]
+    depth = max((d for _, d in results), default=0)
+    cex = np.concatenate([c for c, _ in results] or [_NONE])
+    del results  # the chunks' own counterexamples, now joined
     first = start + -start % step  # the grid's first target
     # The sample is the first sample_size grid targets below sample_end that
     # are not counterexamples.  With idx_j the grid index of the j-th
-    # counterexample, the k-th of them has index k + #{j : idx_j - j <= k}.
-    below = len(range(first, min(sample_end, hi + 1), step))
+    # counterexample, the k-th of them has index k + #{j : idx_j - j <= k};
+    # for a k below the sample's end, no counterexample past it counts.
+    end = min(sample_end, hi + 1)
+    below = len(range(first, end, step))
     ns = np.arange(min(sample_size, below))
     if ns.size:  # else first may lie past int64
-        ns += np.searchsorted((cex - first) // step - np.arange(cex.size), ns, "right")
+        idx = cex[: np.searchsorted(cex, end)] - first
+        idx //= step
+        idx -= np.arange(idx.size)
+        ns += np.searchsorted(idx, ns, "right")
         ns = first + step * ns[ns < below]
     wit = np.empty(ns.size, dtype=np.int64)
     res = ns % m
@@ -499,7 +506,7 @@ def _verify(a, b, lo, hi, left, right, step, sample_end, *, max_counterexamples,
         stats={
             "scanned": len(range(lo + -lo % step, hi + 1, step)),
             "witnesses": len(range(first, hi + 1, step)) - total,
-            "max_search_depth": max((d for _, d in results), default=0),
+            "max_search_depth": depth,
         },
     )
     return report, descending, int(cex[-1]) if total else None
