@@ -2,7 +2,8 @@
 
 Exit codes: 0 = ran and consistent, 1 = ran but found counterexamples or a
 catalog discrepancy, 2 = usage or resource error, 3 = arithmetic guard.
-Reports are deterministic for fixed inputs; --jobs changes elapsed_ms only.
+Reports are deterministic for fixed inputs.  Scans run in one thread: --jobs
+is checked, for compatibility, and has no effect.
 """
 from __future__ import annotations
 
