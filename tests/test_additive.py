@@ -8,6 +8,7 @@ fallback) must all collapse to the same answers.
 from __future__ import annotations
 
 import json
+import threading
 import tracemalloc
 from functools import lru_cache
 from types import SimpleNamespace
@@ -257,6 +258,34 @@ class TestEngineMechanics:
             for w, n in zip(wide[3:], narrow[3:]):
                 assert w.witness_sample == n.witness_sample
                 assert w.counterexamples == n.counterexamples
+
+    def test_scans_start_no_thread(self, monkeypatch):
+        # every chunk runs in the calling thread, however many there are
+        def refuse(self):
+            raise AssertionError(f"a scan started thread {self.name}")
+
+        spec, primes = DomainSpec("figurate", True), DomainSpec("primes")
+        runs = [
+            lambda: verify_additive(2, 9000, spec, spec),
+            lambda: verify_additive(6, 9000, primes, DomainSpec("proper", True)),
+            lambda: verify_linear(2, 3, 1, 9000, spec),
+        ]
+        expected = [run().counterexamples for run in runs]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(additive, "CHUNK", 1 << 8)
+        monkeypatch.setattr(additive, "CHUNK_ASCENDING", 1 << 8)
+        assert [run().counterexamples for run in runs] == expected
+
+    @pytest.mark.parametrize("scan", [
+        lambda spec, **kw: verify_additive(2, 100, spec, spec, **kw),
+        lambda spec, **kw: verify_linear(2, 3, 1, 100, spec, **kw),
+    ], ids=["additive", "linear"])
+    def test_jobs_keyword_rejected(self, scan):
+        # a caller that still passes a worker count learns that none is taken
+        spec = DomainSpec("figurate", True)
+        with pytest.raises(TypeError, match="jobs"):
+            scan(spec, jobs=1)
+        assert scan(spec).hi == 100
 
     def test_compaction_does_not_change_reports(self, monkeypatch):
         # the full-width passes are the oracle for the late phase; narrow

@@ -556,6 +556,18 @@ class TestDeterminism:
         _, four = run_cli(base + ["--jobs", "4"], tmp_path, "four.json")
         assert normalized(one) == normalized(four)
 
+    # FIGPRIMES_JOBS once set the default worker count, fell back on a bad
+    # value and failed on a negative one; a shell that still sets it must
+    # change nothing
+    @pytest.mark.parametrize("value", ["4", "zero", "-5"])
+    def test_jobs_env_ignored(self, tmp_path, monkeypatch, value):
+        base = ["prime-proper", "--from", "6", "--to", "5000"]
+        code, plain = run_cli(base, tmp_path, "plain.json")
+        monkeypatch.setenv("FIGPRIMES_JOBS", value)
+        enved_code, enved = run_cli(base, tmp_path, "env.json")
+        assert code == enved_code == 0
+        assert normalized(plain) == normalized(enved)
+
     def test_repeat_runs_identical(self, tmp_path):
         args = ["conj42", "--limit", "50000"]
         _, a = run_cli(args, tmp_path, "a.json")
